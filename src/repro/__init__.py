@@ -47,7 +47,7 @@ from repro.workloads import (
     standard_mixes,
 )
 
-__version__ = "1.9.0"
+__version__ = "1.10.0"
 
 __all__ = [
     "__version__",

@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 import tempfile
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from repro.telemetry import Telemetry
@@ -486,12 +486,15 @@ def bench_runner_cache(ctx: BenchContext) -> None:
         payload = execute_unit(unit)
     rounds = ctx.size(150, 40)
     counters = ctx.telemetry.counters
+    # One distinct unit per round, so every round publishes a new
+    # entry; the payload is transport only and need not match it.
+    units = [replace(unit, max_intervals=40 + i) for i in range(rounds)]
     with tempfile.TemporaryDirectory(prefix="mirage-bench-") as tmp:
         cache = ResultCache(Path(tmp))
         with ctx.telemetry.profiler.time("round-trips"):
-            for i in range(rounds):
-                cache.put(f"bench-{i}", unit, payload)
-                back = cache.get(f"bench-{i}", unit)
+            for each in units:
+                cache.put(each, payload)
+                back = cache.get(each)
                 if back is MISS:
                     raise RuntimeError("cache round-trip lost the payload")
         counters.bump("cache.round_trips", rounds)

@@ -3,8 +3,9 @@
 The experiment drivers describe their per-mix simulations as picklable
 :class:`~repro.runner.units.WorkUnit` values; a
 :class:`~repro.runner.executor.SweepRunner` executes a batch —
-serially, or fanned out over worker processes — consulting an on-disk
-:class:`~repro.runner.cache.ResultCache` first.  Unit order is
+serially, or fanned out over worker processes — consulting the
+content-addressed on-disk :class:`~repro.runner.cache.ResultCache`
+first, so each distinct unit runs once per cache.  Unit order is
 preserved, and every execution path (serial, parallel, cached) yields
 bit-identical results because the simulator is deterministic per seed.
 

@@ -1,8 +1,18 @@
-"""Deterministic on-disk result cache for sweep work units.
+"""Content-addressed on-disk result cache for sweep work units.
 
 Results live under ``~/.cache/mirage/`` (override with
-``MIRAGE_CACHE_DIR`` or ``--cache-dir``), one JSON file per work unit,
-keyed by the SHA-256 of ``(experiment, unit fields, package version)``.
+``MIRAGE_CACHE_DIR`` or ``--cache-dir``), one JSON file per distinct
+work unit at ``v<version>/<xx>/<digest>.json``.  ``<digest>`` is
+:meth:`ResultCache.digest` — SHA-256 over the unit's fields, the
+package version and the schema tags (:meth:`ResultCache.key_material`)
+— and ``<xx>`` its first two hex digits, which keeps every directory
+small.  A unit's identity is its content alone: no experiment name or
+caller enters the key, so equal units share one entry whichever
+experiment, CLI run or ``mirage serve`` job computed them first.  That
+is sound because :func:`~repro.runner.units.execute_unit` is a pure
+function of the unit's fields: an experiment that builds different
+units gets different keys, and a simulator change bumps the version.
+
 Streams are deterministic per ``(benchmark, seed)``, so a cached
 :class:`~repro.cmp.system.CMPResult` is bit-identical to a re-run:
 floats survive the JSON round-trip exactly (``repr`` shortest-float),
@@ -15,6 +25,10 @@ the engine/backend schema tag
 schema tag (:data:`repro.workloads.scenario.SCENARIO_CACHE_TAG`), so
 results produced by a different loop/backend/scenario generation are
 invalidated even when the package version is unchanged.
+
+Per-experiment wall-time hints for the LPT scheduler live beside the
+entries, at ``timings/<experiment>.json``, keyed by the version-free
+:func:`unit_digest`.
 """
 
 from __future__ import annotations
@@ -42,19 +56,28 @@ from repro.workloads.scenario import SCENARIO_CACHE_TAG
 MISS = object()
 
 
-def unit_digest(experiment: str, unit: WorkUnit) -> str:
-    """A *version-free* digest identifying a unit's workload.
+def unit_digest(unit: WorkUnit) -> str:
+    """A *version-free* digest of a unit's fields.
 
-    Unlike :meth:`ResultCache.key_material`, this deliberately folds
-    in **no** version or schema tags: it keys the per-unit wall-time
+    Unlike :meth:`ResultCache.digest`, this deliberately folds in
+    **no** version or schema tags: it keys the per-unit wall-time
     hints behind the LPT scheduler, and a unit's *cost* survives
     version bumps even when its cached *result* must not.  A stale
     hint can only mis-order dispatch (costing a little makespan),
-    never change a result.
+    never change a result.  Equal units have equal digests, which is
+    also how :meth:`SweepRunner.map
+    <repro.runner.executor.SweepRunner.map>` finds the repeats of a
+    batch.
     """
-    material = json.dumps(
-        {"experiment": experiment, "unit": dataclasses.asdict(unit)},
-        sort_keys=True, separators=(",", ":"), default=str)
+    return _sha(_canonical(dataclasses.asdict(unit)))
+
+
+def _canonical(value: Any) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"),
+                      default=str)
+
+
+def _sha(material: str) -> str:
     return hashlib.sha256(material.encode()).hexdigest()[:32]
 
 
@@ -77,7 +100,7 @@ def decode_payload(envelope: dict) -> Any:
 
 
 class ResultCache:
-    """Maps ``(experiment, WorkUnit)`` to a stored unit result."""
+    """Maps a :class:`WorkUnit` to its stored result, by content."""
 
     def __init__(self, cache_dir: str | Path | None = None, *,
                  version: str | None = None,
@@ -102,7 +125,7 @@ class ResultCache:
         self.cost_model = cost_model or "l1-flush"
 
     # -- keying --------------------------------------------------------
-    def key_material(self, experiment: str, unit: WorkUnit) -> str:
+    def key_material(self, unit: WorkUnit) -> str:
         """The canonical JSON string the cache key digests.
 
         The warm worker pool (``MIRAGE_WARM_POOL``) is deliberately
@@ -113,60 +136,68 @@ class ResultCache:
         key is identical under both toggles, and the CI
         ``--pool-gate`` holds the printed tables to the same byte).
         """
-        return json.dumps(
-            {
-                "backend": self.backend,
-                "core_backend": self.core_backend,
-                "cost_model": self.cost_model,
-                "experiment": experiment,
-                # Scenario schedules and their placement semantics are
-                # part of what a cached result means: bumping the
-                # scenario-layer tag invalidates dynamic-run entries
-                # without touching the package version.
-                "scenario": SCENARIO_CACHE_TAG,
-                # The experiment service stores its job results through
-                # this cache (that sharing *is* the dedup layer), so
-                # its schema generation is part of the key too.
-                "service": SERVICE_CACHE_TAG,
-                "sim_cache": self.sim_cache,
-                "unit": dataclasses.asdict(unit),
-                "version": self.version,
-            },
-            sort_keys=True, separators=(",", ":"), default=str,
-        )
+        return _canonical({
+            "backend": self.backend,
+            "core_backend": self.core_backend,
+            "cost_model": self.cost_model,
+            # Scenario schedules and their placement semantics are
+            # part of what a cached result means: bumping the
+            # scenario-layer tag invalidates dynamic-run entries
+            # without touching the package version.
+            "scenario": SCENARIO_CACHE_TAG,
+            # The experiment service stores its job results through
+            # this cache (that sharing *is* the dedup layer), so its
+            # schema generation is part of the key too.
+            "service": SERVICE_CACHE_TAG,
+            "sim_cache": self.sim_cache,
+            "unit": dataclasses.asdict(unit),
+            "version": self.version,
+        })
 
-    def path_for(self, experiment: str, unit: WorkUnit) -> Path:
-        """The entry file a unit's result lives at (digest-named)."""
-        digest = hashlib.sha256(
-            self.key_material(experiment, unit).encode()).hexdigest()
-        return (self.root / f"v{self.version}" / (experiment or "adhoc")
-                / f"{digest[:32]}.json")
+    def digest(self, unit: WorkUnit) -> str:
+        """The unit's identity: 32 hex digits of SHA-256 over
+        :meth:`key_material`.
+
+        It names the unit's entry file and is the experiment service's
+        unit digest, so "same digest", "same entry" and "one
+        execution" are a single statement.
+        """
+        return _sha(self.key_material(unit))
+
+    def path_for(self, unit: WorkUnit) -> Path:
+        """The entry file a unit's result lives at."""
+        return self._path(self.digest(unit))
+
+    def _path(self, digest: str) -> Path:
+        return self.root / f"v{self.version}" / digest[:2] / f"{digest}.json"
 
     # -- access --------------------------------------------------------
-    def get(self, experiment: str, unit: WorkUnit) -> Any:
-        """The stored payload, or :data:`MISS`."""
-        path = self.path_for(experiment, unit)
+    def get(self, unit: WorkUnit) -> Any:
+        """The stored payload, or :data:`MISS`.
+
+        An unreadable, malformed or foreign entry is a miss, never an
+        error: the unit simply executes again and overwrites it.
+        """
+        key = self.key_material(unit)
         try:
-            entry = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
+            entry = json.loads(self._path(_sha(key)).read_text())
+        except (OSError, ValueError):
             return MISS
         # Guard against (vanishingly unlikely) digest collisions and
         # hand-edited files.
-        if entry.get("key") != self.key_material(experiment, unit):
+        if not isinstance(entry, dict) or entry.get("key") != key:
             return MISS
         try:
             return decode_payload(entry["payload"])
-        except (KeyError, TypeError):
+        except (KeyError, TypeError, ValueError):
             return MISS
 
-    def put(self, experiment: str, unit: WorkUnit, payload: Any) -> Path:
+    def put(self, unit: WorkUnit, payload: Any) -> Path:
         """Atomically publish a unit's payload; returns its path."""
-        path = self.path_for(experiment, unit)
+        key = self.key_material(unit)
+        path = self._path(_sha(key))
         path.parent.mkdir(parents=True, exist_ok=True)
-        entry = {
-            "key": self.key_material(experiment, unit),
-            "payload": encode_payload(payload),
-        }
+        entry = {"key": key, "payload": encode_payload(payload)}
         # Atomic publish: concurrent `mirage` runs may share the dir.
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
@@ -193,12 +224,11 @@ class ResultCache:
         return self.root / "timings" / f"{experiment or 'adhoc'}.json"
 
     def load_timings(self, experiment: str) -> dict[str, float]:
-        """The persisted wall-time hints (empty when none or corrupt)."""
+        """The persisted wall-time hints (empty when none or malformed)."""
         try:
             entry = json.loads(self.timings_path(experiment).read_text())
-            wall = entry.get("wall", {})
-            return {str(k): float(v) for k, v in wall.items()}
-        except (OSError, json.JSONDecodeError, TypeError, ValueError):
+            return {str(k): float(v) for k, v in entry["wall"].items()}
+        except (OSError, ValueError, TypeError, KeyError, AttributeError):
             return {}
 
     def record_timings(self, experiment: str,

@@ -2,7 +2,8 @@
 
 :class:`SweepRunner.map` preserves unit order, so drivers aggregate
 results exactly as their old serial loops did — the serial and parallel
-paths produce bit-identical tables.  Units already in the cache are
+paths produce bit-identical tables.  Equal units in one batch are
+looked up and executed once.  Units already in the cache are
 returned without executing; the rest fan out over the process-global
 :class:`~repro.runner.pool.WarmPool` when ``jobs > 1`` — persistent
 workers reused across sweeps, with per-unit wall times persisted by the
@@ -25,10 +26,10 @@ from __future__ import annotations
 import dataclasses
 import pickle
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 from repro.cmp.system import CMPResult
 from repro.runner import units as units_mod
@@ -102,9 +103,10 @@ class SweepRunner:
     Args:
         jobs: worker processes; 1 (the default) stays in-process.
         cache: a :class:`ResultCache`, or None to always execute.
-        experiment: name folded into every cache key, so identical
-            units cached under different experiments don't collide
-            with a future schema change of either driver.
+        experiment: names the per-experiment wall-time hints file
+            (:meth:`ResultCache.timings_path`) only.  Results are
+            keyed by unit content, so equal units share one cache
+            entry whichever experiment maps them.
         trace: JSONL file the telemetry trace of every CMP result is
             appended to (``None`` disables tracing).
     """
@@ -121,7 +123,13 @@ class SweepRunner:
 
     # ------------------------------------------------------------------
     def map(self, units: Sequence[WorkUnit]) -> list[Any]:
-        """Results for *units*, in order."""
+        """Results for *units*, in order.
+
+        Each distinct unit is looked up and, on a miss, executed once;
+        its result goes to every index that holds an equal unit (one
+        shared object: results are read-only by convention).  Cache
+        statistics still count per index.
+        """
         start = time.perf_counter()
         units = list(units)
         if self.trace is not None:
@@ -135,21 +143,29 @@ class SweepRunner:
                 for u in units
             ]
         results: list[Any] = [None] * len(units)
-        pending: list[int] = []
+        groups: dict[str, list[int]] = {}
         for i, unit in enumerate(units):
-            hit = (self.cache.get(self.experiment, unit)
+            groups.setdefault(unit_digest(unit), []).append(i)
+        pending: dict[str, list[int]] = {}
+        for digest, indices in groups.items():
+            hit = (self.cache.get(units[indices[0]])
                    if self.cache is not None else MISS)
-            if hit is not MISS:
-                results[i] = hit
-                self.stats.cache_hits += 1
+            if hit is MISS:
+                pending[digest] = indices
+                self.stats.cache_misses += len(indices)
             else:
-                pending.append(i)
-                self.stats.cache_misses += 1
+                for i in indices:
+                    results[i] = hit
+                self.stats.cache_hits += len(indices)
         if pending:
-            self._execute(units, pending, results)
-            if self.cache is not None:
-                for i in pending:
-                    self.cache.put(self.experiment, units[i], results[i])
+            todo = [units[indices[0]] for indices in pending.values()]
+            payloads = self._execute(todo, list(pending))
+            for unit, indices, payload in zip(todo, pending.values(),
+                                              payloads):
+                for i in indices:
+                    results[i] = payload
+                if self.cache is not None:
+                    self.cache.put(unit, payload)
         if self.trace is not None:
             self._append_trace(results)
         self.stats.wall_seconds += time.perf_counter() - start
@@ -188,35 +204,46 @@ class SweepRunner:
                     self.stats.trace_records += 1
 
     # ------------------------------------------------------------------
-    def _execute(self, units, pending, results) -> None:
+    def _execute(self, units: list[WorkUnit],
+                 digests: list[str]) -> list[Any]:
+        """Execute each of the distinct *units* once; payloads in order.
+
+        *digests* are the units' :func:`unit_digest` values, the keys
+        of the persisted wall-time hints.
+        """
+        payloads: list[Any] = []
         timings: dict[str, float] = {}
         try:
-            want_pool = (self.jobs > 1 and len(pending) > 1
-                         and all(_picklable(units[i]) for i in pending))
-            if want_pool and warm_pool_enabled():
-                try:
-                    self._execute_warm(units, pending, results, timings)
-                    return
-                except PoolUnavailable:
-                    pass  # pool can't run here: try the legacy pool
-            if want_pool:
-                try:
-                    self._execute_parallel(units, pending, results,
-                                           timings)
-                    return
-                except (OSError, PermissionError):
-                    pass  # no subprocess support here: fall through
-            for i in pending:
-                payload, seconds = units_mod.timed_execute(units[i])
-                results[i] = payload
-                self.stats.note_unit(seconds, unit_label(units[i]))
-                timings[unit_digest(self.experiment, units[i])] = seconds
+            for unit, digest, (payload, seconds) in zip(
+                    units, digests, self._timed(units, digests)):
+                payloads.append(payload)
+                self.stats.note_unit(seconds, unit_label(unit))
+                timings[digest] = seconds
         finally:
             # Persist whatever we timed — the next sweep's LPT input.
             if self.cache is not None:
                 self.cache.record_timings(self.experiment, timings)
+        return payloads
 
-    def _execute_warm(self, units, pending, results, timings) -> None:
+    def _timed(self, units: list[WorkUnit],
+               digests: list[str]) -> Iterable[tuple[Any, float]]:
+        """``(payload, seconds)`` per unit, in order, from the widest
+        execution path that works here: the warm pool, the legacy
+        per-sweep pool, then serial."""
+        if (self.jobs > 1 and len(units) > 1
+                and all(_picklable(u) for u in units)):
+            if warm_pool_enabled():
+                try:
+                    return self._map_warm(units, digests)
+                except PoolUnavailable:
+                    pass  # pool can't run here: try the legacy pool
+            try:
+                return self._map_parallel(units)
+            except (OSError, PermissionError):
+                pass  # no subprocess support here: fall through
+        return map(units_mod.timed_execute, units)
+
+    def _map_warm(self, units, digests) -> list[tuple[Any, float]]:
         """Fan out over the shared warm pool, longest-expected-first.
 
         Cost hints come from the wall times previous runs persisted
@@ -224,35 +251,19 @@ class SweepRunner:
         have no hint and are conservatively dispatched first.
         """
         pool = WarmPool.shared(self.jobs)
-        digests = [unit_digest(self.experiment, units[i])
-                   for i in pending]
         hints = (self.cache.load_timings(self.experiment)
                  if self.cache is not None else {})
-        pairs = pool.map(units_mod.timed_execute,
-                         [units[i] for i in pending],
+        pairs = pool.map(units_mod.timed_execute, units,
                          costs=[hints.get(d) for d in digests])
         self.stats.mode = "warm-pool"
-        for i, digest, (payload, seconds) in zip(pending, digests,
-                                                 pairs):
-            results[i] = payload
-            self.stats.note_unit(seconds, unit_label(units[i]))
-            timings[digest] = seconds
+        return pairs
 
-    def _execute_parallel(self, units, pending, results,
-                          timings) -> None:
-        workers = min(self.jobs, len(pending))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                pool.submit(units_mod.timed_execute, units[i]): i
-                for i in pending
-            }
-            self.stats.mode = "parallel"
-            for future in as_completed(futures):
-                payload, seconds = future.result()
-                i = futures[future]
-                results[i] = payload
-                self.stats.note_unit(seconds, unit_label(units[i]))
-                timings[unit_digest(self.experiment, units[i])] = seconds
+    def _map_parallel(self, units) -> list[tuple[Any, float]]:
+        with ProcessPoolExecutor(
+                max_workers=min(self.jobs, len(units))) as pool:
+            pairs = list(pool.map(units_mod.timed_execute, units))
+        self.stats.mode = "parallel"
+        return pairs
 
 
 def run_units(units: Sequence[WorkUnit],

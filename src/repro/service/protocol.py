@@ -8,9 +8,10 @@ Everything that crosses a process or socket boundary is defined here:
   :class:`~repro.runner.units.WorkUnit` values the worker fleet
   executes, one per experiment — ``mirage submit all`` really does
   fan one unit per driver across the workers;
-* :func:`unit_digest` — the unit's identity under the *shared*
+* :func:`unit_digest` — the unit's content identity under the *shared*
   :class:`~repro.runner.cache.ResultCache` keying, which is what makes
-  concurrent identical submissions coalesce onto one execution;
+  concurrent identical submissions coalesce onto one execution and
+  lets a job reuse what a CLI sweep already computed;
 * JSONL message framing (:func:`dump_message` / :func:`load_message`)
   used on both the worker TCP protocol and the job stream files.
 
@@ -23,18 +24,12 @@ full experiments.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import time
 from dataclasses import dataclass
 from typing import Any
 
 from repro.runner.units import WorkUnit, call_unit
-
-#: The experiment name service-owned units are cached under.  One
-#: namespace for every job keeps the dedup property simple: equal
-#: digest ⇔ equal unit ⇔ one execution.
-SERVICE_EXPERIMENT = "service"
 
 
 @dataclass(frozen=True)
@@ -173,16 +168,17 @@ def unit_from_dict(data: dict) -> WorkUnit:
 
 
 def unit_digest(cache, unit: WorkUnit) -> str:
-    """The unit's service-wide identity: a digest of the shared
-    :meth:`~repro.runner.cache.ResultCache.key_material`.
+    """The unit's service-wide identity:
+    :meth:`~repro.runner.cache.ResultCache.digest`.
 
     Because this is literally the result cache's own keying, "two
     submissions share a digest" and "two submissions share a cache
     entry" are the same statement — coalescing and caching can never
-    disagree about what counts as identical work.
+    disagree about what counts as identical work.  The key holds the
+    unit's content only, so a job also hits entries that CLI sweeps
+    wrote, and the reverse.
     """
-    material = cache.key_material(SERVICE_EXPERIMENT, unit)
-    return hashlib.sha256(material.encode()).hexdigest()[:32]
+    return cache.digest(unit)
 
 
 # ----------------------------------------------------------------------

@@ -52,7 +52,6 @@ import repro.service.jobs as jobstates
 from repro.service.journal import Journal, replay
 from repro.service.jobs import Job, JobQueue, UnitTask
 from repro.service.protocol import (
-    SERVICE_EXPERIMENT,
     SubmitRequest,
     decompose,
     dump_message,
@@ -327,8 +326,7 @@ class ExperimentServer:
                     task.job_ids.append(job.job_id)
                 task.priority = max(task.priority, job.priority)
                 continue
-            hit = (self.cache.get(SERVICE_EXPERIMENT, unit)
-                   if self.use_result_cache else MISS)
+            hit = self.cache.get(unit) if self.use_result_cache else MISS
             if hit is not MISS:
                 self.stats["cache_hits"] += 1
                 job.results[digest] = encode_payload(hit)
@@ -397,8 +395,7 @@ class ExperimentServer:
         self.stats["executions"] += 1
         if self.use_result_cache:
             try:
-                self.cache.put(SERVICE_EXPERIMENT, task.unit,
-                               decode_payload(envelope))
+                self.cache.put(task.unit, decode_payload(envelope))
             except (OSError, TypeError, KeyError):
                 pass                            # caching is best-effort
         self._complete_unit(task, envelope, worker_id=info.worker_id)

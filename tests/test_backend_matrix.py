@@ -325,11 +325,9 @@ class TestCacheKeying:
         keyed = ResultCache("/tmp/nonexistent-cache",
                             core_backend="cgooo",
                             cost_model="state-transfer")
-        assert base.key_material("e", unit) != keyed.key_material(
-            "e", unit)
-        assert '"core_backend":"cgooo"' in keyed.key_material("e", unit)
-        assert '"cost_model":"state-transfer"' in keyed.key_material(
-            "e", unit)
+        assert base.key_material(unit) != keyed.key_material(unit)
+        assert '"core_backend":"cgooo"' in keyed.key_material(unit)
+        assert '"cost_model":"state-transfer"' in keyed.key_material(unit)
 
     def test_cache_config_validates_backend(self):
         from repro.config import CacheConfig

@@ -167,16 +167,16 @@ class TestCacheKeying:
         cache = ResultCache(tmp_path)
         unit = cmp_unit(MIXES[0], "maxSTP")
         monkeypatch.setenv(pool_mod.ENV_VAR, "1")
-        key_on = cache.key_material("fig7", unit)
+        key_on = cache.key_material(unit)
         monkeypatch.setenv(pool_mod.ENV_VAR, "0")
-        key_off = cache.key_material("fig7", unit)
+        key_off = cache.key_material(unit)
         assert key_on == key_off
         assert "pool" not in key_on
 
     def test_timings_round_trip(self, tmp_path):
         cache = ResultCache(tmp_path)
         unit = cmp_unit(MIXES[0], "SC-MPKI")
-        digest = unit_digest("fig7", unit)
+        digest = unit_digest(unit)
         cache.record_timings("fig7", {digest: 1.25})
         assert cache.load_timings("fig7") == {digest: 1.25}
         # Merge-on-write keeps earlier entries.
@@ -184,10 +184,32 @@ class TestCacheKeying:
         assert cache.load_timings("fig7") == {digest: 1.25,
                                               "other": 0.5}
 
-    def test_unit_digest_is_version_free(self, tmp_path):
+    @pytest.mark.parametrize("text", [
+        "not json {", "[1]", "null", '"wall"', '{"wall": [1]}',
+        '{"wall": {"d": "slow"}}', '{"wall": {"d": null}}',
+    ], ids=["garbage", "list", "null", "string", "wall-list",
+            "wall-text", "wall-null"])
+    def test_malformed_hints_file_reads_as_empty(self, tmp_path, text):
+        cache = ResultCache(tmp_path)
+        path = cache.timings_path("fig7")
+        path.parent.mkdir(parents=True)
+        path.write_text(text)
+        assert cache.load_timings("fig7") == {}
+        # Recording never fails a sweep: it replaces the bad file.
+        cache.record_timings("fig7", {"d": 0.5})
+        assert cache.load_timings("fig7") == {"d": 0.5}
+
+    def test_unit_digest_is_version_free(self, monkeypatch):
+        import repro
+
         unit = cmp_unit(MIXES[0], "SC-MPKI")
-        assert unit_digest("fig7", unit) == unit_digest("fig7", unit)
-        assert unit_digest("fig7", unit) != unit_digest("fig8", unit)
+        before = unit_digest(unit)
+        monkeypatch.setattr(repro, "__version__", "9.9.9")
+        assert unit_digest(unit) == before
+        # Content alone: an equal unit, whichever experiment built it,
+        # has the same digest; a different unit does not.
+        assert unit_digest(cmp_unit(MIXES[0], "SC-MPKI")) == before
+        assert unit_digest(cmp_unit(MIXES[0], "maxSTP")) != before
 
     def test_unit_label_is_compact(self):
         label = unit_label(cmp_unit(MIXES[0], "SC-MPKI"))

@@ -1,9 +1,13 @@
 """Tests for the sweep runner: units, cache, and executor.
 
 The contract under test: serial, parallel, and cached execution all
-yield bit-identical results, and the cache is keyed so that any change
-of experiment, unit parameters, or package version misses.
+yield bit-identical results; the cache is keyed by unit content, so
+any change of unit parameters or package version misses while equal
+units share one entry (and one execution) whichever experiment maps
+them.
 """
+
+import json
 
 import pytest
 
@@ -55,26 +59,31 @@ class TestCache:
         cache = ResultCache(tmp_path)
         unit = cmp_unit(MIX, "SC-MPKI")
         result = execute_unit(unit)
-        cache.put("fig7", unit, result)
-        assert cache.get("fig7", unit) == result
+        cache.put(unit, result)
+        assert cache.get(unit) == result
 
     def test_miss_on_empty_cache(self, tmp_path):
         cache = ResultCache(tmp_path)
-        assert cache.get("fig7", cmp_unit(MIX, "SC-MPKI")) is MISS
+        assert cache.get(cmp_unit(MIX, "SC-MPKI")) is MISS
 
-    def test_key_changes_with_params_experiment_and_version(
+    def test_key_changes_with_params_and_version_not_experiment(
             self, tmp_path):
         base = ResultCache(tmp_path)
         unit = cmp_unit(MIX, "SC-MPKI")
         paths = {
-            base.path_for("fig7", unit),
-            base.path_for("fig8", unit),
-            base.path_for("fig7", cmp_unit(MIX, "maxSTP")),
-            base.path_for("fig7", cmp_unit(MIX, "SC-MPKI",
-                                           n_producers=2)),
-            ResultCache(tmp_path, version="9.9.9").path_for("fig7", unit),
+            base.path_for(unit),
+            base.path_for(cmp_unit(MIX, "maxSTP")),
+            base.path_for(cmp_unit(MIX, "SC-MPKI", n_producers=2)),
+            ResultCache(tmp_path, version="9.9.9").path_for(unit),
         }
-        assert len(paths) == 5
+        assert len(paths) == 4
+        # Content-addressed: no experiment name enters the key, so an
+        # equal unit built by any experiment lands on the same entry.
+        assert "experiment" not in json.loads(base.key_material(unit))
+        assert base.path_for(cmp_unit(MIX, "SC-MPKI")) == base.path_for(unit)
+        digest = base.digest(unit)
+        assert base.path_for(unit) == (
+            tmp_path / f"v{base.version}" / digest[:2] / f"{digest}.json")
 
     def test_key_changes_with_backend_tag(self, tmp_path):
         # Results from a different engine/backend generation (e.g. the
@@ -84,18 +93,29 @@ class TestCache:
         base = ResultCache(tmp_path)
         assert base.backend == ENGINE_CACHE_TAG
         assert ENGINE_CACHE_TAG in base.key_material(
-            "fig7", cmp_unit(MIX, "SC-MPKI"))
+            cmp_unit(MIX, "SC-MPKI"))
         unit = cmp_unit(MIX, "SC-MPKI")
         other = ResultCache(tmp_path, backend="bespoke-loops-v0")
-        assert base.path_for("fig7", unit) != other.path_for("fig7", unit)
+        assert base.path_for(unit) != other.path_for(unit)
 
-    def test_corrupt_entry_is_a_miss(self, tmp_path):
+    @pytest.mark.parametrize("text", [
+        "not json {", "[1, 2]", "null", '"entry"', "42", "{}",
+        '{"key": "someone else", "payload": {}}',
+        '{"key": KEY}',
+        '{"key": KEY, "payload": [1, 2]}',
+        '{"key": KEY, "payload": {"type": "CMPResult", "value": [1]}}',
+        '{"key": KEY, "payload": {"type": "CMPResult", "value": {}}}',
+    ], ids=["garbage", "list", "null", "string", "number", "empty",
+            "foreign-key", "no-payload", "payload-list",
+            "payload-not-fields", "payload-missing-fields"])
+    def test_corrupt_entry_is_a_miss(self, tmp_path, text):
         cache = ResultCache(tmp_path)
         unit = cmp_unit(MIX, "SC-MPKI")
-        path = cache.path_for("fig7", unit)
+        path = cache.path_for(unit)
         path.parent.mkdir(parents=True)
-        path.write_text("not json {")
-        assert cache.get("fig7", unit) is MISS
+        path.write_text(text.replace(
+            "KEY", json.dumps(cache.key_material(unit))))
+        assert cache.get(unit) is MISS
 
 
 class TestExecutor:
@@ -150,6 +170,55 @@ class TestExecutor:
         ])
         assert results == [3, 3]
         assert runner.stats.mode == "serial"
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_equal_units_execute_once(self, tmp_path, jobs):
+        units = [call_unit("builtins:sorted", [3, 1, 2]),
+                 call_unit("builtins:len", [1, 2]),
+                 call_unit("builtins:sorted", [3, 1, 2]),
+                 call_unit("builtins:max", [4, 9]),
+                 call_unit("builtins:len", [1, 2])]
+        runner = SweepRunner(jobs=jobs, cache=ResultCache(tmp_path))
+        assert runner.map(units) == [[1, 2, 3], 2, [1, 2, 3], 9, 2]
+        assert runner.stats.units_run == 3
+        assert runner.stats.cache_misses == runner.stats.total_units == 5
+        assert len(list(tmp_path.glob("v*/*/*.json"))) == 3
+        # jobs=2 takes a pooled path (warm, or legacy when the warm
+        # pool is switched off), where the repeats never reach a worker.
+        assert (runner.stats.mode == "serial") == (jobs == 1)
+
+    def test_fig8_reuses_fig7_entries(self, tmp_path, monkeypatch,
+                                      capsys):
+        from repro.experiments import fig8_energy
+
+        sizes = dict(n_values=(4,), n_mixes=1)
+        fig7_throughput.print_table(fig7_throughput.run(**sizes))
+        fig8_energy.print_table(fig8_energy.run(**sizes))
+        uncached = capsys.readouterr().out
+
+        executed = []
+        real = units_mod.timed_execute
+
+        def recording(unit):
+            executed.append(unit)
+            return real(unit)
+
+        monkeypatch.setattr(units_mod, "timed_execute", recording)
+        cache = ResultCache(tmp_path)
+        fig7 = fig7_throughput.run(
+            **sizes, runner=SweepRunner(cache=cache, experiment="fig7"))
+        fig7_units = len(executed)
+        executed.clear()
+        fig8 = fig8_energy.run(
+            **sizes, runner=SweepRunner(cache=cache, experiment="fig8"))
+        # fig8 adds one homogeneous-OoO baseline per mix; every other
+        # unit is one fig7 already cached.
+        assert fig7_units == 4
+        assert [(u.kind, u.homo_kind) for u in executed] == [
+            ("homo", "ooo")]
+        fig7_throughput.print_table(fig7)
+        fig8_energy.print_table(fig8)
+        assert capsys.readouterr().out == uncached
 
     def test_rejects_bad_jobs(self):
         with pytest.raises(ValueError):

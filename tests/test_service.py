@@ -235,6 +235,35 @@ def test_concurrent_identical_submissions_coalesce(tmp_path):
         handle.stop(drain=False)
 
 
+def test_service_and_sweep_runner_share_one_entry(tmp_path):
+    """Keys hold unit content only: a unit a sweep cached is a hit for
+    the service, a unit the service ran is a hit for any sweep, and
+    each lives in one entry file."""
+    from repro.runner.cache import ResultCache
+
+    cache = ResultCache(tmp_path / "cache")
+    swept = call_unit(ECHO, tag="swept")
+    served = call_unit(ECHO, tag="served")
+    SweepRunner(cache=cache, experiment="fig7").map([swept])
+    handle = ServerHandle.start(_config(tmp_path))
+    try:
+        client = ServiceClient(service_dir=tmp_path / "svc")
+        assert client.submit(_echo_request("swept"))["job"]["state"] \
+            == "done"
+        job_id = client.submit(_echo_request("served"))["job"]["id"]
+        assert client.result(job_id, timeout=60) == [
+            {"value": None, "tag": "served"}]
+        stats = client.health()["stats"]
+        assert (stats["cache_hits"], stats["executions"]) == (1, 1)
+    finally:
+        handle.stop(drain=False)
+    runner = SweepRunner(cache=cache, experiment="fig8")
+    assert runner.map([served]) == [{"value": None, "tag": "served"}]
+    assert (runner.stats.cache_hits, runner.stats.units_run) == (1, 0)
+    assert sorted((tmp_path / "cache").glob("v*/*/*.json")) == sorted(
+        [cache.path_for(swept), cache.path_for(served)])
+
+
 def test_heartbeat_timeout_evicts_and_requeues(tmp_path):
     config = _config(tmp_path, workers=0, heartbeat_interval=0.1,
                      heartbeat_timeout=0.6)

@@ -325,9 +325,9 @@ class TestResultCacheKeying:
         unit = cmp_unit(("hmmer", "gcc"), "SC-MPKI", max_intervals=10)
         on = ResultCache(tmp_path, sim_cache=True)
         off = ResultCache(tmp_path, sim_cache=False)
-        assert '"sim_cache":true' in on.key_material("e", unit)
-        assert '"sim_cache":false' in off.key_material("e", unit)
-        assert on.path_for("e", unit) != off.path_for("e", unit)
+        assert '"sim_cache":true' in on.key_material(unit)
+        assert '"sim_cache":false' in off.key_material(unit)
+        assert on.path_for(unit) != off.path_for(unit)
 
     def test_default_follows_process_switch(self, tmp_path):
         simcache.set_enabled(False)
