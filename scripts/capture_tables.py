@@ -14,13 +14,11 @@ tier-identity gate on any byte difference::
     python scripts/capture_tables.py --src base-tree/src --out /tmp/base
     diff -ru /tmp/base /tmp/pr
 
-Three single-tree gate modes capture the same experiments under a
-flipped switch and fail on any byte difference — perf layers must
-never change simulation output:
+The single-tree gate modes capture the same experiments two ways and
+fail on any byte difference — perf layers must never change
+simulation output:
 
 * ``--simcache-gate`` — slice memoization on vs off.
-* ``--vector-gate`` — the analytic tier's vectorized kernel forced on
-  vs off (``MIRAGE_VECTOR``).
 * ``--disk-smoke`` — two *separate processes* against one disk slice
   store (``MIRAGE_SIM_CACHE_DISK=1``): the second replays what the
   first simulated and must print the identical table.
@@ -28,9 +26,8 @@ never change simulation output:
   registered backend must appear as a leg row and the two runs must
   print byte-identical tables (determinism across the whole roster).
 * ``--pool-gate`` — the tier-identity experiments under ``--jobs 2``
-  with the warm worker pool on vs off (``MIRAGE_WARM_POOL``): the
-  pool and its shared-memory transport must never change a byte of
-  simulation output.
+  vs ``--jobs 1``: the warm worker pool and its shared-memory
+  transport must never change a byte of simulation output.
 """
 
 from __future__ import annotations
@@ -48,11 +45,6 @@ EXPERIMENTS = ("table1", "fig7", "tier-validation")
 #: output the ``--simcache-gate`` and ``--disk-smoke`` modes compare
 #: under the slice-memo toggles.
 SIMCACHE_EXPERIMENTS = ("tier-validation",)
-
-#: The experiments exercising the interval tier's analytic backend —
-#: the ones the ``--vector-gate`` mode captures with the vectorized
-#: kernel forced on vs off.
-VECTOR_EXPERIMENTS = ("table1", "fig7", "tier-validation")
 
 
 def is_volatile(line: str) -> bool:
@@ -88,9 +80,9 @@ def env_gate(src: Path, out: Path, experiments: list[str],
     """Capture each experiment with ``var`` set to ``1`` and ``0`` and
     fail on any byte difference.
 
-    The toggles go through environment variables rather than CLI flags
-    so the same invocation works against older src trees that predate
-    the corresponding flags (``--no-sim-cache``, ``vectorize=``).
+    The toggle goes through an environment variable rather than a CLI
+    flag so the same invocation works against older src trees that
+    predate the flag (``--no-sim-cache``).
     """
     for experiment in experiments:
         on = capture(experiment, src, {var: "1"})
@@ -133,28 +125,25 @@ def disk_smoke(src: Path, out: Path, experiments: list[str]) -> None:
 
 
 def pool_gate(src: Path, out: Path, experiments: list[str]) -> None:
-    """Capture each experiment under ``--jobs 2`` with the warm pool
-    on and off and fail on any byte difference.
+    """Capture each experiment under ``--jobs 2`` and ``--jobs 1`` and
+    fail on any byte difference.
 
-    With the pool off the runner takes the legacy per-call executor
-    path, so this compares the entire new dispatch stack — warm
-    workers, shared-memory transport, LPT ordering — against the old
-    one on the same work.
+    ``--jobs 1`` runs serially, so this holds the entire pooled
+    dispatch stack — warm workers, shared-memory transport, LPT
+    ordering — to the serial reference on the same work.
     """
     for experiment in experiments:
-        on = capture(experiment, src, {"MIRAGE_WARM_POOL": "1"},
-                     ("--jobs", "2"))
-        off = capture(experiment, src, {"MIRAGE_WARM_POOL": "0"},
-                      ("--jobs", "2"))
-        (out / f"{experiment}.pool-on.txt").write_text(on)
-        (out / f"{experiment}.pool-off.txt").write_text(off)
-        if on != off:
+        pooled = capture(experiment, src, extra_args=("--jobs", "2"))
+        serial = capture(experiment, src, extra_args=("--jobs", "1"))
+        (out / f"{experiment}.jobs2.txt").write_text(pooled)
+        (out / f"{experiment}.jobs1.txt").write_text(serial)
+        if pooled != serial:
             raise SystemExit(
-                f"capture_tables: {experiment} differs between "
-                f"MIRAGE_WARM_POOL=1 and =0 under --jobs 2 — the warm "
-                f"pool changed simulation output (see {out})")
-        print(f"[pool-gate] {experiment}: warm pool on/off "
-              f"byte-identical ({len(on.splitlines())} lines)")
+                f"capture_tables: {experiment} differs between --jobs 2 "
+                f"and --jobs 1 — the warm pool changed simulation "
+                f"output (see {out})")
+        print(f"[pool-gate] {experiment}: --jobs 2 and --jobs 1 "
+              f"byte-identical ({len(pooled.splitlines())} lines)")
 
 
 #: Backend names whose leg rows ``--backend-smoke`` requires in the
@@ -207,10 +196,6 @@ def main(argv: list[str] | None = None) -> int:
              "and fail on any byte difference instead of the normal "
              "capture")
     parser.add_argument(
-        "--vector-gate", action="store_true",
-        help="capture the interval-tier experiments twice "
-             "(MIRAGE_VECTOR=1/0) and fail on any byte difference")
-    parser.add_argument(
         "--disk-smoke", action="store_true",
         help="run the detailed tier in two processes sharing one disk "
              "slice store (MIRAGE_SIM_CACHE_DISK=1) and fail unless "
@@ -223,8 +208,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--pool-gate", action="store_true",
         help="capture the tier-identity experiments under --jobs 2 "
-             "with MIRAGE_WARM_POOL=1/0 and fail on any byte "
-             "difference")
+             "and --jobs 1 and fail on any byte difference")
     args = parser.parse_args(argv)
 
     src = Path(args.src).resolve()
@@ -234,11 +218,6 @@ def main(argv: list[str] | None = None) -> int:
         gate = [e for e in args.experiments if e in SIMCACHE_EXPERIMENTS]
         env_gate(src, out, gate or list(SIMCACHE_EXPERIMENTS),
                  "MIRAGE_SIM_CACHE", "sim-cache")
-        return 0
-    if args.vector_gate:
-        gate = [e for e in args.experiments if e in VECTOR_EXPERIMENTS]
-        env_gate(src, out, gate or list(VECTOR_EXPERIMENTS),
-                 "MIRAGE_VECTOR", "vector")
         return 0
     if args.disk_smoke:
         gate = [e for e in args.experiments if e in SIMCACHE_EXPERIMENTS]

@@ -65,7 +65,7 @@ class Arbitrator(ABC):
 
         The default materializes the historical view list from the
         batch and defers to :meth:`pick`, so subclassing ``pick``
-        alone keeps working; arbitrators with a column fast path
+        alone keeps working; arbitrators with a batch fast path
         override this and must return the identical indices.
         """
         return self.pick(batch.views(), interval_index=interval_index,

@@ -67,21 +67,18 @@ class SCMPKIArbitrator(Arbitrator):
     # ------------------------------------------------------------------
     def pick_batch(self, batch: "AppViewBatch", *, interval_index: int,
                    slots: int = 1) -> list[int]:
-        """Column fast path over the batch, identical to :meth:`pick`.
+        """Fast path over the batch, identical to :meth:`pick`.
 
         ΔSC-MPKI, decay and the stable candidate ordering read the
-        three counters they need straight off the batch — either the
-        live ``AppState`` records or the vector backend's numpy
-        columns — instead of materializing ``AppView`` objects.
+        three counters they need straight off the live ``AppState``
+        records instead of materializing ``AppView`` objects.
         Subclasses that override :meth:`pick` fall back to it so their
         policy is never silently bypassed.
         """
         if type(self).pick is not SCMPKIArbitrator.pick:
             return self.pick(batch.views(), interval_index=interval_index,
                              slots=slots)
-        if batch.apps is not None:
-            return self._pick_states(batch.apps, slots)
-        return self._pick_arrays(batch, slots)
+        return self._pick_states(batch.apps, slots)
 
     def _pick_states(self, apps, slots: int) -> list[int]:
         threshold = self.threshold
@@ -110,30 +107,6 @@ class SCMPKIArbitrator(Arbitrator):
         ordered.sort(key=lambda pair: pair[0], reverse=True)
         picked: list[int] = []
         for i in starving + [i for _, i in ordered]:
-            if i not in picked:
-                picked.append(i)
-            if len(picked) >= slots:
-                break
-        return picked
-
-    def _pick_arrays(self, batch: "AppViewBatch",
-                     slots: int) -> list[int]:
-        import numpy as np
-        ino = batch.sc_mpki_ino
-        ooo = batch.sc_mpki_ooo
-        iso = batch.intervals_since_ooo
-        known = ~np.isnan(ooo)
-        safe = np.where(known, ooo, 1.0)
-        delta = np.where(
-            known, (ino - safe) / np.maximum(safe, 0.1),
-            np.where(ino > 0, np.inf, 0.0))
-        decay = 1.0 + self.decay_strength / np.maximum(1, iso)
-        score = delta / decay     # inf stays inf: decay >= 1
-        starving = np.nonzero(iso >= self.starvation_intervals)[0]
-        cand = np.nonzero(score > self.threshold)[0]
-        order = np.argsort(-score[cand], kind="stable")
-        picked: list[int] = []
-        for i in starving.tolist() + cand[order].tolist():
             if i not in picked:
                 picked.append(i)
             if len(picked) >= slots:

@@ -303,41 +303,6 @@ def bench_interval_engine(ctx: BenchContext) -> None:
 
 
 @register(
-    "interval-batch", tier="interval",
-    description="AnalyticBackend's vectorized kernel: a 48-app CMP "
-                "run through the numpy advance_all path",
-)
-def bench_interval_batch(ctx: BenchContext) -> None:
-    """One wide interval-tier run that auto-selects the vector kernel.
-
-    48 applications is past ``VECTOR_MIN_APPS``, so the backend takes
-    the numpy batch path; the scalar-kernel probe stays
-    ``interval-engine``, making vector-path regressions visible on
-    their own row.
-    """
-    from repro.arbiter import SCMPKIArbitrator
-    from repro.characterize import analytic_model
-    from repro.cmp import ClusterConfig
-    from repro.cmp.system import CMPSystem
-    from repro.workloads import ALL_BENCHMARKS
-
-    n_apps = ctx.size(48, 36)
-    with ctx.telemetry.profiler.time("setup"):
-        names = [ALL_BENCHMARKS[i % len(ALL_BENCHMARKS)]
-                 for i in range(n_apps)]
-        models = [analytic_model(name) for name in names]
-        config = ClusterConfig(n_consumers=n_apps, n_producers=4,
-                               mirage=True)
-    reps = ctx.size(3, 1)
-    for _ in range(reps):
-        system = CMPSystem(config, models, SCMPKIArbitrator(),
-                           telemetry=ctx.telemetry)
-        result = system.run(max_intervals=ctx.size(400, 150))
-    ctx.telemetry.counters.bump(
-        "bench.stp_milli", round(result.stp * 1000))
-
-
-@register(
     "detailed-shard", tier="detailed",
     description="ShardedDetailedBackend: two independent clusters "
                 "fanned over a 2-worker process pool, merged in order",
@@ -569,66 +534,6 @@ def bench_service_roundtrip(ctx: BenchContext) -> None:
     counters.bump("service.jobs", 2 * n_jobs)
     counters.bump("service.executions", stats["executions"])
     counters.bump("service.cache_hits", stats["cache_hits"])
-
-
-@register(
-    "pool-warm", tier="infra",
-    description="WarmPool dispatch: persistent workers reused across "
-                "batches vs a cold process pool spawned per batch",
-)
-def bench_pool_warm(ctx: BenchContext) -> None:
-    """Repeated unit batches, cold-pool-per-batch vs one warm pool.
-
-    The cold leg is exactly what every parallel path used to pay: a
-    fresh ``ProcessPoolExecutor`` (fork + pool teardown) per batch.
-    The warm leg spawns the pool once (its own phase, so the
-    amortized cost is visible) and dispatches the same batches to the
-    already-running workers.  The probe asserts the two legs'
-    results are bit-identical before reporting; where the pool cannot
-    run, both legs degrade serially and the probe still reports.
-    """
-    from concurrent.futures import ProcessPoolExecutor
-
-    from repro.runner.pool import PoolUnavailable, WarmPool
-    from repro.runner.units import cmp_unit, execute_unit
-
-    with ctx.telemetry.profiler.time("setup"):
-        n_units = ctx.size(6, 3)
-        batches = ctx.size(3, 2)
-        units = [cmp_unit(("hmmer", "gcc"), "SC-MPKI",
-                          max_intervals=24 + i) for i in range(n_units)]
-
-    def run_cold():
-        try:
-            with ProcessPoolExecutor(max_workers=2) as pool:
-                return list(pool.map(execute_unit, units))
-        except (OSError, PermissionError):
-            return [execute_unit(unit) for unit in units]
-
-    with ctx.telemetry.profiler.time("cold-pools"):
-        for _ in range(batches):
-            cold = run_cold()
-    pool = None
-    try:
-        with ctx.telemetry.profiler.time("warm-spawn"):
-            pool = WarmPool(2)
-        with ctx.telemetry.profiler.time("warm-batches"):
-            for _ in range(batches):
-                warm = pool.map(execute_unit, units)
-    except PoolUnavailable:
-        with ctx.telemetry.profiler.time("warm-batches"):
-            for _ in range(batches):
-                warm = [execute_unit(unit) for unit in units]
-    finally:
-        if pool is not None:
-            pool.shutdown()
-    if warm != cold:
-        raise RuntimeError("warm-pool batch diverged from cold pool")
-    counters = ctx.telemetry.counters
-    counters.bump("pool.batches", batches)
-    counters.bump("pool.units", batches * n_units)
-    for result in warm:
-        counters.bump("bench.stp_milli", round(result.stp * 1000))
 
 
 @register(

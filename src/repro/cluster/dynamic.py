@@ -145,8 +145,7 @@ class DynamicCluster:
 
     def __init__(self, config: ClusterConfig, scenario: Scenario, *,
                  arbitrator, energy_model: CoreEnergyModel | None = None,
-                 telemetry: Telemetry | None = None,
-                 vectorize: bool | None = None, label: str = ""):
+                 telemetry: Telemetry | None = None, label: str = ""):
         peak = scenario.peak_population()
         if (config.n_producers > 0
                 and config.n_consumers + config.n_producers < peak):
@@ -167,8 +166,7 @@ class DynamicCluster:
         self.label = label or config.name
         self.telemetry = telemetry or Telemetry()
         self.migration = make_cost_model(config)
-        self.backend = AnalyticBackend(self.migration,
-                                       vectorize=vectorize)
+        self.backend = AnalyticBackend(self.migration)
         self.summaries: list[AppRunSummary] = []
         initial: list[AppState] = []
         pending: dict[int, list[AppState]] = {}
@@ -284,8 +282,7 @@ def run_cluster_scenario(scenario: Scenario, *, label: str = "",
                          n_consumers: int | None = None,
                          n_producers: int = 1,
                          arbitrator: str = "SC-MPKI",
-                         telemetry: Telemetry | None = None,
-                         vectorize: bool | None = None
+                         telemetry: Telemetry | None = None
                          ) -> ClusterScenarioResult:
     """Build and run one :class:`DynamicCluster` from plain data.
 
@@ -304,8 +301,7 @@ def run_cluster_scenario(scenario: Scenario, *, label: str = "",
     )
     cluster = DynamicCluster(
         config, scenario, arbitrator=ARBITRATORS[arbitrator](),
-        telemetry=telemetry, vectorize=vectorize,
-        label=label or f"{config.name}[{scenario.name}]")
+        telemetry=telemetry, label=label or f"{config.name}[{scenario.name}]")
     return cluster.run()
 
 

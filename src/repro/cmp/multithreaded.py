@@ -85,10 +85,6 @@ class BroadcastPhase(EnginePhase):
         """Broadcast from the chosen producer thread, if any."""
         if not ctx.chosen:
             return
-        # This phase reads and writes AppState fields the backend may
-        # hold in array form (vector kernel): flush them out first and
-        # hand the edits back after — no-ops for state-backed backends.
-        ctx.backend.sync_apps(ctx)
         cfg = ctx.config
         producer = ctx.apps[ctx.chosen[0]]
         payload = int(producer.sc_coverage * cfg.sc_capacity_bytes)
@@ -102,7 +98,6 @@ class BroadcastPhase(EnginePhase):
                 thread.sc_coverage = max(
                     thread.sc_coverage, producer.sc_coverage)
                 ctx.telemetry.counters.bump("broadcast.transfers")
-        ctx.backend.absorb_apps(ctx)
 
 
 class MultithreadedMirage:

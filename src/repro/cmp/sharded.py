@@ -10,7 +10,7 @@ is the slowest thing in the repo, so running those clusters serially
 dominates wall-clock.
 
 :class:`ShardedDetailedBackend` fans a list of :class:`ClusterSpec`
-descriptions over a process pool and merges the outcomes back in
+descriptions over the warm worker pool and merges the outcomes back in
 **spec order**, so the combined result is deterministic regardless of
 worker scheduling.  Each spec runs through the module-level
 :func:`run_cluster_spec` (picklable by construction) with a *private*
@@ -21,26 +21,17 @@ either mode.  With the disk slice store enabled
 across *runs* through the store — the cross-process design the memo's
 correctness model already covers.
 
-Routing is opt-in via the ``MIRAGE_DETAILED_SHARD`` environment
-variable (unset/``0`` = serial in-process, ``1`` = pool with one
-worker per CPU, ``N`` = pool of *N*); experiments that hold a list of
-independent detailed runs (e.g. the tier-validation gate) consult
-:func:`shard_jobs` and reroute through this module when it is set.
+Sharding is explicit: a caller passes ``jobs``, and ``jobs=None`` (or
+1) runs the specs serially in-process.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from repro.cmp.detailed import DetailedResult
-
-#: Environment toggle: unset/"0" serial, "1" one worker per CPU,
-#: any other integer a pool of that many workers.
-ENV_VAR = "MIRAGE_DETAILED_SHARD"
 
 
 def fan_out(fn, items, jobs: int | None) -> list:
@@ -52,60 +43,25 @@ def fan_out(fn, items, jobs: int | None) -> list:
     item runs serially in-process; otherwise the fan-out goes through
     the process-global :class:`~repro.runner.pool.WarmPool` —
     persistent workers shared with the sweep runner, so back-to-back
-    fan-outs pay no respawn — falling back to a per-call
-    :class:`~concurrent.futures.ProcessPoolExecutor` when the warm
-    pool is disabled (``MIRAGE_WARM_POOL=0``) or cannot run here.
-    Pool failures that predate any result (sandboxes that forbid
-    ``fork`` or semaphores) degrade to the serial path.  *fn* must be
-    module-level and *items* picklable; when each call is a pure
-    function of its item, serial and pooled runs are bit-identical.
+    fan-outs pay no respawn — and runs serially when the pool is
+    unavailable (worker processes cannot be spawned here, or this is
+    itself a pool worker).  *fn* must be module-level and *items*
+    picklable; when each call is a pure function of its item, serial
+    and pooled runs are bit-identical.
     """
     items = list(items)
     if jobs is None or jobs <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
-    from repro.runner.pool import (
-        PoolUnavailable,
-        WarmPool,
-        warm_pool_enabled,
-    )
+    from repro.runner.pool import PoolUnavailable, WarmPool
 
-    if warm_pool_enabled():
-        try:
-            # WarmPool.map preserves input order too; task errors
-            # propagate (PoolTaskError), only *pool* unavailability
-            # degrades.
-            return WarmPool.shared(jobs).map(fn, items)
-        except PoolUnavailable:
-            pass
     try:
-        with ProcessPoolExecutor(
-                max_workers=min(jobs, len(items))) as pool:
-            # pool.map preserves input order: downstream merges are
-            # deterministic no matter which worker finishes first.
-            return list(pool.map(fn, items))
-    except (OSError, PermissionError):
+        # WarmPool.map preserves input order: downstream merges are
+        # deterministic no matter which worker finishes first.  Task
+        # errors propagate (PoolTaskError); only *pool* unavailability
+        # degrades.
+        return WarmPool.shared(jobs).map(fn, items)
+    except PoolUnavailable:
         return [fn(item) for item in items]
-
-
-def shard_jobs() -> int | None:
-    """The worker count ``MIRAGE_DETAILED_SHARD`` asks for, or ``None``.
-
-    ``None`` means "do not shard" (the variable is unset, ``0``, or
-    unparseable); ``1`` still means "route through the pool machinery"
-    — useful for exercising the sharded path deterministically.
-    """
-    raw = os.environ.get(ENV_VAR, "").strip()
-    if not raw or raw == "0":
-        return None
-    try:
-        jobs = int(raw)
-    except ValueError:
-        return None
-    if jobs < 1:
-        return None
-    if raw == "1":
-        return max(1, os.cpu_count() or 1)
-    return jobs
 
 
 @dataclass(frozen=True, slots=True)
@@ -140,11 +96,11 @@ class ShardOutcome:
 def run_cluster_spec(spec: ClusterSpec) -> ShardOutcome:
     """Build, run and summarize one cluster — in any process.
 
-    Module-level and argument-picklable so a
-    :class:`~concurrent.futures.ProcessPoolExecutor` can ship it; the
-    slice memo is private to the call (plus the shared disk store when
-    that layer is on), so outcomes do not depend on what else ran in
-    the same process — serial and sharded execution are bit-identical.
+    Module-level and argument-picklable so the warm pool can ship it;
+    the slice memo is private to the call (plus the shared disk store
+    when that layer is on), so outcomes do not depend on what else ran
+    in the same process — serial and sharded execution are
+    bit-identical.
     """
     from repro import simcache
     from repro.cmp.detailed import DetailedMirageCluster
@@ -191,13 +147,11 @@ def merge_counters(outcomes: "list[ShardOutcome]") -> dict:
 
 
 class ShardedDetailedBackend:
-    """Runs independent cluster specs over a worker pool.
+    """Runs independent cluster specs over the warm worker pool.
 
-    ``jobs=None`` follows :func:`shard_jobs` (and runs serially when
-    that is ``None``); any explicit count forces a pool of that size.
-    Worker-pool failures that predate any result (sandboxes that
-    forbid ``fork``/semaphores) degrade to the serial path, which
-    produces bit-identical outcomes by construction.
+    ``jobs=None`` (the default) or 1 runs serially; a larger count
+    fans the specs out over a pool of that size (see :func:`fan_out`),
+    with bit-identical outcomes either way.
     """
 
     def __init__(self, specs: "list[ClusterSpec] | tuple", *,
@@ -205,10 +159,6 @@ class ShardedDetailedBackend:
         self.specs = list(specs)
         self.jobs = jobs
 
-    def _serial(self) -> "list[ShardOutcome]":
-        return [run_cluster_spec(spec) for spec in self.specs]
-
     def run(self) -> "list[ShardOutcome]":
         """Every spec's outcome, in spec order."""
-        jobs = self.jobs if self.jobs is not None else shard_jobs()
-        return fan_out(run_cluster_spec, self.specs, jobs)
+        return fan_out(run_cluster_spec, self.specs, self.jobs)

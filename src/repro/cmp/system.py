@@ -138,7 +138,6 @@ class CMPSystem:
         energy_model: CoreEnergyModel | None = None,
         record_history: bool = False,
         telemetry: Telemetry | None = None,
-        vectorize: bool | None = None,
     ):
         if (config.n_producers > 0
                 and config.n_consumers + config.n_producers < len(apps)):
@@ -167,9 +166,7 @@ class CMPSystem:
         if record_history:
             self._history_sink = self.telemetry.attach(
                 MemorySink(kinds={"interval"}))
-        # vectorize picks the bit-identical advance_all kernel (None =
-        # auto by cluster width / MIRAGE_VECTOR; see AnalyticBackend).
-        self.backend = AnalyticBackend(self.migration, vectorize=vectorize)
+        self.backend = AnalyticBackend(self.migration)
         self.phases = [
             ArbitrationPhase(arbitrator),
             MigrationPhase(),

@@ -21,8 +21,6 @@ resolve names everywhere one is accepted (CLI, experiments, caches).
 
 from repro.engine.backends import (
     ENGINE_CACHE_TAG,
-    VECTOR_ENV,
-    VECTOR_MIN_APPS,
     AnalyticBackend,
     ExecutionBackend,
     MigrationTicket,
@@ -56,8 +54,6 @@ from repro.engine.views import (
 
 __all__ = [
     "ENGINE_CACHE_TAG",
-    "VECTOR_ENV",
-    "VECTOR_MIN_APPS",
     "AnalyticBackend",
     "AppState",
     "AppViewBatch",

@@ -7,11 +7,8 @@ each interval boundary before arbitration sees the population.
 
 The contract with the rest of the engine:
 
-* On any membership change the phase first calls
-  :meth:`~repro.engine.backends.ExecutionBackend.sync_apps` (so
-  backend-held state — the vector kernel's arrays — lands in the
-  ``AppState`` records), mutates ``ctx.apps`` and the per-app context
-  lists in lockstep, then calls
+* On any membership change the phase mutates ``ctx.apps`` and the
+  per-app context lists in lockstep, then calls
   :meth:`~repro.engine.backends.ExecutionBackend.repopulate` so the
   backend rebuilds its shape-bound acceleration state.
 * Departures are processed before arrivals at the same interval, so a
@@ -112,10 +109,6 @@ class LifecyclePhase(EnginePhase):
         arriving = self.arrivals.pop(index, None)
         if not leaving and not arriving:
             return
-        backend = ctx.backend
-        # Backend-held counters become authoritative AppState values
-        # before anything is summarized or the membership changes.
-        backend.sync_apps(ctx)
         for i in reversed(leaving):
             app = apps.pop(i)
             del ctx.ooo_share[i]
@@ -132,4 +125,4 @@ class LifecyclePhase(EnginePhase):
         n = len(apps)
         ctx.mig_cost = [0.0] * n
         ctx.outcomes = [None] * n
-        backend.repopulate(ctx)
+        ctx.backend.repopulate(ctx)

@@ -13,11 +13,10 @@ The batch-first arbitration path added with the
 :meth:`~repro.engine.backends.ExecutionBackend.views_batch` protocol
 method hands arbitrators an :class:`AppViewBatch` instead of a list of
 freshly-built :class:`~repro.arbiter.base.AppView` objects.  A batch
-is a struct-of-arrays face over the same counters: arbitrators with a
-``pick_batch`` fast path read the columns directly (either the live
-``AppState`` records, or the vectorized backend's numpy arrays), and
-everyone else gets the exact historical view list from
-:meth:`AppViewBatch.views` — built by the same code, bit for bit.
+wraps the live ``AppState`` records: arbitrators with a ``pick_batch``
+fast path read the counters straight off them, and everyone else gets
+the exact historical view list from :meth:`AppViewBatch.views` — built
+by the same code, bit for bit.
 
 Equation 3 (paper section 3.2)::
 
@@ -108,109 +107,29 @@ def interval_tier_views(apps) -> list[AppView]:
 
 
 class AppViewBatch:
-    """Struct-of-arrays face over every application's counters.
+    """Every application's counters, handed to the arbitrator at once.
 
-    The batch carries the arbitration inputs in one of two layouts,
-    and both materialize to the identical :class:`AppView` list:
-
-    * **state-backed** (:meth:`from_states`): ``apps`` holds the live
-      :class:`~repro.engine.state.AppState` records; fast-path
-      arbitrators iterate them directly with plain attribute reads
-      and pay nothing for the columns they ignore.
-    * **array-backed** (:meth:`from_arrays`): ``apps`` is ``None`` and
-      the per-counter numpy columns are exposed as attributes (the
-      vectorized :class:`~repro.engine.backends.AnalyticBackend`
-      passes views of its authoritative arrays).  ``None``-valued
-      counters use the array encodings ``NaN``
-      (``ipc_ooo_last``/``sc_mpki_ooo``) so a column stays one dtype.
-
-    :meth:`views` converts either layout into the historical list of
-    :class:`AppView` objects through :func:`build_app_view`, so
-    arbitrators without a batch fast path observe bit-identical
-    inputs.
+    ``apps`` holds the live :class:`~repro.engine.state.AppState`
+    records; fast-path arbitrators iterate them directly with plain
+    attribute reads and pay nothing for the counters they ignore.
+    :meth:`views` materializes the historical list of :class:`AppView`
+    objects through :func:`build_app_view`, so arbitrators without a
+    batch fast path observe bit-identical inputs.
     """
 
-    __slots__ = ("apps", "names", "ipc_last", "ipc_ooo_last",
-                 "sc_mpki_ino", "sc_mpki_ooo", "intervals_since_ooo",
-                 "on_ooo", "t_ooo", "t_memoized", "t_total")
+    __slots__ = ("apps",)
 
-    def __init__(self, *, apps=None, names=None, ipc_last=None,
-                 ipc_ooo_last=None, sc_mpki_ino=None, sc_mpki_ooo=None,
-                 intervals_since_ooo=None, on_ooo=None, t_ooo=None,
-                 t_memoized=None, t_total=None):
+    def __init__(self, apps):
         self.apps = apps
-        self.names = names
-        self.ipc_last = ipc_last
-        self.ipc_ooo_last = ipc_ooo_last
-        self.sc_mpki_ino = sc_mpki_ino
-        self.sc_mpki_ooo = sc_mpki_ooo
-        self.intervals_since_ooo = intervals_since_ooo
-        self.on_ooo = on_ooo
-        self.t_ooo = t_ooo
-        self.t_memoized = t_memoized
-        self.t_total = t_total
 
-    # ------------------------------------------------------------------
     @classmethod
     def from_states(cls, apps) -> "AppViewBatch":
-        """Wrap the live ``AppState`` records without copying anything."""
-        return cls(apps=list(apps))
-
-    @classmethod
-    def from_arrays(cls, *, names, ipc_last, ipc_ooo_last, sc_mpki_ino,
-                    sc_mpki_ooo, intervals_since_ooo, on_ooo, t_ooo,
-                    t_memoized, t_total) -> "AppViewBatch":
-        """Wrap a vectorized backend's column arrays (no copies)."""
-        return cls(
-            names=names, ipc_last=ipc_last, ipc_ooo_last=ipc_ooo_last,
-            sc_mpki_ino=sc_mpki_ino, sc_mpki_ooo=sc_mpki_ooo,
-            intervals_since_ooo=intervals_since_ooo, on_ooo=on_ooo,
-            t_ooo=t_ooo, t_memoized=t_memoized, t_total=t_total,
-        )
-
-    @property
-    def is_vector(self) -> bool:
-        """True when the batch is backed by column arrays."""
-        return self.apps is None
+        """Wrap the live ``AppState`` records without copying them."""
+        return cls(list(apps))
 
     def __len__(self) -> int:
-        return len(self.apps) if self.apps is not None else len(
-            self.names)
+        return len(self.apps)
 
-    # ------------------------------------------------------------------
     def views(self) -> list[AppView]:
-        """Materialize the historical :class:`AppView` list.
-
-        Both layouts funnel through :func:`build_app_view` with plain
-        Python scalars, so the result is bit-identical to
-        :func:`interval_tier_views` over equivalently-valued state.
-        """
-        if self.apps is not None:
-            return interval_tier_views(self.apps)
-        ipc_last = self.ipc_last.tolist()
-        ipc_ooo_last = self.ipc_ooo_last.tolist()
-        sc_mpki_ino = self.sc_mpki_ino.tolist()
-        sc_mpki_ooo = self.sc_mpki_ooo.tolist()
-        since = self.intervals_since_ooo.tolist()
-        on_ooo = self.on_ooo.tolist()
-        t_ooo = self.t_ooo.tolist()
-        t_memoized = self.t_memoized.tolist()
-        t_total = self.t_total.tolist()
-        return [
-            build_app_view(
-                index=i,
-                name=self.names[i],
-                ipc_last=ipc_last[i],
-                ipc_ooo_last=(None if ipc_ooo_last[i] != ipc_ooo_last[i]
-                              else ipc_ooo_last[i]),
-                sc_mpki_ino=sc_mpki_ino[i],
-                sc_mpki_ooo=(None if sc_mpki_ooo[i] != sc_mpki_ooo[i]
-                             else sc_mpki_ooo[i]),
-                intervals_since_ooo=since[i],
-                on_ooo=on_ooo[i],
-                t_ooo=t_ooo[i],
-                t_memoized=t_memoized[i],
-                t_total=t_total[i],
-            )
-            for i in range(len(self.names))
-        ]
+        """Materialize the historical :class:`AppView` list."""
+        return interval_tier_views(self.apps)

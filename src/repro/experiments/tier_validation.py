@@ -28,42 +28,18 @@ PAIR = ("bzip2", "astar")
 
 
 def detailed_tier(n_slices: int, slice_instructions: int) -> dict:
-    """The cycle-level half, as one JSON-pure work unit.
-
-    When ``MIRAGE_DETAILED_SHARD`` is set the cluster runs through
-    :mod:`repro.cmp.sharded` (same spec, worker-pool machinery); the
-    two paths are bit-identical, so the returned dict never depends on
-    the routing.
-    """
-    from repro.cmp.sharded import (
-        ClusterSpec,
-        ShardedDetailedBackend,
-        shard_jobs,
-    )
-
-    if shard_jobs() is not None:
-        spec = ClusterSpec(
-            benchmarks=tuple(
-                (name, 5, (i + 1) << 34) for i, name in enumerate(PAIR)),
-            slice_instructions=slice_instructions,
-            n_slices=n_slices,
-            record_kinds=("migration",),
-        )
-        outcome = ShardedDetailedBackend([spec]).run()[0]
-        detailed = outcome.result
-        migrations = outcome.records
-    else:
-        benches = [
-            make_benchmark(name, seed=5, base_addr=(i + 1) << 34)
-            for i, name in enumerate(PAIR)
-        ]
-        tele, trace = Telemetry.recording(kinds={"migration"})
-        detailed = DetailedMirageCluster(
-            benches, SCMPKIArbitrator(),
-            slice_instructions=slice_instructions,
-            telemetry=tele,
-        ).run(n_slices=n_slices)
-        migrations = trace.records("migration")
+    """The cycle-level half, as one JSON-pure work unit."""
+    benches = [
+        make_benchmark(name, seed=5, base_addr=(i + 1) << 34)
+        for i, name in enumerate(PAIR)
+    ]
+    tele, trace = Telemetry.recording(kinds={"migration"})
+    detailed = DetailedMirageCluster(
+        benches, SCMPKIArbitrator(),
+        slice_instructions=slice_instructions,
+        telemetry=tele,
+    ).run(n_slices=n_slices)
+    migrations = trace.records("migration")
     return {
         "ooo_share": dict(zip(detailed.app_names, detailed.ooo_share)),
         "stp": detailed.stp,

@@ -27,8 +27,6 @@ from repro.runner.pool import (
     PoolUnavailable,
     WarmPool,
     lpt_order,
-    set_warm_pool_enabled,
-    warm_pool_enabled,
 )
 from repro.runner.units import (
     ARBITRATORS,
@@ -59,8 +57,6 @@ __all__ = [
     "homo_unit",
     "lpt_order",
     "run_units",
-    "set_warm_pool_enabled",
     "unit_digest",
     "unit_label",
-    "warm_pool_enabled",
 ]

@@ -126,16 +126,7 @@ class ResultCache:
 
     # -- keying --------------------------------------------------------
     def key_material(self, unit: WorkUnit) -> str:
-        """The canonical JSON string the cache key digests.
-
-        The warm worker pool (``MIRAGE_WARM_POOL``) is deliberately
-        **absent** from this material: the pool is a pure
-        transport/scheduling layer whose results are bit-identical to
-        serial execution by construction, so pooled and unpooled runs
-        must share cache entries (``tests/test_pool.py`` asserts the
-        key is identical under both toggles, and the CI
-        ``--pool-gate`` holds the printed tables to the same byte).
-        """
+        """The canonical JSON string the cache key digests."""
         return _canonical({
             "backend": self.backend,
             "core_backend": self.core_backend,

@@ -8,10 +8,10 @@ returned without executing; the rest fan out over the process-global
 :class:`~repro.runner.pool.WarmPool` when ``jobs > 1`` — persistent
 workers reused across sweeps, with per-unit wall times persisted by the
 :class:`~repro.runner.cache.ResultCache` feeding longest-expected-first
-dispatch — falling back to a per-sweep ``ProcessPoolExecutor`` when the
-pool is disabled (``MIRAGE_WARM_POOL=0``), and to the serial path for
-pickling-hostile units or when worker processes cannot be spawned.
-Results are written back to the cache as they complete.
+dispatch — and run serially for pickling-hostile units, or when the
+pool is unavailable (worker processes cannot be spawned, or the runner
+is itself inside a pool worker).  Results are written back to the
+cache as they complete.
 
 With ``trace=`` set, every CMP unit is forced to record its
 per-interval history and the runner appends the telemetry trace —
@@ -26,7 +26,6 @@ from __future__ import annotations
 import dataclasses
 import pickle
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Sequence
@@ -34,7 +33,7 @@ from typing import Any, Iterable, Sequence
 from repro.cmp.system import CMPResult
 from repro.runner import units as units_mod
 from repro.runner.cache import MISS, ResultCache, unit_digest
-from repro.runner.pool import PoolUnavailable, WarmPool, warm_pool_enabled
+from repro.runner.pool import PoolUnavailable, WarmPool
 from repro.runner.units import WorkUnit, unit_label
 from repro.telemetry.events import RunRecord
 from repro.telemetry.sinks import dump_record
@@ -50,7 +49,7 @@ class RunnerStats:
     units_run: int = 0
     unit_seconds: list[float] = field(default_factory=list)
     wall_seconds: float = 0.0
-    mode: str = "serial"        #: "serial" | "parallel" | "warm-pool"
+    mode: str = "serial"        #: "serial" | "warm-pool"
     trace_records: int = 0               #: JSONL records appended
     #: ``(seconds, label)`` for every executed unit — the fix for the
     #: old behaviour where per-unit timing died with the run: the
@@ -227,20 +226,14 @@ class SweepRunner:
 
     def _timed(self, units: list[WorkUnit],
                digests: list[str]) -> Iterable[tuple[Any, float]]:
-        """``(payload, seconds)`` per unit, in order, from the widest
-        execution path that works here: the warm pool, the legacy
-        per-sweep pool, then serial."""
+        """``(payload, seconds)`` per unit, in order: through the warm
+        pool when ``jobs > 1`` and it can run here, else serially."""
         if (self.jobs > 1 and len(units) > 1
                 and all(_picklable(u) for u in units)):
-            if warm_pool_enabled():
-                try:
-                    return self._map_warm(units, digests)
-                except PoolUnavailable:
-                    pass  # pool can't run here: try the legacy pool
             try:
-                return self._map_parallel(units)
-            except (OSError, PermissionError):
-                pass  # no subprocess support here: fall through
+                return self._map_warm(units, digests)
+            except PoolUnavailable:
+                pass  # no pool here (sandbox or nesting): run serially
         return map(units_mod.timed_execute, units)
 
     def _map_warm(self, units, digests) -> list[tuple[Any, float]]:
@@ -256,13 +249,6 @@ class SweepRunner:
         pairs = pool.map(units_mod.timed_execute, units,
                          costs=[hints.get(d) for d in digests])
         self.stats.mode = "warm-pool"
-        return pairs
-
-    def _map_parallel(self, units) -> list[tuple[Any, float]]:
-        with ProcessPoolExecutor(
-                max_workers=min(self.jobs, len(units))) as pool:
-            pairs = list(pool.map(units_mod.timed_execute, units))
-        self.stats.mode = "parallel"
         return pairs
 
 

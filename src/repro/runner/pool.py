@@ -42,17 +42,17 @@ construction — and cheap items are coalesced into dynamic chunks
 of tiny units.  With LPT ordering, a sweep's wall clock tracks its
 critical path instead of its submission order.
 
-Toggling
+Fallback
 --------
-The pool defaults to **on** and is consulted by every parallel path;
-``MIRAGE_WARM_POOL=0`` (or :func:`set_warm_pool_enabled`) restores
-the legacy per-call executors.  Worker processes set
-``MIRAGE_POOL_WORKER`` so nested fan-outs inside a pool worker
-degrade to the serial path instead of forking grandchildren.  The
-pool is a pure transport/scheduling layer: results are bit-identical
-to serial execution by construction (same ``execute_unit``, same
-deterministic merge order), and the CI ``--pool-gate`` holds it to
-that byte for byte.
+Every parallel path goes through the pool, and every caller runs
+serially when the pool raises :class:`PoolUnavailable`: when workers
+cannot be spawned here, or when the caller is itself a pool worker.
+Worker processes set ``MIRAGE_POOL_WORKER``, so a nested fan-out
+inside a worker degrades to the serial path instead of forking
+grandchildren.  The pool is a pure transport/scheduling layer:
+results are bit-identical to serial execution by construction (same
+``execute_unit``, same deterministic merge order), and the CI
+``--pool-gate`` holds ``--jobs 2`` to ``--jobs 1`` byte for byte.
 """
 
 from __future__ import annotations
@@ -67,9 +67,6 @@ import weakref
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
-
-#: Environment toggle: warm pool on unless set to ``"0"``.
-ENV_VAR = "MIRAGE_WARM_POOL"
 
 #: Set inside pool workers; nested pool use degrades to serial there.
 WORKER_ENV_VAR = "MIRAGE_POOL_WORKER"
@@ -92,41 +89,21 @@ MAX_CRASH_RETRIES = 2
 #: this cadence, so crash detection latency is bounded by it.
 POLL_SECONDS = 0.05
 
-_enabled: bool | None = None
-
 #: Every live pool, so the atexit sweep can release shared segments
 #: even for pools a caller forgot to shut down.
 _all_pools: "weakref.WeakSet[WarmPool] | None" = None
 
 
-def warm_pool_enabled() -> bool:
-    """The process-wide default: on unless switched off.
-
-    Resolution order: the last :func:`set_warm_pool_enabled` call,
-    else ``MIRAGE_WARM_POOL``, else on.  Always off *inside* a pool
-    worker (no nested pools — daemonic workers cannot fork children).
-    """
-    global _enabled
-    if os.environ.get(WORKER_ENV_VAR) == "1":
-        return False
-    if _enabled is None:
-        _enabled = os.environ.get(ENV_VAR, "1") != "0"
-    return _enabled
-
-
-def set_warm_pool_enabled(flag: bool) -> None:
-    """Flip the process-wide default and export it to child processes."""
-    global _enabled
-    _enabled = bool(flag)
-    os.environ[ENV_VAR] = "1" if _enabled else "0"
+def _nested() -> bool:
+    """True inside a pool worker (daemonic: it cannot fork children)."""
+    return os.environ.get(WORKER_ENV_VAR) == "1"
 
 
 class PoolUnavailable(RuntimeError):
-    """The pool cannot run here (sandbox, nesting, or disabled).
+    """The pool cannot run here (sandbox or nesting).
 
-    Callers catch this and degrade to their legacy path — the
-    per-call executor or plain serial execution — which is
-    bit-identical by construction.
+    Callers catch this and run serially, which is bit-identical by
+    construction.
     """
 
 
@@ -473,7 +450,8 @@ class WarmPool:
             disables result segments (all results inline).
 
     Raises:
-        PoolUnavailable: worker processes cannot be spawned here.
+        PoolUnavailable: worker processes cannot be spawned here, or
+            this process is itself a pool worker.
     """
 
     _shared: "WarmPool | None" = None
@@ -483,6 +461,8 @@ class WarmPool:
                  result_bytes: int = DEFAULT_RESULT_BYTES):
         if workers < 1:
             raise ValueError("workers must be >= 1")
+        if _nested():
+            raise PoolUnavailable("nested inside a pool worker")
         import multiprocessing
 
         self._ctx = multiprocessing.get_context()
@@ -599,13 +579,12 @@ class WarmPool:
     def shared(cls, workers: int | None = None) -> "WarmPool":
         """The process-global pool, created (or grown) on demand.
 
-        Raises :class:`PoolUnavailable` when the warm pool is
-        disabled, when called from inside a pool worker, or when
-        workers cannot be spawned — callers degrade to their legacy
-        path in every case.
+        Raises :class:`PoolUnavailable` when called from inside a pool
+        worker or when workers cannot be spawned — callers run serially
+        in both cases.
         """
-        if not warm_pool_enabled():
-            raise PoolUnavailable("warm pool disabled")
+        if _nested():
+            raise PoolUnavailable("nested inside a pool worker")
         want = workers or max(1, (os.cpu_count() or 2) - 1)
         pool = cls._shared
         if pool is None or not pool.alive:

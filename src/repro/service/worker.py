@@ -12,15 +12,8 @@ worker from a dead one; a ``stop`` message (or EOF) ends the session.
 
 Workers are intentionally dumb: no queueing, no caching, no retry —
 all of that lives in the server, which makes killing a worker at any
-moment safe (its in-flight unit is simply requeued).
-
-With ``--pool`` (or ``MIRAGE_SERVICE_POOL=1``) the worker draws
-execution from the same process-global
-:class:`~repro.runner.pool.WarmPool` the sweep runner and fan-outs
-share — a unit's simulation crashing then takes down a *pool child*
-(respawned, unit re-run) instead of the TCP session.  The pool is a
-bit-identical transport, so the streamed results are unchanged; when
-it cannot run here the worker silently executes inline as before.
+moment safe (its in-flight unit is simply requeued).  Units execute
+inline, in the worker process itself.
 """
 
 from __future__ import annotations
@@ -29,55 +22,23 @@ import argparse
 import os
 import socket
 import threading
-from typing import Any, Callable
 
 from repro.runner.cache import encode_payload
-from repro.runner.units import WorkUnit, execute_unit
+from repro.runner.units import execute_unit
 from repro.service.protocol import (
     dump_message,
     load_message,
     unit_from_dict,
 )
 
-#: Environment opt-in for pool-backed execution (same as ``--pool``).
-POOL_ENV_VAR = "MIRAGE_SERVICE_POOL"
-
-
-def make_executor(use_pool: bool | None = None) -> Callable[[WorkUnit], Any]:
-    """The unit executor a worker should run: pooled or inline.
-
-    *use_pool* ``None`` consults ``MIRAGE_SERVICE_POOL``.  The pooled
-    executor degrades to inline execution per call when the warm pool
-    is unavailable (disabled, sandboxed, or nested), so opting in can
-    never make a worker less capable.
-    """
-    if use_pool is None:
-        use_pool = os.environ.get(POOL_ENV_VAR) == "1"
-    if not use_pool:
-        return execute_unit
-
-    def pooled(unit: WorkUnit) -> Any:
-        from repro.runner.pool import PoolUnavailable, WarmPool
-
-        try:
-            return WarmPool.shared(1).map(execute_unit, [unit])[0]
-        except PoolUnavailable:
-            return execute_unit(unit)
-
-    return pooled
-
-
 def run_worker(host: str, port: int, worker_id: str, token: str,
-               heartbeat_interval: float = 1.0,
-               use_pool: bool | None = None) -> int:
+               heartbeat_interval: float = 1.0) -> int:
     """Connect to a server and execute units until told to stop.
 
     Returns the number of units completed.  A *heartbeat_interval*
     of zero (or less) disables heartbeats — only useful for tests
-    that want to get evicted.  *use_pool* routes execution through
-    the shared warm pool (see :func:`make_executor`).
+    that want to get evicted.
     """
-    executor = make_executor(use_pool)
     sock = socket.create_connection((host, port))
     reader = sock.makefile("r", encoding="utf-8", newline="\n")
     send_lock = threading.Lock()
@@ -119,7 +80,7 @@ def run_worker(host: str, port: int, worker_id: str, token: str,
             digest = str(message.get("digest", ""))
             try:
                 unit = unit_from_dict(message["unit"])
-                result = executor(unit)
+                result = execute_unit(unit)
                 send({"type": "result", "digest": digest,
                       "payload": encode_payload(result)})
                 units_done += 1
@@ -154,16 +115,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--heartbeat", type=float, default=1.0,
                         help="heartbeat interval in seconds "
                              "(<= 0 disables)")
-    parser.add_argument("--pool", action="store_true", default=None,
-                        help="execute units through the shared warm "
-                             "pool (default: MIRAGE_SERVICE_POOL)")
     options = parser.parse_args(argv)
     host, _, port = options.connect.rpartition(":")
     try:
         run_worker(host or "127.0.0.1", int(port), options.worker_id,
                    options.token,
-                   heartbeat_interval=options.heartbeat,
-                   use_pool=options.pool)
+                   heartbeat_interval=options.heartbeat)
     except (ConnectionError, OSError) as exc:
         print(f"[worker {options.worker_id}] connection lost: {exc}",
               flush=True)

@@ -1,0 +1,114 @@
+"""Randomized equivalence of the analytic tier's fast paths.
+
+:class:`~repro.engine.backends.AnalyticBackend` advances every
+interval through a fused ``advance_all`` kernel, and SC-MPKI
+arbitrates through its ``pick_batch`` fast path.  Both must be
+*bit-identical* to the reference surfaces they accelerate: the
+per-application ``advance`` loop of
+:meth:`~repro.engine.backends.ExecutionBackend.advance_all`, and
+``pick`` over the materialized view list.  These tests run whole CMP
+simulations both ways and compare every field of the results exactly
+— no tolerances.
+"""
+
+import dataclasses
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.arbiter import Arbitrator, SCMPKIArbitrator
+from repro.arbiter.software import SoftwareArbitrator
+from repro.characterize import analytic_model
+from repro.cmp import ClusterConfig
+from repro.cmp.system import CMPSystem
+from repro.engine import AnalyticBackend, ExecutionBackend
+from repro.runner.units import ARBITRATORS
+from repro.workloads import ALL_BENCHMARKS
+
+
+class ReferenceBackend(AnalyticBackend):
+    """The analytic tier advanced one ``advance`` call per app."""
+
+    advance_all = ExecutionBackend.advance_all
+
+
+class ReferenceSCMPKI(SCMPKIArbitrator):
+    """SC-MPKI picking through ``pick(views)``, not its fast path."""
+
+    pick_batch = Arbitrator.pick_batch
+
+
+#: Every arbitrator family, the software wrapper included.
+POLICIES = {
+    **ARBITRATORS,
+    "software": lambda: SoftwareArbitrator(SCMPKIArbitrator(),
+                                           reaction_intervals=4),
+}
+
+
+def run_pair(names, *, policy="SC-MPKI", n_producers=1, mirage=True,
+             max_intervals=200):
+    """``(shipped, reference)`` results of one configuration."""
+    models = [analytic_model(name) for name in names]
+    config = ClusterConfig(n_consumers=len(names),
+                           n_producers=n_producers, mirage=mirage)
+    shipped = CMPSystem(config, models, POLICIES[policy]())
+    arbitrator = (ReferenceSCMPKI() if policy == "SC-MPKI"
+                  else POLICIES[policy]())
+    reference = CMPSystem(config, models, arbitrator)
+    reference.backend = reference.engine.backend = ReferenceBackend(
+        reference.migration)
+    return (dataclasses.asdict(shipped.run(max_intervals=max_intervals)),
+            dataclasses.asdict(reference.run(max_intervals=max_intervals)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    names=st.lists(st.sampled_from(ALL_BENCHMARKS), min_size=1,
+                   max_size=48),
+    n_producers=st.integers(1, 3),
+    policy=st.sampled_from(sorted(POLICIES)),
+    mirage=st.booleans(),
+    max_intervals=st.integers(50, 600),
+)
+def test_shipped_paths_match_reference(names, n_producers, policy,
+                                       mirage, max_intervals):
+    shipped, reference = run_pair(
+        names, policy=policy, n_producers=n_producers, mirage=mirage,
+        max_intervals=max_intervals)
+    assert shipped == reference
+
+
+class TestRandomizedEquivalence:
+    """Seeded mixes that replay the same draw on every run."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_mix_bit_identical(self, seed):
+        rng = random.Random(seed)
+        width = rng.randint(2, 12)
+        names = rng.choices(ALL_BENCHMARKS, k=width)
+        n_producers = rng.randint(1, min(3, width))
+        policy = rng.choice(["SC-MPKI", "maxSTP", "Fair"])
+        shipped, reference = run_pair(names, policy=policy,
+                                      n_producers=n_producers)
+        assert shipped == reference
+
+
+class TestFixedCases:
+    """Named shapes the random draws may not reach."""
+
+    def test_run_to_completion_bit_identical(self):
+        # No interval cap: completions, restarts and the energy
+        # stop-billing edge all behave identically.
+        shipped, reference = run_pair(["bzip2", "astar", "hmmer", "namd"],
+                                      max_intervals=50_000)
+        assert shipped["intervals"] < 50_000
+        assert shipped == reference
+
+    def test_wide_cluster_bit_identical(self):
+        names = [ALL_BENCHMARKS[i % len(ALL_BENCHMARKS)]
+                 for i in range(48)]
+        shipped, reference = run_pair(names, n_producers=3,
+                                      max_intervals=120)
+        assert shipped == reference

@@ -17,7 +17,9 @@ import pytest
 
 from repro.runner import (
     ResultCache,
+    SweepRunner,
     WarmPool,
+    call_unit,
     cmp_unit,
     execute_unit,
     lpt_order,
@@ -56,6 +58,23 @@ def _crash_once(arg):
 
 def _boom(x):
     raise ValueError(f"boom {x}")
+
+
+NESTED_UNITS = [call_unit("builtins:sorted", [3, 1, 2]),
+                call_unit("builtins:len", [1, 2])]
+
+
+def _nested_sweep(_):
+    """A ``jobs=2`` sweep started from inside a pool worker."""
+    runner = SweepRunner(jobs=2)
+    return runner.map(NESTED_UNITS), runner.stats.mode
+
+
+def _nested_fan_out(_):
+    """A two-item fan-out started from inside a pool worker."""
+    from repro.cmp.sharded import fan_out
+
+    return fan_out(len, [[1], [1, 2]], 2)
 
 
 @pytest.fixture
@@ -146,33 +165,21 @@ class TestTransport:
         assert pool_mod.decode_envelope(segments) == obj
 
 
-class TestToggle:
-    def test_shared_raises_when_disabled(self):
-        old = pool_mod._enabled
-        try:
-            pool_mod.set_warm_pool_enabled(False)
-            with pytest.raises(pool_mod.PoolUnavailable):
-                WarmPool.shared(2)
-        finally:
-            pool_mod._enabled = old
-
+class TestNesting:
     def test_disabled_inside_pool_worker(self, monkeypatch):
         monkeypatch.setenv(pool_mod.WORKER_ENV_VAR, "1")
-        assert not pool_mod.warm_pool_enabled()
+        with pytest.raises(pool_mod.PoolUnavailable):
+            WarmPool.shared(2)
+
+    def test_nested_sweep_runs_serially(self, pool):
+        serial = SweepRunner(jobs=1).map(NESTED_UNITS)
+        assert pool.map(_nested_sweep, [0]) == [(serial, "serial")]
+
+    def test_nested_fan_out_runs_serially(self, pool):
+        assert pool.map(_nested_fan_out, [0]) == [[1, 2]]
 
 
 class TestCacheKeying:
-    def test_key_material_ignores_pool_toggle(self, tmp_path,
-                                              monkeypatch):
-        cache = ResultCache(tmp_path)
-        unit = cmp_unit(MIXES[0], "maxSTP")
-        monkeypatch.setenv(pool_mod.ENV_VAR, "1")
-        key_on = cache.key_material(unit)
-        monkeypatch.setenv(pool_mod.ENV_VAR, "0")
-        key_off = cache.key_material(unit)
-        assert key_on == key_off
-        assert "pool" not in key_on
-
     def test_timings_round_trip(self, tmp_path):
         cache = ResultCache(tmp_path)
         unit = cmp_unit(MIXES[0], "SC-MPKI")

@@ -183,9 +183,9 @@ class TestExecutor:
         assert runner.stats.units_run == 3
         assert runner.stats.cache_misses == runner.stats.total_units == 5
         assert len(list(tmp_path.glob("v*/*/*.json"))) == 3
-        # jobs=2 takes a pooled path (warm, or legacy when the warm
-        # pool is switched off), where the repeats never reach a worker.
-        assert (runner.stats.mode == "serial") == (jobs == 1)
+        # jobs=2 takes the warm pool, where the repeats never reach a
+        # worker.
+        assert runner.stats.mode == ("serial" if jobs == 1 else "warm-pool")
 
     def test_fig8_reuses_fig7_entries(self, tmp_path, monkeypatch,
                                       capsys):

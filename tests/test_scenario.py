@@ -195,19 +195,19 @@ class TestLifecyclePhase:
 
         assert run(True) == run(False)
 
-    def test_vector_backend_repopulates_after_membership_change(self):
-        # Wide cluster so the vectorized kernel is active; admitting
-        # mid-run must rebuild its arrays without corrupting state.
+    def test_backend_repopulates_after_membership_change(self):
+        # Admitting mid-run must rebuild the fused kernel's per-app
+        # aux tables for the new population without corrupting state.
+        from repro.cmp.migration import MigrationCostModel
+        from repro.engine.backends import _model_aux
+
         names = [m for m in standard_mixes(12, seed=2017)[0]]
         config = ClusterConfig(n_consumers=13)
         apps = [AppState(model=app_model(n), uid=f"{n}@{i}")
                 for i, n in enumerate(names)]
         newcomer = AppState(model=app_model("mcf"), uid="mcf@late")
         lifecycle = LifecyclePhase({7: [newcomer]}, announce=[])
-        from repro.cmp.migration import MigrationCostModel
-
-        backend = AnalyticBackend(MigrationCostModel(config),
-                                  vectorize=True)
+        backend = AnalyticBackend(MigrationCostModel(config))
         engine = IntervalEngine(
             config, apps, _pipeline(ARBITRATORS["SC-MPKI"](), lifecycle),
             backend=backend)
@@ -215,6 +215,8 @@ class TestLifecyclePhase:
         assert len(apps) == 13
         assert newcomer.t_total > 0
         assert all(a.t_total > 0 for a in apps)
+        assert backend._aux == [
+            _model_aux(a.model, config.sc_capacity_bytes) for a in apps]
 
 
 class TestDegenerateScenario:

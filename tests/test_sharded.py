@@ -4,20 +4,16 @@
 pool; because every spec runs with a private slice memo and the merge
 happens in spec order, the pooled path must produce exactly the
 results the serial path does — these tests hold it to that, and cover
-the env routing knob and the deterministic counter merge.
+the deterministic counter merge.
 """
 
 import dataclasses
 
-import pytest
-
 from repro.cmp.sharded import (
-    ENV_VAR,
     ClusterSpec,
     ShardedDetailedBackend,
     merge_counters,
     run_cluster_spec,
-    shard_jobs,
 )
 
 SPECS = [
@@ -73,30 +69,3 @@ class TestMergeCounters:
             assert merged[name] == sum(
                 o.counters.get(name, 0) for o in outcomes)
 
-
-class TestEnvRouting:
-    def test_unset_means_serial(self, monkeypatch):
-        monkeypatch.delenv(ENV_VAR, raising=False)
-        assert shard_jobs() is None
-
-    @pytest.mark.parametrize("raw", ["0", "", "  ", "nope", "-3"])
-    def test_off_values(self, monkeypatch, raw):
-        monkeypatch.setenv(ENV_VAR, raw)
-        assert shard_jobs() is None
-
-    def test_one_means_cpu_count_pool(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "1")
-        assert shard_jobs() >= 1
-
-    def test_explicit_count(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "3")
-        assert shard_jobs() == 3
-
-    def test_tier_validation_routes_identically(self, monkeypatch):
-        from repro.experiments.tier_validation import detailed_tier
-
-        monkeypatch.delenv(ENV_VAR, raising=False)
-        direct = detailed_tier(4, 2_000)
-        monkeypatch.setenv(ENV_VAR, "2")
-        sharded = detailed_tier(4, 2_000)
-        assert direct == sharded
