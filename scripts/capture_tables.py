@@ -16,18 +16,15 @@ tier-identity gate on any byte difference::
 
 The single-tree gate modes capture the same experiments two ways and
 fail on any byte difference — perf layers must never change
-simulation output:
+simulation output (``tests/test_equivalence.py`` holds the slice memo
+to its memo-less reference):
 
-* ``--simcache-gate`` — slice memoization on vs off.
-* ``--disk-smoke`` — two *separate processes* against one disk slice
-  store (``MIRAGE_SIM_CACHE_DISK=1``): the second replays what the
-  first simulated and must print the identical table.
 * ``--backend-smoke`` — ``backend-matrix --quick`` twice: every
   registered backend must appear as a leg row and the two runs must
   print byte-identical tables (determinism across the whole roster).
 * ``--pool-gate`` — the tier-identity experiments under ``--jobs 2``
-  vs ``--jobs 1``: the warm worker pool and its shared-memory
-  transport must never change a byte of simulation output.
+  vs ``--jobs 1``: the warm worker pool must never change a byte of
+  simulation output.
 """
 
 from __future__ import annotations
@@ -41,11 +38,6 @@ from pathlib import Path
 #: The experiments whose printed tables must stay bit-identical.
 EXPERIMENTS = ("table1", "fig7", "tier-validation")
 
-#: The experiments exercising the detailed tier, i.e. the ones whose
-#: output the ``--simcache-gate`` and ``--disk-smoke`` modes compare
-#: under the slice-memo toggles.
-SIMCACHE_EXPERIMENTS = ("tier-validation",)
-
 
 def is_volatile(line: str) -> bool:
     """True for timing lines that legitimately vary run to run."""
@@ -55,12 +47,9 @@ def is_volatile(line: str) -> bool:
 
 
 def capture(experiment: str, src: Path,
-            extra_env: dict[str, str] | None = None,
             extra_args: tuple[str, ...] = ()) -> str:
     """One experiment's table, with volatile timing lines stripped."""
     env = dict(os.environ, PYTHONPATH=str(src))
-    if extra_env:
-        env.update(extra_env)
     proc = subprocess.run(
         [sys.executable, "-m", "repro", experiment,
          "--quick", "--no-cache", *extra_args],
@@ -75,62 +64,13 @@ def capture(experiment: str, src: Path,
     return "\n".join(lines) + "\n"
 
 
-def env_gate(src: Path, out: Path, experiments: list[str],
-             var: str, tag: str) -> None:
-    """Capture each experiment with ``var`` set to ``1`` and ``0`` and
-    fail on any byte difference.
-
-    The toggle goes through an environment variable rather than a CLI
-    flag so the same invocation works against older src trees that
-    predate the flag (``--no-sim-cache``).
-    """
-    for experiment in experiments:
-        on = capture(experiment, src, {var: "1"})
-        off = capture(experiment, src, {var: "0"})
-        (out / f"{experiment}.{tag}-on.txt").write_text(on)
-        (out / f"{experiment}.{tag}-off.txt").write_text(off)
-        if on != off:
-            raise SystemExit(
-                f"capture_tables: {experiment} differs between "
-                f"{var}=1 and =0 — a perf layer changed simulation "
-                f"output (see {out})")
-        print(f"[{tag}-gate] {experiment}: {var} on/off "
-              f"byte-identical ({len(on.splitlines())} lines)")
-
-
-def disk_smoke(src: Path, out: Path, experiments: list[str]) -> None:
-    """Run each experiment twice — two processes, one disk slice
-    store — and fail unless the warm run reproduces the cold table.
-
-    The second process starts with an empty in-memory memo, so any
-    divergence means the disk store replayed a slice wrong (or the
-    store silently failed and the gate still holds by re-simulation —
-    identity is the contract either way).
-    """
-    cache_dir = out / "disk-smoke-cache"
-    env = {"MIRAGE_SIM_CACHE_DISK": "1",
-           "MIRAGE_CACHE_DIR": str(cache_dir)}
-    for experiment in experiments:
-        cold = capture(experiment, src, env)
-        warm = capture(experiment, src, env)
-        (out / f"{experiment}.disk-cold.txt").write_text(cold)
-        (out / f"{experiment}.disk-warm.txt").write_text(warm)
-        if cold != warm:
-            raise SystemExit(
-                f"capture_tables: {experiment} differs between the "
-                f"cold and warm disk-memo processes — the slice store "
-                f"replayed different results (see {out})")
-        print(f"[disk-smoke] {experiment}: cold/warm processes "
-              f"byte-identical ({len(cold.splitlines())} lines)")
-
-
 def pool_gate(src: Path, out: Path, experiments: list[str]) -> None:
     """Capture each experiment under ``--jobs 2`` and ``--jobs 1`` and
     fail on any byte difference.
 
     ``--jobs 1`` runs serially, so this holds the entire pooled
-    dispatch stack — warm workers, shared-memory transport, LPT
-    ordering — to the serial reference on the same work.
+    dispatch stack — warm workers, pickled batches, LPT ordering — to
+    the serial reference on the same work.
     """
     for experiment in experiments:
         pooled = capture(experiment, src, extra_args=("--jobs", "2"))
@@ -191,16 +131,6 @@ def main(argv: list[str] | None = None) -> int:
         "--experiments", nargs="*", default=list(EXPERIMENTS),
         help=f"experiments to capture (default: {' '.join(EXPERIMENTS)})")
     parser.add_argument(
-        "--simcache-gate", action="store_true",
-        help="capture the detailed tier twice (MIRAGE_SIM_CACHE=1/0) "
-             "and fail on any byte difference instead of the normal "
-             "capture")
-    parser.add_argument(
-        "--disk-smoke", action="store_true",
-        help="run the detailed tier in two processes sharing one disk "
-             "slice store (MIRAGE_SIM_CACHE_DISK=1) and fail unless "
-             "the warm process reproduces the cold table")
-    parser.add_argument(
         "--backend-smoke", action="store_true",
         help="run backend-matrix --quick twice and fail unless every "
              "registered backend appears and the runs are "
@@ -214,15 +144,6 @@ def main(argv: list[str] | None = None) -> int:
     src = Path(args.src).resolve()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if args.simcache_gate:
-        gate = [e for e in args.experiments if e in SIMCACHE_EXPERIMENTS]
-        env_gate(src, out, gate or list(SIMCACHE_EXPERIMENTS),
-                 "MIRAGE_SIM_CACHE", "sim-cache")
-        return 0
-    if args.disk_smoke:
-        gate = [e for e in args.experiments if e in SIMCACHE_EXPERIMENTS]
-        disk_smoke(src, out, gate or list(SIMCACHE_EXPERIMENTS))
-        return 0
     if args.backend_smoke:
         backend_smoke(src, out)
         return 0

@@ -20,7 +20,7 @@ Public API tour:
 * :mod:`repro.telemetry` — typed counters, trace records, sinks.
 * :mod:`repro.experiments` — one driver per paper table/figure.
 * :mod:`repro.api` — the stable flat facade over all of the above.
-* :mod:`repro.config` — every cache switch as one ``CacheConfig``.
+* :mod:`repro.config` — the ``CacheConfig`` and ``ServiceConfig`` values.
 """
 
 from repro.arbiter import (
@@ -47,7 +47,7 @@ from repro.workloads import (
     standard_mixes,
 )
 
-__version__ = "1.10.0"
+__version__ = "1.11.0"
 
 __all__ = [
     "__version__",

@@ -24,8 +24,8 @@ The facade groups six surfaces:
   (:func:`make_cost_model`), plus the process-sharded runner in
   :mod:`repro.cmp.sharded`;
 * **arbitration** — the five paper arbitrators;
-* **infrastructure** — telemetry, the sweep runner, and every cache
-  layer behind one :class:`CacheConfig`;
+* **infrastructure** — telemetry, the sweep runner, the result cache
+  (selected by a :class:`CacheConfig`) and the slice memo;
 * **service** — the :mod:`repro.service` job server's client side
   (:class:`ServiceClient`, :class:`ServiceConfig`,
   :class:`SubmitRequest`);
@@ -83,7 +83,7 @@ from repro.engine import (
 from repro.experiments import EXPERIMENTS, ExperimentParams
 from repro.runner import ResultCache, SweepRunner, call_unit, cmp_unit
 from repro.service import ServiceClient, SubmitRequest
-from repro.simcache import SliceMemo, SliceStore
+from repro.simcache import SliceMemo
 from repro.telemetry import (
     IntervalRecord,
     JSONLSink,
@@ -115,7 +115,7 @@ __all__ = [
     "SCMPKIFairArbitrator", "SCMPKIMaxSTPArbitrator",
     # infrastructure
     "CacheConfig", "IntervalRecord", "JSONLSink", "MemorySink",
-    "ResultCache", "SliceMemo", "SliceStore", "SweepRunner",
+    "ResultCache", "SliceMemo", "SweepRunner",
     "Telemetry", "call_unit", "cmp_unit", "default_cache_dir",
     # service
     "ServiceClient", "ServiceConfig", "SubmitRequest",
@@ -132,23 +132,21 @@ def run_experiment(name: str, *, quick: bool = False,
     """Run one named experiment and return its result dict.
 
     The programmatic equivalent of ``mirage <name>``: resolves *name*
-    in :data:`EXPERIMENTS`, threads the cache configuration (applied
-    process-wide first, so slice-memo switches reach the backends),
-    and forwards *overrides* to the driver's ``run()``.
+    in :data:`EXPERIMENTS`, threads the cache configuration to the
+    sweep runner (it changes nothing process-wide), and forwards
+    *overrides* to the experiment's ``run()``.
 
     Args:
         name: an experiment name (see ``mirage list``).
         quick: trimmed workload sizes, as ``--quick``.
         jobs: worker processes for sweep drivers.
-        cache: every cache switch in one place; ``None`` leaves the
-            process defaults (result cache off, slice memo on).
+        cache: the result-cache selection; ``None`` runs without
+            the result cache.
         overrides: driver-specific keywords, e.g. ``n_mixes=4``.
     """
     if name not in EXPERIMENTS:
         known = ", ".join(EXPERIMENTS)
         raise KeyError(f"unknown experiment {name!r} — one of: {known}")
-    if cache is not None:
-        cache.apply()
     params = ExperimentParams(
         quick=quick, jobs=jobs,
         use_cache=cache.use_result_cache if cache is not None else False,

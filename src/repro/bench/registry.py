@@ -341,60 +341,6 @@ def bench_detailed_shard(ctx: BenchContext) -> None:
 
 
 @register(
-    "slice-store", tier="infra",
-    description="SliceStore persistence: cold capture to disk, then "
-                "a fresh memo replaying every slice from the store",
-)
-def bench_slice_store(ctx: BenchContext) -> None:
-    """Disk round-trip of the slice memo against a temp store.
-
-    The cold run populates a :class:`~repro.simcache.SliceStore` in a
-    temporary directory; a *fresh* memo sharing only that store then
-    replays the identical cluster, so every hit is a disk hit — the
-    cross-process warm-start path, minus the process boundary.  The
-    probe asserts result identity and that the disk layer actually
-    served hits, so a silent store regression fails loudly here.
-    """
-    from repro import simcache
-    from repro.arbiter import SCMPKIArbitrator
-    from repro.cmp.detailed import DetailedMirageCluster
-    from repro.workloads import make_benchmark
-
-    slice_n = ctx.size(3_000, 1_000)
-    n_slices = ctx.size(5, 2)
-
-    def run(memo):
-        cluster = DetailedMirageCluster(
-            [make_benchmark("hmmer", seed=4),
-             make_benchmark("mcf", seed=4)],
-            SCMPKIArbitrator(),
-            slice_instructions=slice_n,
-            sim_cache=memo,
-        )
-        return cluster.run(n_slices=n_slices)
-
-    with tempfile.TemporaryDirectory(prefix="mirage-bench-") as tmp:
-        store = simcache.SliceStore(Path(tmp))
-        with ctx.telemetry.profiler.time("cold"):
-            cold = run(simcache.SliceMemo(disk=store))
-        warm_memo = simcache.SliceMemo(disk=store)
-        with ctx.telemetry.profiler.time("disk-replay"):
-            warm = run(warm_memo)
-        if (warm.ipcs, warm.migrations, warm.energy_pj) != (
-                cold.ipcs, cold.migrations, cold.energy_pj):
-            raise RuntimeError(
-                "slice-store replay diverged from the cold run")
-        if warm_memo.stats.disk_hits == 0:
-            raise RuntimeError("slice-store replay never hit the disk")
-        counters = ctx.telemetry.counters
-        counters.bump("store.loads", store.stats.loads)
-        counters.bump("store.hits", store.stats.hits)
-        counters.bump("store.stores", store.stats.stores)
-        counters.bump("store.rejected", store.stats.rejected)
-        counters.bump("simcache.disk_hits", warm_memo.stats.disk_hits)
-
-
-@register(
     "memory-hierarchy", tier="detailed",
     description="CoreMemory access loop: L1/TLB hits, L2 refills, "
                 "strided and pointer-chase address patterns",
@@ -484,14 +430,10 @@ def bench_service_roundtrip(ctx: BenchContext) -> None:
     result cache.  The probe asserts both counts, so a dedup
     regression fails loudly here before it costs real compute.
     """
-    import os
-
     from repro.config import CacheConfig, ServiceConfig
     from repro.service import ServerHandle, ServiceClient, SubmitRequest
 
     n_jobs = ctx.size(8, 3)
-    saved_env = {key: os.environ.get(key)
-                 for key in ("MIRAGE_CACHE_DIR",)}
     with tempfile.TemporaryDirectory(prefix="mirage-bench-") as tmp:
         config = ServiceConfig(
             workers=1, service_dir=Path(tmp) / "svc",
@@ -519,11 +461,6 @@ def bench_service_roundtrip(ctx: BenchContext) -> None:
             stats = client.health()["stats"]
         finally:
             handle.stop(drain=True)
-            for key, value in saved_env.items():
-                if value is None:
-                    os.environ.pop(key, None)
-                else:
-                    os.environ[key] = value
     if stats["executions"] != n_jobs:
         raise RuntimeError(
             f"expected {n_jobs} executions, saw {stats['executions']}")

@@ -11,11 +11,9 @@ identical tables.
 :mod:`repro.telemetry`) to a JSONL file; ``mirage trace FILE``
 inspects one afterwards.
 
-Detailed-tier runs memoize repeated slices (:mod:`repro.simcache`) by
-default; ``--no-sim-cache`` disables it, and ``--sim-cache-disk``
-additionally persists memoized slices under the cache dir so later
-processes replay them — bit-identical tables in every combination.
-All cache switches travel as one :class:`repro.config.CacheConfig`.
+Detailed-tier runs memoize repeated slices in memory
+(:mod:`repro.simcache`), which never changes a table.  The result-cache
+options travel as one :class:`repro.config.CacheConfig`.
 
 ``mirage bench`` runs the :mod:`repro.bench` microbenchmarks and
 writes a schema-versioned ``BENCH_<label>.json``; ``mirage bench
@@ -407,39 +405,15 @@ def main(argv: list[str] | None = None) -> int:
              "names to cross-validate (bare flag = all registered); "
              "with 'mirage list': print the backend roster instead",
     )
-    parser.add_argument(
-        "--sim-cache", dest="sim_cache", action="store_true",
-        default=None,
-        help="memoize detailed-tier slices in the process-wide "
-             "SliceMemo (bit-identical results; the default)",
-    )
-    parser.add_argument(
-        "--no-sim-cache", dest="sim_cache", action="store_false",
-        help="disable detailed-tier slice memoization",
-    )
-    parser.add_argument(
-        "--sim-cache-disk", dest="sim_cache_disk", action="store_true",
-        default=None,
-        help="persist memoized slices under the cache dir so later "
-             "processes replay them (bit-identical results)",
-    )
-    parser.add_argument(
-        "--no-sim-cache-disk", dest="sim_cache_disk",
-        action="store_false",
-        help="keep slice memoization in-memory only (the default)",
-    )
     args = parser.parse_args(argv)
 
-    # One CacheConfig carries every cache switch from here down;
-    # apply() writes the env-backed ones so --jobs workers inherit.
+    # One CacheConfig carries the result-cache options from here down.
     from repro.config import CacheConfig
 
     cache_cfg = CacheConfig(
         cache_dir=args.cache_dir,
         use_result_cache=not args.no_cache,
-        sim_cache=args.sim_cache,
-        sim_cache_disk=args.sim_cache_disk,
-    ).apply()
+    )
 
     if args.list or args.experiment == "list":
         if args.backends is not None:

@@ -156,14 +156,13 @@ class DetailedBackend(ExecutionBackend):
         config: ClusterConfig,
         sc_capacity: int | None = 8 * 1024,
         slice_instructions: int = 8_000,
-        sim_cache: "bool | simcache.SliceMemo | None" = None,
+        sim_cache: "bool | simcache.SliceMemo" = True,
     ):
         self.config = config
         self.slice_instructions = slice_instructions
         self.sc_capacity = sc_capacity
-        # Slice memoization (repro.simcache): None follows the
-        # process-wide default, True/False force the shared memo on or
-        # off, a SliceMemo instance is used privately.
+        # Slice memoization (repro.simcache): True uses the shared
+        # memo, False none, a SliceMemo instance is used privately.
         self.memo = simcache.resolve(sim_cache)
         self.hier = MemoryHierarchy()
         self.producer_mem = self.hier.core_view(len(benchmarks))
@@ -489,10 +488,6 @@ class DetailedBackend(ExecutionBackend):
             counters = ctx.telemetry.counters
             counters["simcache.entries"] = self.memo.num_entries
             counters["simcache.bytes"] = self.memo.approx_bytes
-            if self.memo.disk is not None:
-                counters["simcache.disk_hits"] = self.memo.stats.disk_hits
-                counters["simcache.disk_stores"] = (
-                    self.memo.stats.disk_stores)
 
     # -- the physical move ---------------------------------------------
     def _perform_migration(self, ctx: EngineContext,
@@ -605,7 +600,7 @@ class DetailedMirageCluster:
         slice_instructions: int = 8_000,
         energy_model: CoreEnergyModel | None = None,
         telemetry: Telemetry | None = None,
-        sim_cache: "bool | simcache.SliceMemo | None" = None,
+        sim_cache: "bool | simcache.SliceMemo" = True,
         backend: str = "detailed",
         migration_cost_model: str = "l1-flush",
     ):

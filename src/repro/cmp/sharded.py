@@ -16,10 +16,7 @@ worker scheduling.  Each spec runs through the module-level
 :func:`run_cluster_spec` (picklable by construction) with a *private*
 slice memo, which makes the serial fallback bit-identical to the
 sharded run: no cross-spec memo coupling can leak between clusters in
-either mode.  With the disk slice store enabled
-(:func:`repro.simcache.disk_enabled`), workers still share warm slices
-across *runs* through the store — the cross-process design the memo's
-correctness model already covers.
+either mode.
 
 Sharding is explicit: a caller passes ``jobs``, and ``jobs=None`` (or
 1) runs the specs serially in-process.
@@ -97,10 +94,9 @@ def run_cluster_spec(spec: ClusterSpec) -> ShardOutcome:
     """Build, run and summarize one cluster — in any process.
 
     Module-level and argument-picklable so the warm pool can ship it;
-    the slice memo is private to the call (plus the shared disk store
-    when that layer is on), so outcomes do not depend on what else ran
-    in the same process — serial and sharded execution are
-    bit-identical.
+    the slice memo is private to the call, so outcomes do not depend
+    on what else ran in the same process — serial and sharded
+    execution are bit-identical.
     """
     from repro import simcache
     from repro.cmp.detailed import DetailedMirageCluster
@@ -116,18 +112,12 @@ def run_cluster_spec(spec: ClusterSpec) -> ShardOutcome:
     sink = None
     if spec.record_kinds:
         sink = telemetry.attach(MemorySink(kinds=set(spec.record_kinds)))
-    if simcache.enabled():
-        disk = (simcache.SliceStore.shared()
-                if simcache.disk_enabled() else None)
-        memo = simcache.SliceMemo(disk=disk)
-    else:
-        memo = False
     cluster = DetailedMirageCluster(
         benches, ARBITRATORS[spec.arbitrator](),
         sc_capacity=spec.sc_capacity,
         slice_instructions=spec.slice_instructions,
         telemetry=telemetry,
-        sim_cache=memo,
+        sim_cache=simcache.SliceMemo(),
     )
     result = cluster.run(n_slices=spec.n_slices)
     return ShardOutcome(

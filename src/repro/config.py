@@ -1,26 +1,16 @@
-"""One knob surface for every cache layer.
+"""The cache and service configuration, as plain values.
 
-The repo grew three caching layers, each with its own switches:
-
-* the **result cache** (:mod:`repro.runner.cache`) — finished work-unit
-  payloads on disk, controlled by ``--cache-dir`` / ``--no-cache``;
-* the **slice memo** (:mod:`repro.simcache`) — in-memory detailed-tier
-  slice replay, controlled by ``--sim-cache`` / ``--no-sim-cache`` and
-  the ``MIRAGE_SIM_CACHE`` environment variable;
-* the memo's **disk store** — cross-process slice persistence under
-  the result-cache directory, controlled by ``--sim-cache-disk`` and
-  ``MIRAGE_SIM_CACHE_DISK``.
-
-:class:`CacheConfig` collapses those into one dataclass that the CLI
-builds once and threads through
-:class:`~repro.experiments.registry.ExperimentParams` to the sweep
-runner and (via the process-wide switches in :mod:`repro.simcache`)
-the backends.  ``None`` fields mean "follow the environment", so a
-config built from defaults changes nothing.
+:class:`CacheConfig` describes the **result cache**
+(:mod:`repro.runner.cache`) — finished work-unit payloads on disk,
+controlled by ``--cache-dir`` / ``--no-cache`` — plus the backend and
+migration pricing folded into its keys.  The CLI builds one and
+threads it through :class:`~repro.experiments.registry.ExperimentParams`
+to the sweep runner.  It is a value: building or passing one changes
+nothing in the process.
 
 :func:`default_cache_dir` lives here (re-exported from
 :mod:`repro.runner.cache` for compatibility) because both the result
-cache and the slice store root under it.
+cache and the service directory root under it.
 
 :class:`ServiceConfig` is the same idea for the experiment service
 (:mod:`repro.service`): one picklable dataclass carrying every server
@@ -75,16 +65,12 @@ def default_service_dir() -> Path:
 
 @dataclass
 class CacheConfig:
-    """Every cache switch, in one picklable place.
+    """The result-cache selection, in one picklable place.
 
     Attributes:
-        cache_dir: root for the result cache and the slice store
+        cache_dir: root for the result cache
             (``None`` = :func:`default_cache_dir`).
         use_result_cache: consult/populate the on-disk result cache.
-        sim_cache: detailed-tier slice memoization; ``None`` follows
-            the ``MIRAGE_SIM_CACHE`` environment (default on).
-        sim_cache_disk: persist memoized slices to disk; ``None``
-            follows ``MIRAGE_SIM_CACHE_DISK`` (default off).
         backend: the selected registry backend name (see
             :func:`repro.engine.registry.get_backend`); folded into
             every result-cache key so entries from different backends
@@ -96,46 +82,8 @@ class CacheConfig:
 
     cache_dir: str | Path | None = None
     use_result_cache: bool = True
-    sim_cache: bool | None = None
-    sim_cache_disk: bool | None = None
     backend: str | None = None
     migration_cost_model: str | None = None
-
-    @classmethod
-    def from_env(cls) -> "CacheConfig":
-        """The configuration the current environment implies.
-
-        Materializes the env-var switches into concrete booleans, so
-        the result describes (rather than defers to) the environment.
-        """
-        from repro import simcache
-
-        return cls(
-            cache_dir=os.environ.get("MIRAGE_CACHE_DIR") or None,
-            use_result_cache=True,
-            sim_cache=simcache.enabled(),
-            sim_cache_disk=simcache.disk_enabled(),
-        )
-
-    def apply(self) -> "CacheConfig":
-        """Push the slice-memo switches process-wide and return self.
-
-        Writes through :func:`repro.simcache.set_enabled` /
-        :func:`~repro.simcache.set_disk_enabled` (which also export
-        the env vars, so ``--jobs`` worker processes inherit them) and
-        exports ``MIRAGE_CACHE_DIR`` when a directory is set, so the
-        slice store roots under the same tree in every process.
-        ``None`` fields change nothing.
-        """
-        from repro import simcache
-
-        if self.cache_dir is not None:
-            os.environ["MIRAGE_CACHE_DIR"] = str(self.cache_dir)
-        if self.sim_cache is not None:
-            simcache.set_enabled(self.sim_cache)
-        if self.sim_cache_disk is not None:
-            simcache.set_disk_enabled(self.sim_cache_disk)
-        return self
 
     def result_cache(self) -> "ResultCache | None":
         """The :class:`~repro.runner.cache.ResultCache` this config
@@ -177,8 +125,8 @@ class ServiceConfig:
         service_dir: state directory (``None`` =
             :func:`default_service_dir`): address file, journal,
             per-job stream files.
-        cache: the cache switches workers and the dedup layer run
-            under; ``None`` means :meth:`CacheConfig.from_env`.
+        cache: the result cache the dedup layer keys and stores
+            through; ``None`` means ``CacheConfig()``.
     """
 
     host: str = "127.0.0.1"
@@ -198,5 +146,4 @@ class ServiceConfig:
 
     def cache_config(self) -> CacheConfig:
         """The cache configuration the service runs under."""
-        return self.cache if self.cache is not None else (
-            CacheConfig.from_env())
+        return self.cache if self.cache is not None else CacheConfig()

@@ -71,9 +71,9 @@ class ExperimentParams:
             (superseded by *cache* when that is set).
         cache_dir: cache location (default ``~/.cache/mirage``;
             superseded by *cache* when that is set).
-        cache: a :class:`~repro.config.CacheConfig` describing every
-            cache layer in one place — the CLI builds one; when set it
-            wins over the legacy ``use_cache``/``cache_dir`` pair.
+        cache: a :class:`~repro.config.CacheConfig` selecting the
+            result cache — the CLI builds one; when set it wins over
+            the legacy ``use_cache``/``cache_dir`` pair.
         trace: JSONL file the run's telemetry trace is appended to;
             runner-based drivers trace through the sweep runner,
             telemetry-aware drivers get a :class:`Telemetry` hub with

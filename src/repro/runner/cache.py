@@ -24,7 +24,9 @@ the engine/backend schema tag
 (:data:`repro.engine.backends.ENGINE_CACHE_TAG`) and the scenario
 schema tag (:data:`repro.workloads.scenario.SCENARIO_CACHE_TAG`), so
 results produced by a different loop/backend/scenario generation are
-invalidated even when the package version is unchanged.
+invalidated even when the package version is unchanged.  The detailed
+tier's in-memory slice memo (:mod:`repro.simcache`) is not part of the
+key: it never changes a result (``tests/test_equivalence.py``).
 
 Per-experiment wall-time hints for the LPT scheduler live beside the
 entries, at ``timings/<experiment>.json``, keyed by the version-free
@@ -42,10 +44,9 @@ from pathlib import Path
 from typing import Any
 
 import repro
-from repro import simcache
 from repro.cmp.system import CMPResult
-# Canonical home is repro.config (the slice store roots there too);
-# re-exported here because this was its historical address.
+# Canonical home is repro.config (the service directory roots there
+# too); re-exported here because this was its historical address.
 from repro.config import SERVICE_CACHE_TAG, default_cache_dir  # noqa: F401
 from repro.engine.backends import ENGINE_CACHE_TAG
 from repro.runner.units import WorkUnit
@@ -105,18 +106,11 @@ class ResultCache:
     def __init__(self, cache_dir: str | Path | None = None, *,
                  version: str | None = None,
                  backend: str | None = None,
-                 sim_cache: bool | None = None,
                  core_backend: str | None = None,
                  cost_model: str | None = None):
         self.root = Path(cache_dir) if cache_dir else default_cache_dir()
         self.version = version or repro.__version__
         self.backend = backend or ENGINE_CACHE_TAG
-        # Slice memoization is designed to be bit-transparent, but the
-        # cache key still records the setting: if a memoization bug
-        # ever produced a wrong result, flipping the switch must not
-        # serve the tainted entry back.
-        self.sim_cache = (simcache.enabled() if sim_cache is None
-                          else bool(sim_cache))
         # The selected registry backend and migration cost model are
         # part of what a result *means*: entries produced under
         # different selections can never collide.  None = the process
@@ -140,7 +134,6 @@ class ResultCache:
             # this cache (that sharing *is* the dedup layer), so its
             # schema generation is part of the key too.
             "service": SERVICE_CACHE_TAG,
-            "sim_cache": self.sim_cache,
             "unit": dataclasses.asdict(unit),
             "version": self.version,
         })

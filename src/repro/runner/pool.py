@@ -1,4 +1,4 @@
-"""Warm worker pools: persistent processes, zero-copy transport, LPT.
+"""Warm worker pools: persistent processes, pickled batches, LPT.
 
 Every parallel path in the repo used to pay a fresh
 ``ProcessPoolExecutor`` per call: :class:`~repro.runner.executor
@@ -13,22 +13,12 @@ discipline the experiment-service fleet applies to its TCP workers.
 
 Transport
 ---------
-Task and result envelopes are pickled with **protocol 5** and
-out-of-band buffer extraction (:func:`encode_envelope`), so payloads
-that expose :class:`pickle.PickleBuffer`-aware buffers (numpy arrays,
-big byte blobs) travel as raw segments instead of being copied into
-the pickle stream.  Large envelopes move through a
-:class:`multiprocessing.shared_memory` ring (:class:`ShmRing`) — the
-parent writes segments into the ring and ships only a small
-``(offset, sizes, digest)`` descriptor through the queue; each worker
-owns a private result segment for the return trip.  Every shared-
-memory read is **digest-verified** (SHA-256 over the segments) and
-falls back to inline pickling when the ring is exhausted or a
-digest mismatches, so shared-memory pressure or corruption costs
-time, never correctness.  Envelopes decoded from shared memory borrow
-the segment's storage until the batch result is acknowledged;
-task functions must not leak buffer views into results (none of the
-repo's unit payloads do — they build fresh result objects).
+A batch travels to its worker as one :func:`pickle.dumps` bytes object
+on the worker's inbox, and its results come back the same way on the
+shared outbox.  The worker pickles its results inside the task's
+``try``, so an unpicklable result fails its task like any other error
+instead of vanishing in the queue's feeder thread.  Work units and
+their payloads are small, so the queue pipes carry them directly.
 
 Scheduling
 ----------
@@ -58,7 +48,6 @@ results are bit-identical to serial execution by construction (same
 from __future__ import annotations
 
 import atexit
-import hashlib
 import os
 import pickle
 import queue as queue_mod
@@ -71,16 +60,6 @@ from typing import Any, Callable, Sequence
 #: Set inside pool workers; nested pool use degrades to serial there.
 WORKER_ENV_VAR = "MIRAGE_POOL_WORKER"
 
-#: Task-ring capacity (bytes) of the shared parent->worker segment.
-DEFAULT_RING_BYTES = 8 * 1024 * 1024
-
-#: Per-worker result-segment capacity (bytes).
-DEFAULT_RESULT_BYTES = 4 * 1024 * 1024
-
-#: Envelopes smaller than this go inline: queue pipes beat the ring's
-#: allocator bookkeeping for small payloads.
-SHM_MIN_BYTES = 16 * 1024
-
 #: How many times a batch survives a worker crash before its items
 #: are failed (the service fleet's respawn-budget idea, per batch).
 MAX_CRASH_RETRIES = 2
@@ -89,8 +68,8 @@ MAX_CRASH_RETRIES = 2
 #: this cadence, so crash detection latency is bounded by it.
 POLL_SECONDS = 0.05
 
-#: Every live pool, so the atexit sweep can release shared segments
-#: even for pools a caller forgot to shut down.
+#: Every live pool, so the atexit sweep can stop the workers even of
+#: pools a caller forgot to shut down.
 _all_pools: "weakref.WeakSet[WarmPool] | None" = None
 
 
@@ -143,166 +122,6 @@ def chunk_sizes(n_items: int, n_workers: int) -> int:
 
 
 # ----------------------------------------------------------------------
-# Zero-copy envelopes
-# ----------------------------------------------------------------------
-def encode_envelope(obj: Any) -> list[bytes | memoryview]:
-    """Pickle *obj* at protocol 5 with out-of-band buffer extraction.
-
-    Returns the segment list ``[stream, buffer, buffer, ...]`` —
-    buffer segments are raw :class:`memoryview`\\ s of the object's
-    own storage (zero copies for ``PickleBuffer``-aware payloads
-    such as numpy arrays); plain-data payloads produce a single
-    stream segment.
-    """
-    buffers: list[pickle.PickleBuffer] = []
-    stream = pickle.dumps(obj, protocol=5,
-                          buffer_callback=buffers.append)
-    return [stream, *[b.raw() for b in buffers]]
-
-
-def decode_envelope(segments: Sequence[bytes | memoryview]) -> Any:
-    """Rebuild the object from :func:`encode_envelope` segments."""
-    return pickle.loads(segments[0], buffers=list(segments[1:]))
-
-
-def decode_from_shm(segments: Sequence[memoryview]) -> Any:
-    """Decode an envelope whose segments live in shared memory.
-
-    Out-of-band buffers are copied out: the reconstructed object
-    could otherwise alias ring storage that the allocator reuses
-    the moment this batch resolves.  The pickle *stream* (the bulk
-    of a typical envelope) is still consumed straight from the
-    segment with no intermediate copy, and every view is released
-    so the segment can be unmapped cleanly.
-    """
-    try:
-        return pickle.loads(segments[0],
-                            buffers=[bytes(s) for s in segments[1:]])
-    finally:
-        for view in segments:
-            view.release()
-
-
-def envelope_digest(segments: Sequence[bytes | memoryview]) -> str:
-    """SHA-256 over the concatenated segments (transport check)."""
-    h = hashlib.sha256()
-    for segment in segments:
-        h.update(segment)
-    return h.hexdigest()
-
-
-class ShmRing:
-    """A shared-memory segment with a parent-side region allocator.
-
-    The parent is the only allocator and the only writer; workers
-    attach read-only by name and are handed ``(offset, sizes)``
-    descriptors.  A region is freed when the batch it carried
-    resolves (its result arrived, or the batch was requeued after a
-    crash), which is by construction after the worker stopped
-    reading it.  Allocation is first-fit over a sorted free list
-    with coalescing on free; :meth:`alloc` returning ``None`` (ring
-    exhausted) is the signal to fall back to inline transport.
-    """
-
-    def __init__(self, nbytes: int):
-        from multiprocessing import shared_memory
-
-        self.shm = shared_memory.SharedMemory(create=True, size=nbytes)
-        self.nbytes = nbytes
-        self._free: list[list[int]] = [[0, nbytes]]  # [offset, length]
-
-    @property
-    def name(self) -> str:
-        return self.shm.name
-
-    def alloc(self, nbytes: int) -> int | None:
-        """First-fit region of *nbytes*, or ``None`` when exhausted."""
-        for span in self._free:
-            if span[1] >= nbytes:
-                offset = span[0]
-                span[0] += nbytes
-                span[1] -= nbytes
-                if span[1] == 0:
-                    self._free.remove(span)
-                return offset
-        return None
-
-    def free(self, offset: int, nbytes: int) -> None:
-        """Return a region; adjacent free spans coalesce."""
-        self._free.append([offset, nbytes])
-        self._free.sort()
-        merged: list[list[int]] = []
-        for span in self._free:
-            if merged and merged[-1][0] + merged[-1][1] == span[0]:
-                merged[-1][1] += span[1]
-            else:
-                merged.append(span)
-        self._free = merged
-
-    def write(self, offset: int,
-              segments: Sequence[bytes | memoryview]) -> tuple[int, ...]:
-        """Copy *segments* consecutively at *offset*; returns sizes."""
-        sizes = []
-        cursor = offset
-        for segment in segments:
-            view = memoryview(segment).cast("B")
-            n = view.nbytes
-            self.shm.buf[cursor:cursor + n] = view
-            cursor += n
-            sizes.append(n)
-        return tuple(sizes)
-
-    def close(self, *, unlink: bool = False) -> None:
-        try:
-            self.shm.close()
-            if unlink:
-                self.shm.unlink()
-        except (OSError, FileNotFoundError):
-            pass
-
-
-def read_segments(buf, offset: int,
-                  sizes: Sequence[int]) -> list[memoryview]:
-    """Zero-copy views of consecutive segments inside *buf*."""
-    views = []
-    cursor = offset
-    for n in sizes:
-        views.append(memoryview(buf)[cursor:cursor + n])
-        cursor += n
-    return views
-
-
-def _attach_shm(name: str | None):
-    """Attach a shared segment by name, silencing tracker adoption.
-
-    Attaching registers the segment with the resource tracker even
-    though the parent owns its lifetime.  Under ``spawn`` the worker
-    has its *own* tracker which would unlink the segment out from
-    under the parent when the worker exits — unregister there.
-    Under ``fork`` the tracker process is shared with the parent, so
-    unregistering would erase the parent's own registration; leave
-    it alone (the duplicate register is an idempotent no-op).
-    """
-    if not name:
-        return None
-    import multiprocessing
-    from multiprocessing import shared_memory
-
-    try:
-        shm = shared_memory.SharedMemory(name=name)
-    except (OSError, FileNotFoundError):
-        return None
-    if multiprocessing.get_start_method(allow_none=True) != "fork":
-        try:
-            from multiprocessing import resource_tracker
-
-            resource_tracker.unregister(shm._name, "shared_memory")
-        except Exception:
-            pass
-    return shm
-
-
-# ----------------------------------------------------------------------
 # The worker loop
 # ----------------------------------------------------------------------
 def _resolve_target(target: str, cache: dict) -> Callable:
@@ -318,8 +137,7 @@ def _resolve_target(target: str, cache: dict) -> Callable:
     return fn
 
 
-def _worker_main(worker_seq: int, inbox, outbox,
-                 ring_name: str | None, result_name: str | None) -> None:
+def _worker_main(worker_seq: int, inbox, outbox) -> None:
     """One persistent worker: read batches, execute, reply. Forever.
 
     The worker is intentionally dumb (the service fleet's design):
@@ -329,68 +147,26 @@ def _worker_main(worker_seq: int, inbox, outbox,
     os.environ[WORKER_ENV_VAR] = "1"
     import repro  # noqa: F401 — preload (no-op under fork)
 
-    ring = _attach_shm(ring_name)
-    result_seg = _attach_shm(result_name)
     fn_cache: dict[str, Callable] = {}
-
-    def reply_ok(batch_id: int, results: list) -> None:
-        segments = encode_envelope(results)
-        total = sum(memoryview(s).cast("B").nbytes for s in segments)
-        if result_seg is not None and SHM_MIN_BYTES <= total <= len(
-                result_seg.buf):
-            cursor = 0
-            sizes = []
-            for segment in segments:
-                view = memoryview(segment).cast("B")
-                result_seg.buf[cursor:cursor + view.nbytes] = view
-                cursor += view.nbytes
-                sizes.append(view.nbytes)
-            outbox.put(("ok", worker_seq, batch_id, "shm",
-                        (0, tuple(sizes), envelope_digest(segments))))
-        else:
-            outbox.put(("ok", worker_seq, batch_id, "inline",
-                        ([bytes(s) for s in segments],
-                         envelope_digest(segments))))
-
     while True:
         message = inbox.get()
         if message[0] == "stop":
             break
-        _, batch_id, target, where, payload = message
+        _, batch_id, target, payload = message
         try:
-            if where == "shm":
-                offset, sizes, digest = payload
-                if ring is None:
-                    raise _TransportError("no ring attached")
-                segments = read_segments(ring.buf, offset, sizes)
-                if envelope_digest(segments) != digest:
-                    for view in segments:
-                        view.release()
-                    raise _TransportError("task digest mismatch")
-                items = decode_from_shm(segments)
-            else:
-                raw, digest = payload
-                if envelope_digest(raw) != digest:
-                    raise _TransportError("task digest mismatch")
-                items = decode_envelope(raw)
             fn = _resolve_target(target, fn_cache)
-            results = [fn(item) for item in items]
-            reply_ok(batch_id, results)
-        except _TransportError as exc:
-            outbox.put(("fail", worker_seq, batch_id, "transport",
-                        str(exc)))
+            results = [fn(item) for item in pickle.loads(payload)]
+            reply = pickle.dumps(results, protocol=pickle.HIGHEST_PROTOCOL)
         except BaseException as exc:  # noqa: BLE001 — reported upstream
             if isinstance(exc, (KeyboardInterrupt, SystemExit)):
                 raise
             try:
-                outbox.put(("fail", worker_seq, batch_id, "task",
+                outbox.put(("fail", worker_seq, batch_id,
                             f"{type(exc).__name__}: {exc}"))
             except Exception:
                 break
-
-
-class _TransportError(RuntimeError):
-    """Shared-memory envelope could not be trusted; retry inline."""
+            continue
+        outbox.put(("ok", worker_seq, batch_id, reply))
 
 
 # ----------------------------------------------------------------------
@@ -401,8 +177,6 @@ class _Worker:
     seq: int
     process: Any
     inbox: Any
-    result_shm: Any = None           #: parent's attached view
-    result_name: str | None = None
     batch: "_Batch | None" = None    #: in flight, or None when idle
 
 
@@ -411,10 +185,6 @@ class _Batch:
     batch_id: int
     indices: tuple[int, ...]         #: positions in the caller's items
     retries: int = 0
-    force_inline: bool = False
-    single: bool = False             #: re-dispatched one-by-one
-    ring_offset: int | None = None
-    ring_bytes: int = 0
 
 
 @dataclass
@@ -423,19 +193,14 @@ class PoolStats:
 
     batches: int = 0
     tasks: int = 0
-    shm_batches: int = 0
-    inline_batches: int = 0
-    shm_results: int = 0
-    inline_results: int = 0
     respawns: int = 0
-    transport_retries: int = 0
     maps: int = 0
     spawned_workers: int = 0
     dispatch_orders: list = field(default_factory=list)
 
     def summary(self) -> str:
         return (f"{self.maps} maps, {self.tasks} tasks in "
-                f"{self.batches} batches ({self.shm_batches} shm), "
+                f"{self.batches} batches, "
                 f"{self.respawns} respawns")
 
 
@@ -444,10 +209,6 @@ class WarmPool:
 
     Args:
         workers: worker processes to keep warm (>= 1).
-        ring_bytes: task-ring capacity; tiny values force the inline
-            fallback (the tests do this deliberately).
-        result_bytes: per-worker result-segment capacity; ``0``
-            disables result segments (all results inline).
 
     Raises:
         PoolUnavailable: worker processes cannot be spawned here, or
@@ -456,9 +217,7 @@ class WarmPool:
 
     _shared: "WarmPool | None" = None
 
-    def __init__(self, workers: int, *,
-                 ring_bytes: int = DEFAULT_RING_BYTES,
-                 result_bytes: int = DEFAULT_RESULT_BYTES):
+    def __init__(self, workers: int):
         if workers < 1:
             raise ValueError("workers must be >= 1")
         if _nested():
@@ -475,13 +234,6 @@ class WarmPool:
             self._outbox = self._ctx.Queue()
         except (OSError, PermissionError) as exc:
             raise PoolUnavailable(f"no queue support: {exc}") from exc
-        self.ring: ShmRing | None = None
-        self.result_bytes = result_bytes
-        if ring_bytes > 0:
-            try:
-                self.ring = ShmRing(ring_bytes)
-            except Exception:
-                self.ring = None  # shm-less boxes: inline transport
         try:
             for _ in range(workers):
                 self._spawn()
@@ -498,28 +250,14 @@ class WarmPool:
     def _spawn(self) -> _Worker:
         self._seq += 1
         inbox = self._ctx.SimpleQueue()
-        result_shm = None
-        result_name = None
-        if self.result_bytes > 0 and self.ring is not None:
-            try:
-                from multiprocessing import shared_memory
-
-                result_shm = shared_memory.SharedMemory(
-                    create=True, size=self.result_bytes)
-                result_name = result_shm.name
-            except Exception:
-                result_shm = None
         process = self._ctx.Process(
             target=_worker_main,
-            args=(self._seq, inbox, self._outbox,
-                  self.ring.name if self.ring is not None else None,
-                  result_name),
+            args=(self._seq, inbox, self._outbox),
             name=f"mirage-pool-{self._seq}",
             daemon=True,
         )
         process.start()
-        worker = _Worker(seq=self._seq, process=process, inbox=inbox,
-                         result_shm=result_shm, result_name=result_name)
+        worker = _Worker(seq=self._seq, process=process, inbox=inbox)
         self._workers.append(worker)
         self.stats.spawned_workers += 1
         return worker
@@ -545,7 +283,7 @@ class WarmPool:
         return bool(self._workers) and not self._closed
 
     def shutdown(self) -> None:
-        """Stop every worker and release the shared segments."""
+        """Stop every worker."""
         self._closed = True
         for worker in self._workers:
             try:
@@ -557,22 +295,9 @@ class WarmPool:
             worker.process.join(max(0.0, deadline - time.monotonic()))
             if worker.process.is_alive():
                 worker.process.terminate()
-            self._release_worker_shm(worker)
         self._workers.clear()
-        if self.ring is not None:
-            self.ring.close(unlink=True)
-            self.ring = None
         if WarmPool._shared is self:
             WarmPool._shared = None
-
-    def _release_worker_shm(self, worker: _Worker) -> None:
-        if worker.result_shm is not None:
-            try:
-                worker.result_shm.close()
-                worker.result_shm.unlink()
-            except (OSError, FileNotFoundError):
-                pass
-            worker.result_shm = None
 
     # -- the shared pool ----------------------------------------------
     @classmethod
@@ -668,7 +393,7 @@ class WarmPool:
                             "every pool worker died; degrading")
                     in_flight += dispatch_all()
                 continue
-            kind, wseq, batch_id, *rest = message
+            kind, wseq, batch_id, body = message
             worker = self._worker_by_seq(wseq)
             batch = worker.batch if worker is not None else None
             if (worker is None or batch is None
@@ -676,17 +401,8 @@ class WarmPool:
                 continue  # stale reply from a presumed-dead worker
             worker.batch = None
             in_flight -= 1
-            self._free_batch_ring(batch)
             if kind == "ok":
-                where, payload = rest
-                try:
-                    values = self._read_result(worker, where, payload)
-                except _TransportError:
-                    self.stats.transport_retries += 1
-                    batch.force_inline = True
-                    pending.append(batch)
-                    in_flight += dispatch_all()
-                    continue
+                values = pickle.loads(body)
                 if len(values) != len(batch.indices):
                     errors.append("result arity mismatch")
                     for index in batch.indices:
@@ -695,23 +411,14 @@ class WarmPool:
                     for index, value in zip(batch.indices, values):
                         results[index] = value
                         resolved[index] = True
-            else:  # "fail"
-                fail_kind, detail = rest
-                if fail_kind == "transport":
-                    self.stats.transport_retries += 1
-                    batch.force_inline = True
-                    pending.append(batch)
-                elif len(batch.indices) > 1:
-                    # Isolate the culprit: re-run the batch singly
-                    # (deterministic functions make re-running safe).
-                    for index in batch.indices:
-                        single = self._new_batch((index,))
-                        single.single = True
-                        single.force_inline = batch.force_inline
-                        pending.append(single)
-                else:
-                    errors.append(detail)
-                    resolved[batch.indices[0]] = True
+            elif len(batch.indices) > 1:  # "fail"
+                # Isolate the culprit: re-run the batch singly
+                # (deterministic functions make re-running safe).
+                for index in batch.indices:
+                    pending.append(self._new_batch((index,)))
+            else:
+                errors.append(body)
+                resolved[batch.indices[0]] = True
             in_flight += dispatch_all()
 
         if errors:
@@ -732,54 +439,12 @@ class WarmPool:
 
     def _dispatch(self, worker: _Worker, batch: _Batch,
                   target: str, items: list) -> None:
-        segments = encode_envelope(
-            [items[index] for index in batch.indices])
-        total = sum(memoryview(s).cast("B").nbytes for s in segments)
-        where, payload = "inline", None
-        if (self.ring is not None and not batch.force_inline
-                and total >= SHM_MIN_BYTES):
-            offset = self.ring.alloc(total)
-            if offset is not None:
-                sizes = self.ring.write(offset, segments)
-                batch.ring_offset = offset
-                batch.ring_bytes = total
-                where = "shm"
-                payload = (offset, sizes, envelope_digest(segments))
-                self.stats.shm_batches += 1
-        if where == "inline":
-            payload = ([bytes(s) for s in segments],
-                       envelope_digest(segments))
-            self.stats.inline_batches += 1
+        payload = pickle.dumps([items[index] for index in batch.indices],
+                               protocol=pickle.HIGHEST_PROTOCOL)
         worker.batch = batch
         self.stats.batches += 1
         self.stats.tasks += len(batch.indices)
-        worker.inbox.put(("run", batch.batch_id, target, where, payload))
-
-    def _read_result(self, worker: _Worker, where: str,
-                     payload) -> list:
-        if where == "shm":
-            offset, sizes, digest = payload
-            if worker.result_shm is None:
-                raise _TransportError("no result segment")
-            segments = read_segments(worker.result_shm.buf, offset,
-                                     sizes)
-            if envelope_digest(segments) != digest:
-                for view in segments:
-                    view.release()
-                raise _TransportError("result digest mismatch")
-            self.stats.shm_results += 1
-            return decode_from_shm(segments)
-        raw, digest = payload
-        if envelope_digest(raw) != digest:
-            raise _TransportError("result digest mismatch")
-        self.stats.inline_results += 1
-        return decode_envelope(raw)
-
-    def _free_batch_ring(self, batch: _Batch) -> None:
-        if batch.ring_offset is not None and self.ring is not None:
-            self.ring.free(batch.ring_offset, batch.ring_bytes)
-        batch.ring_offset = None
-        batch.ring_bytes = 0
+        worker.inbox.put(("run", batch.batch_id, target, payload))
 
     def _reap(self, requeue: "deque[_Batch] | None") -> int:
         """Respawn dead workers; requeue their in-flight batches.
@@ -793,11 +458,9 @@ class WarmPool:
             if worker.process.is_alive():
                 continue
             self._workers.remove(worker)
-            self._release_worker_shm(worker)
             batch = worker.batch
             if batch is not None and requeue is not None:
                 pulled += 1
-                self._free_batch_ring(batch)
                 batch.retries += 1
                 if batch.retries > MAX_CRASH_RETRIES:
                     raise PoolTaskError(

@@ -97,7 +97,6 @@ class ExperimentServer:
         self.config = config or ServiceConfig()
         self.dir = self.config.resolved_dir()
         cache_cfg = self.config.cache_config()
-        self.cache_cfg = cache_cfg
         #: Keying/dedup layer; ``use_result_cache`` only gates whether
         #: finished payloads are read/written, never the keying.
         self.cache = ResultCache(cache_cfg.cache_dir)
@@ -139,9 +138,6 @@ class ExperimentServer:
         bound ``(host, port)``."""
         self.dir.mkdir(parents=True, exist_ok=True)
         (self.dir / "streams").mkdir(exist_ok=True)
-        # Env-backed cache switches must be exported before workers
-        # spawn, so the fleet inherits the same configuration.
-        self.cache_cfg.apply()
         self._trace = JSONLSink(self.dir / "server-trace.jsonl", mode="a")
         self._server = await asyncio.start_server(
             self._handle_connection, self.config.host, self.config.port,

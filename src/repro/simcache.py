@@ -39,104 +39,28 @@ least-recently-used slices are dropped once ``capacity`` entries are
 held, and an approximate byte estimate is reported through the
 ``simcache.bytes`` telemetry counter.
 
-Toggling
---------
-The layer defaults to **on** and is controlled three ways, strongest
-first: an explicit ``sim_cache=`` argument to
-:class:`~repro.cmp.detailed.DetailedBackend` /
-:class:`~repro.cmp.detailed.DetailedMirageCluster`; the process-wide
-:func:`set_enabled` switch (the CLI's ``--sim-cache/--no-sim-cache``);
-and the ``MIRAGE_SIM_CACHE`` environment variable (``0``/``1``), which
-:func:`set_enabled` also writes so worker processes spawned by the
-sweep runner inherit the setting.
-
-Disk persistence
-----------------
-:class:`SliceStore` extends the memo across *processes*: every stored
-slice is also pickled under the shared result-cache directory, and an
-in-memory miss consults the store before falling back to live
-simulation — so a cold process replays slices an earlier run already
-simulated.  Entries are digest-named but verified by **full key
-equality** after load (same correctness model as the memo: a hit is a
-proof, never a probabilistic match), tagged with a schema version, and
-any unreadable/mismatching file is treated as a miss, never an error.
-The layer defaults to **off** (``MIRAGE_SIM_CACHE_DISK`` / the CLI's
-``--sim-cache-disk``, exported to workers by :func:`set_disk_enabled`):
-memo keys are whole-state snapshots, so cross-process hits only happen
-for runs that are deterministic replays of each other, which is worth
-paying pickling costs for only when the caller knows that is the case
-(identity gates, repeated benchmark harnesses, CI smoke steps).
+Selection
+---------
+:class:`~repro.cmp.detailed.DetailedBackend` and
+:class:`~repro.cmp.detailed.DetailedMirageCluster` take ``sim_cache=``
+(:func:`resolve`): ``True``, the default, uses the process-global memo;
+``False`` runs without one, which is the reference
+``tests/test_equivalence.py`` holds the memo to; a :class:`SliceMemo`
+instance is used as a private memo.
 """
 
 from __future__ import annotations
 
-import hashlib
 import itertools
-import os
-import pickle
-import tempfile
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterator, TYPE_CHECKING
 
 if TYPE_CHECKING:
     from repro.isa.instructions import Instruction
     from repro.workloads.generator import SyntheticBenchmark
 
-#: Environment variable carrying the process-wide default (``0``/``1``).
-ENV_VAR = "MIRAGE_SIM_CACHE"
-
-#: Environment variable toggling the on-disk slice store (``0``/``1``).
-DISK_ENV_VAR = "MIRAGE_SIM_CACHE_DISK"
-
-#: Schema tag pickled into every on-disk entry; bump when the entry
-#: layout (or anything the deltas embed) changes shape.
-STORE_SCHEMA = "mirage-slices/v1"
-
 #: Default bound on memoized slices (LRU beyond this).
 DEFAULT_CAPACITY = 64
-
-_enabled: bool | None = None
-_disk_enabled: bool | None = None
-
-
-def enabled() -> bool:
-    """The process-wide default: on unless switched off.
-
-    Resolution order: the last :func:`set_enabled` call, else the
-    ``MIRAGE_SIM_CACHE`` environment variable, else on.
-    """
-    global _enabled
-    if _enabled is None:
-        _enabled = os.environ.get(ENV_VAR, "1") != "0"
-    return _enabled
-
-
-def set_enabled(flag: bool) -> None:
-    """Flip the process-wide default and export it to child processes."""
-    global _enabled
-    _enabled = bool(flag)
-    os.environ[ENV_VAR] = "1" if _enabled else "0"
-
-
-def disk_enabled() -> bool:
-    """The process-wide disk-store default: **off** unless switched on.
-
-    Resolution order: the last :func:`set_disk_enabled` call, else the
-    ``MIRAGE_SIM_CACHE_DISK`` environment variable, else off.
-    """
-    global _disk_enabled
-    if _disk_enabled is None:
-        _disk_enabled = os.environ.get(DISK_ENV_VAR, "0") == "1"
-    return _disk_enabled
-
-
-def set_disk_enabled(flag: bool) -> None:
-    """Flip the disk-store default and export it to child processes."""
-    global _disk_enabled
-    _disk_enabled = bool(flag)
-    os.environ[DISK_ENV_VAR] = "1" if _disk_enabled else "0"
-
 
 # ----------------------------------------------------------------------
 # Stream identity
@@ -217,8 +141,6 @@ class MemoStats:
     hits: int = 0
     stores: int = 0
     invalidations: int = 0    #: entries dropped to stay within capacity
-    disk_hits: int = 0        #: in-memory misses served by the store
-    disk_stores: int = 0      #: entries persisted to the store
 
     @property
     def misses(self) -> int:
@@ -272,21 +194,14 @@ class SliceMemo:
     Keys are full state snapshots (nested tuples of immutables), so
     lookups compare by equality — a hit is a proof of identical entry
     state, not a probabilistic digest match.
-
-    With a :class:`SliceStore` attached (``disk=``, or via
-    :func:`resolve` when the disk layer is enabled), in-memory misses
-    consult the store and stores persist through it, extending the
-    memo across processes without changing its correctness model.
     """
 
     _shared: "SliceMemo | None" = None
 
-    def __init__(self, capacity: int = DEFAULT_CAPACITY,
-                 disk: "SliceStore | None" = None):
+    def __init__(self, capacity: int = DEFAULT_CAPACITY):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self.disk = disk
         self.stats = MemoStats()
         self._entries: dict[_HashedKey, SliceDelta] = {}
         self._bytes = 0
@@ -305,25 +220,14 @@ class SliceMemo:
         wrapped = _HashedKey(key)
         delta = self._entries.pop(wrapped, None)
         if delta is None:
-            disk = self.disk
-            if disk is None:
-                return None
-            delta = disk.load(key)
-            if delta is None:
-                return None
-            # Promote the disk hit into the in-memory tier (without
-            # re-persisting it) so chained lookups stay O(1).
-            self.stats.disk_hits += 1
-            self._insert(wrapped, key, delta)
-            self.stats.hits += 1
-            return delta
+            return None
         self.stats.hits += 1
         self._entries[wrapped] = delta  # re-insert: LRU order is dict order
         return delta
 
-    def _insert(self, wrapped: _HashedKey, key: tuple,
-                delta: SliceDelta) -> None:
-        """Place *delta* in the in-memory tier, evicting LRU entries."""
+    def store(self, key: tuple, delta: SliceDelta) -> None:
+        """Record one executed slice, evicting LRU slices as needed."""
+        wrapped = _HashedKey(key)
         old = self._entries.pop(wrapped, None)
         if old is not None:
             self._bytes -= old.approx_bytes
@@ -335,14 +239,7 @@ class SliceMemo:
             self.stats.invalidations += 1
         self._entries[wrapped] = delta
         self._bytes += delta.approx_bytes
-
-    def store(self, key: tuple, delta: SliceDelta) -> None:
-        """Record one executed slice, evicting LRU slices as needed."""
-        self._insert(_HashedKey(key), key, delta)
         self.stats.stores += 1
-        disk = self.disk
-        if disk is not None and disk.save(key, delta):
-            self.stats.disk_stores += 1
 
     def clear(self) -> None:
         """Drop every memoized slice (counts as invalidations)."""
@@ -362,140 +259,13 @@ class SliceMemo:
         return self._bytes
 
 
-# ----------------------------------------------------------------------
-# Disk persistence
-# ----------------------------------------------------------------------
-@dataclass(slots=True)
-class StoreStats:
-    """Running totals for one :class:`SliceStore`."""
-
-    loads: int = 0
-    hits: int = 0
-    stores: int = 0
-    rejected: int = 0    #: unreadable, mis-tagged, or key-mismatched files
-
-    @property
-    def misses(self) -> int:
-        return self.loads - self.hits
-
-
-class SliceStore:
-    """Pickled :class:`SliceDelta` entries under the shared cache dir.
-
-    Each entry is one file named by the SHA-256 of its pickled
-    ``(STORE_SCHEMA, key)`` prefix; the file holds the full
-    ``(STORE_SCHEMA, key, delta)`` triple, and :meth:`load` only
-    returns the delta when the schema tag matches *and* the stored key
-    compares equal to the requested one — a digest collision or a
-    stale-format file degrades to a miss, never a wrong replay.
-    Writes go through a temp file + ``os.replace`` so concurrent
-    processes see either the old entry or the complete new one, and
-    **every** I/O or unpickling failure is swallowed as a miss: a
-    corrupt store can cost time, not correctness.
-    """
-
-    _shared: "SliceStore | None" = None
-
-    def __init__(self, root: "Path | str | None" = None):
-        if root is None:
-            # Lazy import: repro.config imports nothing from here, so
-            # the cycle risk is one-way.
-            from repro.config import default_cache_dir
-            root = default_cache_dir() / "slices"
-        self.root = Path(root)
-        self.stats = StoreStats()
-
-    @classmethod
-    def shared(cls) -> "SliceStore":
-        """The process-global store :func:`resolve` attaches."""
-        if cls._shared is None:
-            cls._shared = cls()
-        return cls._shared
-
-    # ------------------------------------------------------------------
-    def path_for(self, key: tuple) -> Path:
-        """Where *key*'s entry lives (whether or not it exists)."""
-        digest = hashlib.sha256(
-            pickle.dumps((STORE_SCHEMA, key))).hexdigest()
-        return self.root / f"{digest[:2]}" / f"{digest}.pkl"
-
-    def load(self, key: tuple) -> SliceDelta | None:
-        """The stored delta for *key*, or ``None`` (miss/corruption).
-
-        Reads go through ``mmap``: the kernel pages the entry straight
-        into the unpickler with no intermediate read buffer, which is
-        the cheap path when many pool workers replay the same warm
-        store.  Files ``mmap`` cannot handle (empty, or a filesystem
-        without mapping support) fall back to a plain read — either
-        way any failure is a miss.
-        """
-        self.stats.loads += 1
-        path = self.path_for(key)
-        try:
-            with open(path, "rb") as fh:
-                try:
-                    import mmap
-
-                    with mmap.mmap(fh.fileno(), 0,
-                                   access=mmap.ACCESS_READ) as view:
-                        schema, stored_key, delta = pickle.loads(view)
-                except (ValueError, OSError):
-                    fh.seek(0)
-                    schema, stored_key, delta = pickle.load(fh)
-        except FileNotFoundError:
-            return None
-        except Exception:
-            self.stats.rejected += 1
-            return None
-        if schema != STORE_SCHEMA or stored_key != key:
-            self.stats.rejected += 1
-            return None
-        if not isinstance(delta, SliceDelta):
-            self.stats.rejected += 1
-            return None
-        self.stats.hits += 1
-        return delta
-
-    def save(self, key: tuple, delta: SliceDelta) -> bool:
-        """Persist one slice atomically; ``True`` when it landed."""
-        path = self.path_for(key)
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                dir=path.parent, prefix=".tmp-", suffix=".pkl")
-            try:
-                with os.fdopen(fd, "wb") as fh:
-                    pickle.dump((STORE_SCHEMA, key, delta), fh)
-                os.replace(tmp, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
-        except Exception:
-            return False    # best effort: a full disk is not an error
-        self.stats.stores += 1
-        return True
-
-
-def resolve(sim_cache) -> SliceMemo | None:
+def resolve(sim_cache: "bool | SliceMemo") -> SliceMemo | None:
     """Map a backend's ``sim_cache`` argument to the memo to use.
 
-    ``None`` follows the process-wide default (:func:`enabled`),
-    ``True``/``False`` force the shared memo on or off, and a
-    :class:`SliceMemo` instance is used as-is (private memo — its
-    ``disk`` attachment is the caller's business).  When the disk
-    layer is enabled (:func:`disk_enabled`) the *shared* memo gets the
-    shared :class:`SliceStore` attached on resolution.
+    ``True`` selects the process-global memo (:meth:`SliceMemo.shared`),
+    ``False`` none, and a :class:`SliceMemo` instance is used as-is
+    (a private memo).
     """
     if isinstance(sim_cache, SliceMemo):
         return sim_cache
-    if sim_cache is None:
-        sim_cache = enabled()
-    if not sim_cache:
-        return None
-    memo = SliceMemo.shared()
-    if memo.disk is None and disk_enabled():
-        memo.disk = SliceStore.shared()
-    return memo
+    return SliceMemo.shared() if sim_cache else None

@@ -2,29 +2,25 @@
 
 ``repro.api`` is the supported import surface: every ``__all__`` name
 must resolve, and :func:`repro.api.run_experiment` must behave like
-the CLI.  :class:`repro.config.CacheConfig` collapses the result
-cache, the slice memo, and its disk store into one object — the tests
-pin that applying it reaches the process-wide switches and that the
-legacy ``use_cache``/``cache_dir`` fields still work.
+the CLI.  :class:`repro.config.CacheConfig` is a plain value selecting
+the result cache — the tests pin that passing one changes nothing in
+the process and that the legacy ``use_cache``/``cache_dir`` fields
+still work.
 """
 
 import os
 
 import pytest
 
-from repro import api, simcache
+from repro import api
 from repro.config import CacheConfig, default_cache_dir
 from repro.experiments import ExperimentParams
 
 
 @pytest.fixture(autouse=True)
-def _isolate_cache_switches(monkeypatch):
-    """Keep process-wide cache switches out of the other tests."""
+def _isolate_cache_dir(monkeypatch):
+    """Run every test with the default cache directory unset."""
     monkeypatch.delenv("MIRAGE_CACHE_DIR", raising=False)
-    monkeypatch.delenv(simcache.ENV_VAR, raising=False)
-    monkeypatch.delenv(simcache.DISK_ENV_VAR, raising=False)
-    monkeypatch.setattr(simcache, "_enabled", None)
-    monkeypatch.setattr(simcache, "_disk_enabled", None)
 
 
 class TestFacade:
@@ -52,25 +48,15 @@ class TestFacade:
 
 
 class TestCacheConfig:
-    def test_defaults_change_nothing(self):
-        before = (simcache.enabled(), simcache.disk_enabled())
-        CacheConfig().apply()
-        assert (simcache.enabled(), simcache.disk_enabled()) == before
-
-    def test_apply_reaches_every_switch(self, tmp_path):
-        CacheConfig(cache_dir=tmp_path, sim_cache=False,
-                    sim_cache_disk=True).apply()
-        assert os.environ["MIRAGE_CACHE_DIR"] == str(tmp_path)
-        assert default_cache_dir() == tmp_path
-        assert simcache.enabled() is False
-        assert simcache.disk_enabled() is True
-
-    def test_from_env_materializes_the_environment(self, monkeypatch):
-        monkeypatch.setenv(simcache.ENV_VAR, "0")
-        monkeypatch.setenv(simcache.DISK_ENV_VAR, "1")
-        cfg = CacheConfig.from_env()
-        assert cfg.sim_cache is False
-        assert cfg.sim_cache_disk is True
+    def test_run_experiment_leaves_the_environment_alone(self, tmp_path):
+        # A library call with an explicit cache_dir must not leak it
+        # into the process: a later default config still roots at the
+        # default directory, not at the earlier call's.
+        home = default_cache_dir()
+        cache = CacheConfig(cache_dir=tmp_path / "a")
+        api.run_experiment("fig6", quick=True, cache=cache)
+        assert "MIRAGE_CACHE_DIR" not in os.environ
+        assert CacheConfig().result_cache().root == home
 
     def test_result_cache_off_means_none(self, tmp_path):
         assert CacheConfig(use_result_cache=False).result_cache() is None

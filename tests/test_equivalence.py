@@ -1,4 +1,4 @@
-"""Randomized equivalence of the analytic tier's fast paths.
+"""Randomized equivalence of the simulator's fast paths.
 
 :class:`~repro.engine.backends.AnalyticBackend` advances every
 interval through a fused ``advance_all`` kernel, and SC-MPKI
@@ -6,7 +6,9 @@ arbitrates through its ``pick_batch`` fast path.  Both must be
 *bit-identical* to the reference surfaces they accelerate: the
 per-application ``advance`` loop of
 :meth:`~repro.engine.backends.ExecutionBackend.advance_all`, and
-``pick`` over the materialized view list.  These tests run whole CMP
+``pick`` over the materialized view list.  On the detailed tier, the
+slice memo (:mod:`repro.simcache`) must be invisible: a cold run and
+an all-hit replay match the run without a memo.  These tests run whole
 simulations both ways and compare every field of the results exactly
 — no tolerances.
 """
@@ -21,10 +23,13 @@ from repro.arbiter import Arbitrator, SCMPKIArbitrator
 from repro.arbiter.software import SoftwareArbitrator
 from repro.characterize import analytic_model
 from repro.cmp import ClusterConfig
+from repro.cmp.detailed import CYCLE_BACKENDS, DetailedMirageCluster
 from repro.cmp.system import CMPSystem
 from repro.engine import AnalyticBackend, ExecutionBackend
 from repro.runner.units import ARBITRATORS
-from repro.workloads import ALL_BENCHMARKS
+from repro.simcache import SliceMemo
+from repro.workloads import ALL_BENCHMARKS, make_benchmark
+from tests.test_simcache import run_fingerprint
 
 
 class ReferenceBackend(AnalyticBackend):
@@ -112,3 +117,41 @@ class TestFixedCases:
         shipped, reference = run_pair(names, n_producers=3,
                                       max_intervals=120)
         assert shipped == reference
+
+
+def run_detailed(backend, names, seed, policy, slice_instructions,
+                 n_slices, sim_cache):
+    """One detailed-tier run: everything observable, plus the cluster."""
+    benches = [make_benchmark(name, seed=seed, base_addr=(i + 1) << 34)
+               for i, name in enumerate(names)]
+    cluster = DetailedMirageCluster(
+        benches, ARBITRATORS[policy](),
+        slice_instructions=slice_instructions,
+        sim_cache=sim_cache, backend=backend)
+    result = cluster.run(n_slices=n_slices)
+    return (dataclasses.asdict(result),
+            run_fingerprint(cluster, result)), cluster
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    backend=st.sampled_from(sorted(CYCLE_BACKENDS)),
+    names=st.lists(st.sampled_from(ALL_BENCHMARKS), min_size=1,
+                   max_size=3),
+    seed=st.integers(0, 2**16),
+    policy=st.sampled_from(sorted(ARBITRATORS)),
+    slice_instructions=st.integers(500, 2_000),
+    n_slices=st.integers(2, 6),
+)
+def test_slice_memo_matches_unmemoized_run(backend, names, seed, policy,
+                                           slice_instructions, n_slices):
+    args = (backend, names, seed, policy, slice_instructions, n_slices)
+    memo = SliceMemo()
+    off, _ = run_detailed(*args, sim_cache=False)
+    cold, _ = run_detailed(*args, sim_cache=memo)
+    replay, cluster = run_detailed(*args, sim_cache=memo)
+    assert cold == off
+    assert replay == off
+    counters = cluster.telemetry.counters
+    assert counters["simcache.lookups"] > 0
+    assert counters["simcache.hits"] == counters["simcache.lookups"]

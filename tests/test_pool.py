@@ -2,9 +2,9 @@
 
 The contract under test is the one the CI ``--pool-gate`` enforces
 end to end: the pool is a pure transport/scheduling layer.  Results
-are bit-identical to serial execution whether envelopes travel via
-the shared-memory ring or the inline fallback, whether dispatch is
-FIFO or longest-processing-time-first, and across worker crashes.
+are bit-identical to serial execution for small and large pickled
+batches, whether dispatch is FIFO or longest-processing-time-first,
+and across worker crashes.
 
 All task helpers are module-level: pool workers resolve targets by
 ``module:qualname``, so they must be importable (functions defined
@@ -37,12 +37,12 @@ def _double(x):
 
 
 def _blob(n):
-    """A deterministic large payload, to force the shm ring path."""
+    """A deterministic large payload."""
     return bytes(i % 251 for i in range(n))
 
 
 def _rot13ish(blob):
-    """A big-in, big-out transform (forces shm both directions)."""
+    """A big-in, big-out transform (large envelopes both ways)."""
     return bytes((b + 13) % 256 for b in blob)
 
 
@@ -58,6 +58,11 @@ def _crash_once(arg):
 
 def _boom(x):
     raise ValueError(f"boom {x}")
+
+
+def _unpicklable(x):
+    """A result the return trip cannot pickle."""
+    return lambda: x
 
 
 NESTED_UNITS = [call_unit("builtins:sorted", [3, 1, 2]),
@@ -137,32 +142,15 @@ class TestCrashRecovery:
 
 
 class TestTransport:
-    def test_large_payloads_use_shared_memory(self, pool):
-        if pool.ring is None:
-            pytest.skip("no shared-memory support on this box")
+    def test_large_payloads_round_trip(self, pool):
         blobs = [_blob(200_000), _blob(300_000)]
         out = pool.map(_rot13ish, blobs)
         assert out == [_rot13ish(b) for b in blobs]
-        assert pool.stats.shm_batches >= 1
-        assert pool.stats.shm_results >= 1
 
-    def test_exhausted_ring_falls_back_inline(self):
-        # A ring too small for the payload: every envelope must take
-        # the inline path and results must be unchanged.
-        pool = WarmPool(2, ring_bytes=4096)
-        try:
-            blobs = [_blob(200_000), _blob(300_000)]
-            assert pool.map(_rot13ish, blobs) == [
-                _rot13ish(b) for b in blobs]
-            assert pool.stats.shm_batches == 0
-            assert pool.stats.inline_batches >= 1
-        finally:
-            pool.shutdown()
-
-    def test_envelope_round_trip(self):
-        obj = {"a": bytes(range(256)) * 100, "b": [1.5, None, "x"]}
-        segments = pool_mod.encode_envelope(obj)
-        assert pool_mod.decode_envelope(segments) == obj
+    def test_unpicklable_result_fails_its_task(self, pool):
+        with pytest.raises(pool_mod.PoolTaskError, match="pickle"):
+            pool.map(_unpicklable, [1])
+        assert pool.map(_double, [5]) == [10]
 
 
 class TestNesting:

@@ -42,9 +42,8 @@ from repro.runner.units import call_unit
 
 @pytest.fixture(autouse=True)
 def _restore_mirage_env():
-    """Server startup exports cache env vars; keep them test-local."""
-    keys = ("MIRAGE_CACHE_DIR", "MIRAGE_SIM_CACHE",
-            "MIRAGE_SIM_CACHE_DISK", "MIRAGE_SERVICE_DIR")
+    """Keep the cache and service directory variables test-local."""
+    keys = ("MIRAGE_CACHE_DIR", "MIRAGE_SERVICE_DIR")
     saved = {key: os.environ.get(key) for key in keys}
     yield
     for key, value in saved.items():

@@ -8,8 +8,6 @@ the snapshot/restore contracts that identity rests on.
 """
 
 import itertools
-import os
-from pathlib import Path
 
 import pytest
 
@@ -18,24 +16,15 @@ from repro.arbiter import SCMPKIArbitrator
 from repro.cmp.detailed import DetailedMirageCluster
 from repro.frontend import BranchTargetBuffer, TournamentPredictor
 from repro.memory import MemoryHierarchy
-from repro.runner import ResultCache, cmp_unit
 from repro.schedule import Schedule, ScheduleCache
 from repro.simcache import SliceMemo, StreamCursor
 from repro.workloads import make_benchmark
 
-#: Where subprocess children find the package (PYTHONPATH=src runs).
-REPO_SRC = Path(__file__).resolve().parent.parent / "src"
-
 
 @pytest.fixture(autouse=True)
-def _isolate_global_switch(monkeypatch):
-    """Keep the process-wide default and env var out of other tests."""
-    monkeypatch.delenv(simcache.ENV_VAR, raising=False)
-    monkeypatch.delenv(simcache.DISK_ENV_VAR, raising=False)
-    monkeypatch.setattr(simcache, "_enabled", None)
-    monkeypatch.setattr(simcache, "_disk_enabled", None)
+def _isolate_shared_memo(monkeypatch):
+    """Keep the process-global memo out of other tests."""
     monkeypatch.setattr(SliceMemo, "_shared", None)
-    monkeypatch.setattr(simcache.SliceStore, "_shared", None)
 
 
 def small_cluster(sim_cache, *, seed=1, slices=1200):
@@ -62,24 +51,6 @@ def run_fingerprint(cluster, result):
 
 
 class TestToggle:
-    def test_default_is_on(self):
-        assert simcache.enabled() is True
-
-    def test_env_var_disables(self, monkeypatch):
-        monkeypatch.setenv(simcache.ENV_VAR, "0")
-        monkeypatch.setattr(simcache, "_enabled", None)
-        assert simcache.enabled() is False
-
-    def test_set_enabled_exports_env(self, monkeypatch):
-        import os
-
-        simcache.set_enabled(False)
-        assert os.environ[simcache.ENV_VAR] == "0"
-        assert simcache.resolve(None) is None
-        simcache.set_enabled(True)
-        assert os.environ[simcache.ENV_VAR] == "1"
-        assert isinstance(simcache.resolve(None), SliceMemo)
-
     def test_resolve_semantics(self):
         private = SliceMemo()
         assert simcache.resolve(private) is private
@@ -318,166 +289,3 @@ class TestClusterIdentity:
         assert not isinstance(off.backend.apps[0].stream, StreamCursor)
         on = small_cluster(SliceMemo())
         assert isinstance(on.backend.apps[0].stream, StreamCursor)
-
-
-class TestResultCacheKeying:
-    def test_key_material_records_sim_cache_setting(self, tmp_path):
-        unit = cmp_unit(("hmmer", "gcc"), "SC-MPKI", max_intervals=10)
-        on = ResultCache(tmp_path, sim_cache=True)
-        off = ResultCache(tmp_path, sim_cache=False)
-        assert '"sim_cache":true' in on.key_material(unit)
-        assert '"sim_cache":false' in off.key_material(unit)
-        assert on.path_for(unit) != off.path_for(unit)
-
-    def test_default_follows_process_switch(self, tmp_path):
-        simcache.set_enabled(False)
-        assert ResultCache(tmp_path).sim_cache is False
-        simcache.set_enabled(True)
-        assert ResultCache(tmp_path).sim_cache is True
-
-
-class TestSliceStore:
-    """The disk layer: exact-key hits, corruption-tolerant misses."""
-
-    def delta(self, n=1):
-        return simcache.SliceDelta(
-            kind="oino", instructions=n, cycles=n, ipc=1.0,
-            memo_frac=0.0, sc_mpki=0.0, counters={},
-            exit_state=((),) * 3)
-
-    def test_round_trip(self, tmp_path):
-        store = simcache.SliceStore(tmp_path)
-        assert store.load(("k", 1)) is None
-        assert store.save(("k", 1), self.delta(7))
-        back = store.load(("k", 1))
-        assert back.instructions == 7
-        assert store.stats.stores == 1
-        assert store.stats.hits == 1
-        assert store.stats.misses == 1
-
-    def test_hit_requires_exact_key_equality(self, tmp_path):
-        # A digest collision (or a moved file) must not serve a wrong
-        # entry: the stored key is re-checked after unpickling.
-        store = simcache.SliceStore(tmp_path)
-        store.save(("k",), self.delta())
-        path = store.path_for(("k",))
-        other = store.path_for(("other",))
-        other.parent.mkdir(parents=True, exist_ok=True)
-        other.write_bytes(path.read_bytes())
-        assert store.load(("other",)) is None
-        assert store.stats.rejected == 1
-
-    def test_corrupt_file_is_a_miss_never_a_crash(self, tmp_path):
-        store = simcache.SliceStore(tmp_path)
-        store.save(("k",), self.delta())
-        store.path_for(("k",)).write_bytes(b"\x80garbage")
-        assert store.load(("k",)) is None
-        assert store.stats.rejected == 1
-
-    def test_schema_bump_invalidates(self, tmp_path, monkeypatch):
-        store = simcache.SliceStore(tmp_path)
-        store.save(("k",), self.delta())
-        path_v1 = store.path_for(("k",))
-        monkeypatch.setattr(simcache, "STORE_SCHEMA",
-                            "mirage-slices/v999")
-        # Different schema -> different digest -> plain miss.
-        assert store.path_for(("k",)) != path_v1
-        assert store.load(("k",)) is None
-
-    def test_save_failure_is_best_effort(self, tmp_path):
-        # A plain file where the store root should be: every mkdir
-        # under it fails, and save() must swallow that (works even as
-        # root, where permission bits would not stop the write).
-        blocker = tmp_path / "blocked"
-        blocker.write_text("not a directory")
-        store = simcache.SliceStore(blocker / "sub")
-        assert store.save(("k",), self.delta()) is False
-        assert store.load(("k",)) is None
-
-    def test_memo_promotes_disk_hits(self, tmp_path):
-        store = simcache.SliceStore(tmp_path)
-        writer = SliceMemo(disk=store)
-        writer.store(("k",), self.delta(3))
-        assert writer.stats.disk_stores == 1
-
-        reader = SliceMemo(disk=store)
-        assert reader.lookup(("k",)).instructions == 3
-        assert reader.stats.disk_hits == 1
-        # Promoted into memory: the second lookup never goes to disk.
-        assert reader.lookup(("k",)).instructions == 3
-        assert reader.stats.disk_hits == 1
-        assert store.stats.loads == 1
-
-    def test_resolve_attaches_store_only_when_disk_enabled(self):
-        simcache.set_enabled(True)
-        assert simcache.resolve(None).disk is None
-        simcache.set_disk_enabled(True)
-        SliceMemo._shared = None
-        assert simcache.resolve(None).disk is not None
-        # Private memos are used as-is either way.
-        private = SliceMemo()
-        assert simcache.resolve(private).disk is None
-
-    def test_disk_toggle_exports_env(self):
-        simcache.set_disk_enabled(True)
-        assert os.environ[simcache.DISK_ENV_VAR] == "1"
-        assert simcache.disk_enabled() is True
-        simcache.set_disk_enabled(False)
-        assert os.environ[simcache.DISK_ENV_VAR] == "0"
-        assert simcache.disk_enabled() is False
-
-
-class TestDiskCrossProcess:
-    """The headline disk guarantee: a cold process with a warm store
-    replays slices it never simulated."""
-
-    SCRIPT = """
-import json, sys
-from repro import simcache
-from repro.arbiter import SCMPKIArbitrator
-from repro.cmp.detailed import DetailedMirageCluster
-from repro.workloads import make_benchmark
-
-store = simcache.SliceStore(sys.argv[1])
-memo = simcache.SliceMemo(disk=store)
-cluster = DetailedMirageCluster(
-    [make_benchmark("hmmer", seed=1), make_benchmark("mcf", seed=1)],
-    SCMPKIArbitrator(), slice_instructions=1200, sim_cache=memo)
-result = cluster.run(n_slices=4)
-print(json.dumps({
-    "ipcs": result.ipcs,
-    "migrations": result.migrations,
-    "energy_pj": result.energy_pj,
-    "mem_hits": memo.stats.hits,
-    "disk_hits": memo.stats.disk_hits,
-    "disk_stores": memo.stats.disk_stores,
-}))
-"""
-
-    def run_child(self, tmp_path):
-        import subprocess
-        import sys
-
-        proc = subprocess.run(
-            [sys.executable, "-c", self.SCRIPT, str(tmp_path / "slices")],
-            capture_output=True, text=True,
-            env={**os.environ,
-                 "PYTHONPATH": str(REPO_SRC)},
-        )
-        assert proc.returncode == 0, proc.stderr
-        import json
-
-        return json.loads(proc.stdout)
-
-    def test_fresh_process_replays_from_disk(self, tmp_path):
-        first = self.run_child(tmp_path)
-        assert first["disk_hits"] == 0
-        assert first["disk_stores"] == 8
-
-        second = self.run_child(tmp_path)
-        # Every slice served from disk, never re-simulated...
-        assert second["mem_hits"] == 8
-        assert second["disk_hits"] == 8
-        # ...and the results are exactly the first process's.
-        for field in ("ipcs", "migrations", "energy_pj"):
-            assert second[field] == first[field]
