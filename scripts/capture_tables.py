@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Capture the tier-identity tables for byte-exact comparison.
 
-Runs the experiments whose output the engine/backend refactors must
-never change — ``table1``, ``fig7``, and ``tier-validation`` — in
-``--quick --no-cache`` mode, strips the wall-clock-dependent runner
-chatter (``[runner] ...`` stats and ``--- <name> done in X.Xs ---``
-footers), and writes one ``<experiment>.txt`` per experiment.
+Runs the experiments whose output refactors and perf changes must
+never change (:data:`EXPERIMENTS`) in ``--quick --no-cache`` mode,
+strips the wall-clock-dependent runner chatter (``[runner] ...``
+stats and ``--- <name> done in X.Xs ---`` footers), and writes one
+``<experiment>.txt`` per experiment.
 
 CI runs this script twice (PR tree vs base tree) and fails the
 tier-identity gate on any byte difference::
@@ -35,8 +35,13 @@ import subprocess
 import sys
 from pathlib import Path
 
-#: The experiments whose printed tables must stay bit-identical.
-EXPERIMENTS = ("table1", "fig7", "tier-validation")
+#: The experiments whose printed tables must stay bit-identical: the
+#: detailed-core measurements (table1, fig1, fig2, fig9's breakdown,
+#: backend-matrix's energy table), both tiers of one cluster
+#: (tier-validation, every backend-matrix leg), and the interval tier
+#: (fig7, fig9's utilization).
+EXPERIMENTS = ("table1", "fig1", "fig2", "fig7", "fig9",
+               "tier-validation", "backend-matrix")
 
 
 def is_volatile(line: str) -> bool:

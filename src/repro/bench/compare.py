@@ -321,9 +321,19 @@ def compare_reports(old: dict, new: dict, *,
     Returns:
         A :class:`Comparison`; callers decide whether ``not ok`` is
         fatal (CI's warn-only mode prints and moves on).
+
+    Raises:
+        ValueError: on a negative *threshold*, or when one report ran
+            at ``--quick`` size and the other at full size — their
+            probes did different amounts of work.
     """
     if threshold < 0:
         raise ValueError("threshold must be >= 0")
+    old_quick, new_quick = (bool(r.get("quick")) for r in (old, new))
+    if old_quick != new_quick:
+        raise ValueError(
+            f"cannot compare a quick={old_quick} report with a "
+            f"quick={new_quick} one: the probes ran at different sizes")
     old_rows = old.get("benchmarks", {})
     new_rows = new.get("benchmarks", {})
     deltas = []

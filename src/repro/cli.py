@@ -11,9 +11,8 @@ identical tables.
 :mod:`repro.telemetry`) to a JSONL file; ``mirage trace FILE``
 inspects one afterwards.
 
-Detailed-tier runs memoize repeated slices in memory
-(:mod:`repro.simcache`), which never changes a table.  The result-cache
-options travel as one :class:`repro.config.CacheConfig`.
+The result-cache options travel as one
+:class:`repro.config.CacheConfig`.
 
 ``mirage bench`` runs the :mod:`repro.bench` microbenchmarks and
 writes a schema-versioned ``BENCH_<label>.json``; ``mirage bench

@@ -156,13 +156,16 @@ class DetailedBackend(ExecutionBackend):
         config: ClusterConfig,
         sc_capacity: int | None = 8 * 1024,
         slice_instructions: int = 8_000,
-        sim_cache: "bool | simcache.SliceMemo" = True,
+        sim_cache: "bool | simcache.SliceMemo" = False,
     ):
         self.config = config
         self.slice_instructions = slice_instructions
         self.sc_capacity = sc_capacity
-        # Slice memoization (repro.simcache): True uses the shared
-        # memo, False none, a SliceMemo instance is used privately.
+        # Slice memoization (repro.simcache) is opt-in: a slice key
+        # holds the stream position, so only a repeat of an identical
+        # run in this process can hit.  False (the default) runs
+        # without a memo, True uses the shared memo, and a SliceMemo
+        # instance is used privately.
         self.memo = simcache.resolve(sim_cache)
         self.hier = MemoryHierarchy()
         self.producer_mem = self.hier.core_view(len(benchmarks))
@@ -174,9 +177,8 @@ class DetailedBackend(ExecutionBackend):
         for i, bench in enumerate(benchmarks):
             sc = ScheduleCache(sc_capacity)
             # With memoization on, the stream is held behind a cursor
-            # so replayed slices can skip generation entirely; with it
-            # off the raw generator keeps the historical byte-for-byte
-            # execution path.
+            # so replayed slices can skip generation entirely; without
+            # a memo the raw generator feeds the cores directly.
             stream = (simcache.StreamCursor(bench) if self.memo is not None
                       else bench.stream())
             self.apps.append(DetailedAppState(
@@ -372,8 +374,7 @@ class DetailedBackend(ExecutionBackend):
         """Run one slice on the real core models (the memo-miss path)."""
         n = self.slice_instructions
         if key is None:
-            # Memoization off: the stream is the raw generator and the
-            # historical lazy-islice path runs unchanged.
+            # No memo: the stream is the raw generator, sliced lazily.
             window = itertools.islice(app.stream, n)
         else:
             window = app.stream.take(n)
@@ -600,7 +601,7 @@ class DetailedMirageCluster:
         slice_instructions: int = 8_000,
         energy_model: CoreEnergyModel | None = None,
         telemetry: Telemetry | None = None,
-        sim_cache: "bool | simcache.SliceMemo" = True,
+        sim_cache: "bool | simcache.SliceMemo" = False,
         backend: str = "detailed",
         migration_cost_model: str = "l1-flush",
     ):

@@ -13,10 +13,9 @@ dominates wall-clock.
 descriptions over the warm worker pool and merges the outcomes back in
 **spec order**, so the combined result is deterministic regardless of
 worker scheduling.  Each spec runs through the module-level
-:func:`run_cluster_spec` (picklable by construction) with a *private*
-slice memo, which makes the serial fallback bit-identical to the
-sharded run: no cross-spec memo coupling can leak between clusters in
-either mode.
+:func:`run_cluster_spec` (picklable by construction) without a slice
+memo, so nothing couples one spec's run to another's and the serial
+fallback is bit-identical to the sharded run.
 
 Sharding is explicit: a caller passes ``jobs``, and ``jobs=None`` (or
 1) runs the specs serially in-process.
@@ -93,12 +92,11 @@ class ShardOutcome:
 def run_cluster_spec(spec: ClusterSpec) -> ShardOutcome:
     """Build, run and summarize one cluster — in any process.
 
-    Module-level and argument-picklable so the warm pool can ship it;
-    the slice memo is private to the call, so outcomes do not depend
+    Module-level and argument-picklable so the warm pool can ship it.
+    The cluster runs without a slice memo, so outcomes do not depend
     on what else ran in the same process — serial and sharded
     execution are bit-identical.
     """
-    from repro import simcache
     from repro.cmp.detailed import DetailedMirageCluster
     from repro.runner.units import ARBITRATORS
     from repro.telemetry import MemorySink, Telemetry
@@ -117,7 +115,6 @@ def run_cluster_spec(spec: ClusterSpec) -> ShardOutcome:
         sc_capacity=spec.sc_capacity,
         slice_instructions=spec.slice_instructions,
         telemetry=telemetry,
-        sim_cache=simcache.SliceMemo(),
     )
     result = cluster.run(n_slices=spec.n_slices)
     return ShardOutcome(

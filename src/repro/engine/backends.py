@@ -13,8 +13,8 @@ one interval, and that seam is the :class:`ExecutionBackend` protocol:
 * ``DetailedBackend`` (:mod:`repro.cmp.detailed`) — the cycle-level
   tier: real instruction streams through the detailed core models,
   a shared L2, per-core predictors/BTB, and real Schedule-Cache
-  contents crossing the bus on migration.  Its ``advance`` slices are
-  additionally memoized by :mod:`repro.simcache` (on by default):
+  contents crossing the bus on migration.  Its ``advance`` slices can
+  be memoized by :mod:`repro.simcache` (opt-in, ``sim_cache=``):
   repeating a slice from a previously-seen entry state replays the
   recorded deltas instead of re-running the core models, with
   bit-identical results.

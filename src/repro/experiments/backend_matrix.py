@@ -20,7 +20,7 @@ the in-order and out-of-order endpoints.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, islice
 
 from repro.arbiter import SCMPKIArbitrator
 from repro.energy import CoreEnergyModel
@@ -123,11 +123,12 @@ def energy_table(instructions: int = 20_000) -> list[dict]:
     from repro.schedule.schedule_cache import ScheduleCache
     from repro.workloads import make_benchmark
 
-    bench_name = PAIR[0]
+    # The stream is deterministic: generate it once for every core.
+    window = list(islice(make_benchmark(PAIR[0], seed=7).stream(),
+                         instructions))
     em = CoreEnergyModel()
     rows = []
     for model, kind in ENERGY_CORES:
-        bench = make_benchmark(bench_name, seed=7)
         view = MemoryHierarchy().core_view(0)
         if model == "ooo":
             core = OutOfOrderCore(view)
@@ -137,7 +138,7 @@ def energy_table(instructions: int = 20_000) -> list[dict]:
             core = InOrderCore(view, params=LDT_PARAMS)
         else:
             core = InOrderCore(view)
-        result = core.run(bench.stream(), instructions)
+        result = core.run(iter(window), instructions)
         energy = em.breakdown(kind, result.energy_events, result.cycles)
         rows.append({
             "model": model,

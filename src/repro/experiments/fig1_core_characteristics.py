@@ -11,6 +11,8 @@ Paper shape: InO keeps ~60 % performance overall (less for HPD), at
 
 from __future__ import annotations
 
+from itertools import islice
+
 from repro.cores import InOrderCore, OutOfOrderCore
 from repro.energy import CoreEnergyModel, core_area
 from repro.experiments.common import format_table, mean
@@ -21,12 +23,14 @@ from repro.workloads import ALL_BENCHMARKS, get_profile, make_benchmark
 
 def measure(name: str, *, instructions: int = 30_000,
             seed: int = 1) -> dict:
-    bench = make_benchmark(name, seed=seed)
+    # The stream is deterministic: generate it once for both cores.
+    window = list(islice(make_benchmark(name, seed=seed).stream(),
+                         instructions))
     em = CoreEnergyModel()
     r_ooo = OutOfOrderCore(MemoryHierarchy().core_view(0)).run(
-        bench.stream(), instructions)
+        iter(window), instructions)
     r_ino = InOrderCore(MemoryHierarchy().core_view(1)).run(
-        bench.stream(), instructions)
+        iter(window), instructions)
     e_ooo = em.breakdown("ooo", r_ooo.energy_events, r_ooo.cycles)
     e_ino = em.breakdown("ino", r_ino.energy_events, r_ino.cycles)
     return {

@@ -13,6 +13,8 @@ once memoized, the best benchmarks reach ~90 % of OoO performance.
 
 from __future__ import annotations
 
+from itertools import islice
+
 from repro.cores import InOrderCore, OinOCore, OutOfOrderCore
 from repro.experiments.common import format_table, mean
 from repro.memory import MemoryHierarchy
@@ -22,16 +24,18 @@ from repro.workloads import ALL_BENCHMARKS, get_profile, make_benchmark
 
 
 def measure(name: str, *, instructions: int = 40_000, seed: int = 1) -> dict:
-    bench = make_benchmark(name, seed=seed)
+    # The stream is deterministic: generate it once for all three cores.
+    window = list(islice(make_benchmark(name, seed=seed).stream(),
+                         instructions))
     sc = ScheduleCache(None)  # infinite: the oracle condition
     recorder = ScheduleRecorder(sc)
     r_ooo = OutOfOrderCore(
         MemoryHierarchy().core_view(0), recorder=recorder
-    ).run(bench.stream(), instructions)
+    ).run(iter(window), instructions)
     r_ino = InOrderCore(MemoryHierarchy().core_view(1)).run(
-        bench.stream(), instructions)
+        iter(window), instructions)
     r_oino = OinOCore(MemoryHierarchy().core_view(2), sc).run(
-        bench.stream(), instructions)
+        iter(window), instructions)
     return {
         "benchmark": name,
         "category": get_profile(name).category,

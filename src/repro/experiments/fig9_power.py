@@ -16,6 +16,8 @@ throughput-oriented arbitrators keep it always on.
 
 from __future__ import annotations
 
+from itertools import islice
+
 from repro.cores import InOrderCore, OinOCore, OutOfOrderCore
 from repro.energy import CoreEnergyModel
 from repro.experiments.common import format_table, mean
@@ -36,17 +38,19 @@ def power_breakdown(*, instructions: int = 30_000, seed: int = 1) -> dict:
     totals = {"ooo": {}, "ino": {}, "oino": {}}
     power = {"ooo": 0.0, "ino": 0.0, "oino": 0.0}
     for name in BREAKDOWN_BENCHMARKS:
-        bench = make_benchmark(name, seed=seed)
+        # The stream is deterministic: generate it once for all cores.
+        window = list(islice(make_benchmark(name, seed=seed).stream(),
+                             instructions))
         sc = ScheduleCache(None)
         rec = ScheduleRecorder(sc)
         runs = {
             "ooo": OutOfOrderCore(
                 MemoryHierarchy().core_view(0), recorder=rec
-            ).run(bench.stream(), instructions),
+            ).run(iter(window), instructions),
             "ino": InOrderCore(MemoryHierarchy().core_view(1)).run(
-                bench.stream(), instructions),
+                iter(window), instructions),
             "oino": OinOCore(MemoryHierarchy().core_view(2), sc).run(
-                bench.stream(), instructions),
+                iter(window), instructions),
         }
         for kind, result in runs.items():
             bd = em.breakdown(kind, result.energy_events, result.cycles)

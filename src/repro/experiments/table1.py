@@ -10,6 +10,8 @@ the paper's category labels.
 
 from __future__ import annotations
 
+from itertools import islice
+
 from repro.cores import InOrderCore, OutOfOrderCore
 from repro.experiments.common import format_table
 from repro.memory import MemoryHierarchy
@@ -22,11 +24,13 @@ PAPER_BOUNDARY = 0.60
 def measure_ratio(name: str, *, instructions: int = 30_000,
                   seed: int = 1) -> float:
     """InO:OoO IPC ratio for one benchmark on the detailed cores."""
-    bench = make_benchmark(name, seed=seed)
+    # The stream is deterministic: generate it once for both cores.
+    window = list(islice(make_benchmark(name, seed=seed).stream(),
+                         instructions))
     r_ooo = OutOfOrderCore(MemoryHierarchy().core_view(0)).run(
-        bench.stream(), instructions)
+        iter(window), instructions)
     r_ino = InOrderCore(MemoryHierarchy().core_view(1)).run(
-        bench.stream(), instructions)
+        iter(window), instructions)
     return r_ino.ipc / max(1e-9, r_ooo.ipc)
 
 

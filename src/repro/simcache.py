@@ -2,11 +2,9 @@
 
 The Mirage hardware avoids re-deriving issue schedules for repeating
 traces by memoizing them in the Schedule Cache; this module applies
-the same trick one level up, to the *simulator itself*.  The detailed
-tier spends its time re-simulating slices whose entry state it has
-seen before — most prominently when a whole cluster run repeats inside
-one process (benchmark harness warm-up then timed repeats, identity
-gates running the same experiment twice, tests re-running a fixture).
+the same trick one level up, to the *simulator itself*.  When a whole
+cluster run repeats inside one process, the detailed tier would
+re-simulate slices whose entry state it has seen before.
 :class:`SliceMemo` caches the full outcome of one
 :meth:`~repro.cmp.detailed.DetailedBackend.advance` slice — cycle and
 counter deltas, Schedule-Cache mutations, cache/TLB/predictor/BTB
@@ -34,19 +32,22 @@ simulation.  The price is that keys are conservative: any state drift
 at all (one extra cache access anywhere) misses and re-simulates,
 which is exactly the over-invalidation the design allows.
 
-The memo is process-global (:meth:`SliceMemo.shared`) and bounded:
-least-recently-used slices are dropped once ``capacity`` entries are
-held, and an approximate byte estimate is reported through the
-``simcache.bytes`` telemetry counter.
+A memo is bounded: least-recently-used slices are dropped once
+``capacity`` entries are held, and an approximate byte estimate is
+reported through the ``simcache.bytes`` telemetry counter.
 
 Selection
 ---------
 :class:`~repro.cmp.detailed.DetailedBackend` and
 :class:`~repro.cmp.detailed.DetailedMirageCluster` take ``sim_cache=``
-(:func:`resolve`): ``True``, the default, uses the process-global memo;
-``False`` runs without one, which is the reference
-``tests/test_equivalence.py`` holds the memo to; a :class:`SliceMemo`
-instance is used as a private memo.
+(:func:`resolve`): ``False``, the default, runs without a memo, which
+is the reference ``tests/test_equivalence.py`` holds the memo to;
+``True`` uses the process-global memo (:meth:`SliceMemo.shared`); a
+:class:`SliceMemo` instance is used as a private memo.  The memo is
+opt-in because the key holds the stream position: only a repeat of an
+identical cluster run in the same process can hit, and no experiment
+repeats one (the result cache already serves repeated work units), so
+by default it would only pay for snapshots and stores.
 """
 
 from __future__ import annotations
@@ -208,7 +209,7 @@ class SliceMemo:
 
     @classmethod
     def shared(cls) -> "SliceMemo":
-        """The process-global memo every default-configured backend uses."""
+        """The process-global memo every ``sim_cache=True`` backend uses."""
         if cls._shared is None:
             cls._shared = cls()
         return cls._shared

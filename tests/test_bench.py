@@ -130,20 +130,16 @@ class TestHarness:
     def test_counter_totals_are_deterministic(self, name):
         """Fixed seeds: two fresh invocations must agree bit-for-bit.
 
-        ``simcache.*`` counters are excluded for probes that share the
-        process-global SliceMemo: the first invocation misses where the
-        second hits.  Every *simulation* counter still matching is
-        precisely the slice-replay identity guarantee.
+        Every counter counts, ``simcache.*`` included: no probe shares
+        state with an earlier invocation (``sim-cache`` builds its own
+        memo each time), so a second run that replays the first's
+        slices fails here.
         """
-        def totals(ctx):
-            return {k: v for k, v in ctx.telemetry.counters.items()
-                    if not k.startswith("simcache.")}
-
         first = BenchContext(quick=True)
         second = BenchContext(quick=True)
         BENCHMARKS[name].run(first)
         BENCHMARKS[name].run(second)
-        assert totals(first) == totals(second)
+        assert first.telemetry.counters == second.telemetry.counters
         assert first.telemetry.counters, name
 
 
@@ -204,6 +200,18 @@ class TestCompare:
         delta = compare_reports(old, new).deltas[0]
         assert delta.speedup == pytest.approx(2.0)
         assert delta.ratio == pytest.approx(0.5)
+
+    def test_quick_and_full_size_reports_do_not_compare(self):
+        # A --quick run did less work per probe than a full-size one,
+        # so its times say nothing about a full-size baseline.
+        quick = make_report("ci", {"a": 0.1})
+        full = make_report("baseline", {"a": 1.0},
+                           extra={"quick": False})
+        with pytest.raises(ValueError, match="quick"):
+            compare_reports(full, quick)
+        with pytest.raises(ValueError, match="quick"):
+            compare_reports(quick, full)
+        assert compare_reports(full, full).ok
 
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError, match="threshold"):

@@ -8,9 +8,11 @@ per-application ``advance`` loop of
 :meth:`~repro.engine.backends.ExecutionBackend.advance_all`, and
 ``pick`` over the materialized view list.  On the detailed tier, the
 slice memo (:mod:`repro.simcache`) must be invisible: a cold run and
-an all-hit replay match the run without a memo.  These tests run whole
-simulations both ways and compare every field of the results exactly
-— no tolerances.
+an all-hit replay match the run without a memo.  The detailed-core
+measurements (``table1``, ``fig1``, ``fig2``) generate one instruction
+window and hand it to every core; they must match giving each core its
+own freshly generated stream.  These tests run whole simulations both
+ways and compare every field of the results exactly — no tolerances.
 """
 
 import dataclasses
@@ -25,10 +27,17 @@ from repro.characterize import analytic_model
 from repro.cmp import ClusterConfig
 from repro.cmp.detailed import CYCLE_BACKENDS, DetailedMirageCluster
 from repro.cmp.system import CMPSystem
+from repro.cores import InOrderCore, OinOCore, OutOfOrderCore
+from repro.energy import CoreEnergyModel, core_area
 from repro.engine import AnalyticBackend, ExecutionBackend
+from repro.experiments import fig1_core_characteristics as fig1
+from repro.experiments import fig2_memoization as fig2
+from repro.experiments import table1
+from repro.memory import MemoryHierarchy
 from repro.runner.units import ARBITRATORS
+from repro.schedule import ScheduleCache, ScheduleRecorder
 from repro.simcache import SliceMemo
-from repro.workloads import ALL_BENCHMARKS, make_benchmark
+from repro.workloads import ALL_BENCHMARKS, get_profile, make_benchmark
 from tests.test_simcache import run_fingerprint
 
 
@@ -155,3 +164,74 @@ def test_slice_memo_matches_unmemoized_run(backend, names, seed, policy,
     counters = cluster.telemetry.counters
     assert counters["simcache.lookups"] > 0
     assert counters["simcache.hits"] == counters["simcache.lookups"]
+
+
+# -- detailed-core measurements: a fresh stream per core -----------------
+def reference_ratio(name, *, instructions, seed):
+    """``table1.measure_ratio`` with each core's own stream."""
+    bench = make_benchmark(name, seed=seed)
+    r_ooo = OutOfOrderCore(MemoryHierarchy().core_view(0)).run(
+        bench.stream(), instructions)
+    r_ino = InOrderCore(MemoryHierarchy().core_view(1)).run(
+        bench.stream(), instructions)
+    return r_ino.ipc / max(1e-9, r_ooo.ipc)
+
+
+def reference_fig1(name, *, instructions, seed):
+    """``fig1.measure`` with each core's own stream."""
+    bench = make_benchmark(name, seed=seed)
+    em = CoreEnergyModel()
+    r_ooo = OutOfOrderCore(MemoryHierarchy().core_view(0)).run(
+        bench.stream(), instructions)
+    r_ino = InOrderCore(MemoryHierarchy().core_view(1)).run(
+        bench.stream(), instructions)
+    e_ooo = em.breakdown("ooo", r_ooo.energy_events, r_ooo.cycles)
+    e_ino = em.breakdown("ino", r_ino.energy_events, r_ino.cycles)
+    return {
+        "benchmark": name,
+        "category": get_profile(name).category,
+        "performance": r_ino.ipc / max(1e-9, r_ooo.ipc),
+        "power": (e_ino.power_pw_per_cycle(r_ino.cycles)
+                  / max(1e-9, e_ooo.power_pw_per_cycle(r_ooo.cycles))),
+        "energy": e_ino.total_pj / max(1e-9, e_ooo.total_pj),
+        "area": core_area("ino") / core_area("ooo"),
+    }
+
+
+def reference_fig2(name, *, instructions, seed):
+    """``fig2.measure`` with each core's own stream."""
+    bench = make_benchmark(name, seed=seed)
+    sc = ScheduleCache(None)
+    recorder = ScheduleRecorder(sc)
+    r_ooo = OutOfOrderCore(
+        MemoryHierarchy().core_view(0), recorder=recorder
+    ).run(bench.stream(), instructions)
+    r_ino = InOrderCore(MemoryHierarchy().core_view(1)).run(
+        bench.stream(), instructions)
+    r_oino = OinOCore(MemoryHierarchy().core_view(2), sc).run(
+        bench.stream(), instructions)
+    return {
+        "benchmark": name,
+        "category": get_profile(name).category,
+        "memoized_fraction": r_oino.stats.memoized_fraction,
+        "perf_plain_ino": r_ino.ipc / max(1e-9, r_ooo.ipc),
+        "perf_with_memoization": r_oino.ipc / max(1e-9, r_ooo.ipc),
+        "trace_aborts": r_oino.stats.trace_aborts,
+        "traces": r_oino.stats.traces,
+    }
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    name=st.sampled_from(ALL_BENCHMARKS),
+    seed=st.integers(0, 2**16),
+    instructions=st.integers(100, 4_000),
+)
+def test_shared_window_matches_fresh_streams(name, seed, instructions):
+    # Sharing is sound only while no core reads back what another core
+    # wrote into an Instruction; any such coupling shows up here.
+    kwargs = {"instructions": instructions, "seed": seed}
+    assert (table1.measure_ratio(name, **kwargs)
+            == reference_ratio(name, **kwargs))
+    assert fig1.measure(name, **kwargs) == reference_fig1(name, **kwargs)
+    assert fig2.measure(name, **kwargs) == reference_fig2(name, **kwargs)

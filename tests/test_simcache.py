@@ -58,6 +58,20 @@ class TestToggle:
         assert simcache.resolve(True) is SliceMemo.shared()
         assert simcache.resolve(True) is simcache.resolve(True)
 
+    def test_default_cluster_runs_without_a_memo(self):
+        # The memo is opt-in: a default cluster never keys, stores or
+        # reports a slice, and leaves the shared memo untouched.
+        cluster = DetailedMirageCluster(
+            [make_benchmark("hmmer", seed=1),
+             make_benchmark("mcf", seed=1)],
+            SCMPKIArbitrator(), slice_instructions=1200)
+        assert cluster.backend.memo is None
+        assert not isinstance(cluster.backend.apps[0].stream, StreamCursor)
+        cluster.run(n_slices=3)
+        assert not [k for k in cluster.telemetry.counters
+                    if k.startswith("simcache.")]
+        assert SliceMemo.shared().stats.lookups == 0
+
 
 class TestStreamCursor:
     def test_take_matches_plain_stream(self):
