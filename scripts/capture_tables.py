@@ -14,17 +14,12 @@ tier-identity gate on any byte difference::
     python scripts/capture_tables.py --src base-tree/src --out /tmp/base
     diff -ru /tmp/base /tmp/pr
 
-The single-tree gate modes capture the same experiments two ways and
-fail on any byte difference — perf layers must never change
-simulation output (``tests/test_equivalence.py`` holds the slice memo
-to its memo-less reference):
-
-* ``--backend-smoke`` — ``backend-matrix --quick`` twice: every
-  registered backend must appear as a leg row and the two runs must
-  print byte-identical tables (determinism across the whole roster).
-* ``--pool-gate`` — the tier-identity experiments under ``--jobs 2``
-  vs ``--jobs 1``: the warm worker pool must never change a byte of
-  simulation output.
+``--backend-smoke`` runs ``backend-matrix --quick`` twice on one
+tree: every registered backend must appear as a leg row and the two
+runs must print byte-identical tables (determinism across the whole
+roster).  Perf layers are held to their references by
+``tests/test_equivalence.py`` instead: the slice memo against its
+memo-less run, and the warm pool against serial execution.
 """
 
 from __future__ import annotations
@@ -51,13 +46,12 @@ def is_volatile(line: str) -> bool:
     return line.startswith("--- ") and " done in " in line
 
 
-def capture(experiment: str, src: Path,
-            extra_args: tuple[str, ...] = ()) -> str:
+def capture(experiment: str, src: Path) -> str:
     """One experiment's table, with volatile timing lines stripped."""
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(
         [sys.executable, "-m", "repro", experiment,
-         "--quick", "--no-cache", *extra_args],
+         "--quick", "--no-cache"],
         env=env, capture_output=True, text=True,
     )
     if proc.returncode != 0:
@@ -67,28 +61,6 @@ def capture(experiment: str, src: Path,
     lines = [line for line in proc.stdout.splitlines()
              if not is_volatile(line)]
     return "\n".join(lines) + "\n"
-
-
-def pool_gate(src: Path, out: Path, experiments: list[str]) -> None:
-    """Capture each experiment under ``--jobs 2`` and ``--jobs 1`` and
-    fail on any byte difference.
-
-    ``--jobs 1`` runs serially, so this holds the entire pooled
-    dispatch stack — warm workers, pickled batches, LPT ordering — to
-    the serial reference on the same work.
-    """
-    for experiment in experiments:
-        pooled = capture(experiment, src, extra_args=("--jobs", "2"))
-        serial = capture(experiment, src, extra_args=("--jobs", "1"))
-        (out / f"{experiment}.jobs2.txt").write_text(pooled)
-        (out / f"{experiment}.jobs1.txt").write_text(serial)
-        if pooled != serial:
-            raise SystemExit(
-                f"capture_tables: {experiment} differs between --jobs 2 "
-                f"and --jobs 1 — the warm pool changed simulation "
-                f"output (see {out})")
-        print(f"[pool-gate] {experiment}: --jobs 2 and --jobs 1 "
-              f"byte-identical ({len(pooled.splitlines())} lines)")
 
 
 #: Backend names whose leg rows ``--backend-smoke`` requires in the
@@ -140,10 +112,6 @@ def main(argv: list[str] | None = None) -> int:
         help="run backend-matrix --quick twice and fail unless every "
              "registered backend appears and the runs are "
              "byte-identical")
-    parser.add_argument(
-        "--pool-gate", action="store_true",
-        help="capture the tier-identity experiments under --jobs 2 "
-             "and --jobs 1 and fail on any byte difference")
     args = parser.parse_args(argv)
 
     src = Path(args.src).resolve()
@@ -151,10 +119,6 @@ def main(argv: list[str] | None = None) -> int:
     out.mkdir(parents=True, exist_ok=True)
     if args.backend_smoke:
         backend_smoke(src, out)
-        return 0
-    if args.pool_gate:
-        gate = [e for e in args.experiments if e in EXPERIMENTS]
-        pool_gate(src, out, gate or list(EXPERIMENTS))
         return 0
     for experiment in args.experiments:
         text = capture(experiment, src)

@@ -14,7 +14,7 @@ cache and the service directory root under it.
 
 :class:`ServiceConfig` is the same idea for the experiment service
 (:mod:`repro.service`): one picklable dataclass carrying every server
-knob — bind address, fleet size, heartbeat cadence, the service state
+knob — bind address, pool size, drain budget, the service state
 directory — that the CLI builds once and hands to
 :class:`~repro.service.server.ExperimentServer`.
 """
@@ -114,12 +114,8 @@ class ServiceConfig:
             service trusts its clients.
         port: TCP port to bind; 0 picks an ephemeral port (the bound
             address is published in ``<service_dir>/server.json``).
-        workers: worker processes to spawn and keep alive; 0 runs a
-            server with no fleet of its own (external workers may
-            still connect, which is how the tests drive eviction).
-        heartbeat_interval: seconds between worker heartbeats.
-        heartbeat_timeout: seconds of heartbeat silence after which a
-            worker is evicted and its in-flight unit requeued.
+        workers: processes in the server's worker pool (>= 1), and
+            the most units it runs at once.
         drain_timeout: seconds a graceful drain waits for in-flight
             work before shutting down anyway.
         service_dir: state directory (``None`` =
@@ -132,8 +128,6 @@ class ServiceConfig:
     host: str = "127.0.0.1"
     port: int = 0
     workers: int = 2
-    heartbeat_interval: float = 1.0
-    heartbeat_timeout: float = 5.0
     drain_timeout: float = 30.0
     service_dir: str | Path | None = None
     cache: CacheConfig | None = None

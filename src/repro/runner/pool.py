@@ -1,34 +1,44 @@
 """Warm worker pools: persistent processes, pickled batches, LPT.
 
-Every parallel path in the repo used to pay a fresh
-``ProcessPoolExecutor`` per call: :class:`~repro.runner.executor
-.SweepRunner` spawned one per sweep, :func:`repro.cmp.sharded.fan_out`
-one per fan-out, and a ``mirage all --jobs N`` run therefore forked
-and tore down a pool per experiment.  :class:`WarmPool` replaces that
-churn with a **process-global pool of persistent workers**: spawned
-once, preloaded with :mod:`repro` (inherited under ``fork``, imported
-at startup under ``spawn``), reused across sweeps and fan-outs, and
-respawned on crash with the in-flight batch requeued — the same
-discipline the experiment-service fleet applies to its TCP workers.
+Every parallel path in the repo runs on a :class:`WarmPool`:
+:class:`~repro.runner.executor.SweepRunner` sweeps and
+:func:`repro.cmp.sharded.fan_out` fan-outs share the process-global
+pool (:meth:`WarmPool.shared`), and ``mirage serve`` owns a private
+one.  Workers start once, preloaded with :mod:`repro` (inherited under
+``fork``, imported at startup under ``spawn``), are reused across
+calls, and are respawned on crash with the in-flight batch requeued.
 
 Transport
 ---------
-A batch travels to its worker as one :func:`pickle.dumps` bytes object
-on the worker's inbox, and its results come back the same way on the
-shared outbox.  The worker pickles its results inside the task's
-``try``, so an unpicklable result fails its task like any other error
-instead of vanishing in the queue's feeder thread.  Work units and
-their payloads are small, so the queue pipes carry them directly.
+Each worker has its own pipe.  :meth:`WarmPool.submit` pickles one
+batch — the target's dotted name plus its items — into a single bytes
+message and returns a :class:`concurrent.futures.Future`; an idle
+worker receives the batch at once, otherwise it waits in the pool's
+queue.  One collector thread waits on every worker's pipe and process
+sentinel together (:func:`multiprocessing.connection.wait`):
+
+* a reply resolves the future of the batch that worker was given, and
+  the worker takes the next queued batch;
+* a ready sentinel means the worker died: its batch goes back to the
+  front of the queue (or fails with :class:`PoolTaskError` once it has
+  crashed more than :data:`MAX_CRASH_RETRIES` workers) and a
+  replacement starts.
+
+A reply can only reach its own batch's future, so a caller that gives
+up on a call never receives another call's results.  The worker
+pickles its results inside the task's ``try``, so an unpicklable
+result fails its task like any other error.  Workers also wait on
+their parent's sentinel and exit as soon as the parent dies.
 
 Scheduling
 ----------
 :meth:`WarmPool.map` returns results in input order but *dispatches*
 longest-expected-first when per-item cost hints are given
 (:func:`lpt_order` — unknown costs are conservatively treated as
-infinite and go first).  Assignment is demand-driven — an idle worker
-immediately pulls the next pending batch, which is work stealing by
-construction — and cheap items are coalesced into dynamic chunks
-(:func:`chunk_sizes`) so queue round-trips never dominate wide sweeps
+infinite and go first).  Assignment is demand-driven — a worker takes
+the next queued batch the moment it replies, which is work stealing by
+construction — and cheap items are coalesced into chunks
+(:func:`chunk_sizes`) so pipe round-trips never dominate wide sweeps
 of tiny units.  With LPT ordering, a sweep's wall clock tracks its
 critical path instead of its submission order.
 
@@ -41,32 +51,34 @@ Worker processes set ``MIRAGE_POOL_WORKER``, so a nested fan-out
 inside a worker degrades to the serial path instead of forking
 grandchildren.  The pool is a pure transport/scheduling layer:
 results are bit-identical to serial execution by construction (same
-``execute_unit``, same deterministic merge order), and the CI
-``--pool-gate`` holds ``--jobs 2`` to ``--jobs 1`` byte for byte.
+function, same deterministic merge order), and
+``tests/test_equivalence.py`` holds pooled maps to serial execution
+on randomized batches.
 """
 
 from __future__ import annotations
 
 import atexit
+import multiprocessing
 import os
 import pickle
-import queue as queue_mod
+import threading
 import time
 import weakref
 from collections import deque
-from dataclasses import dataclass, field
+from concurrent.futures import Future
+from dataclasses import dataclass
+from multiprocessing.connection import wait
 from typing import Any, Callable, Sequence
 
 #: Set inside pool workers; nested pool use degrades to serial there.
 WORKER_ENV_VAR = "MIRAGE_POOL_WORKER"
 
-#: How many times a batch survives a worker crash before its items
-#: are failed (the service fleet's respawn-budget idea, per batch).
+#: How many times a batch survives a worker crash before it is failed.
 MAX_CRASH_RETRIES = 2
 
-#: Poll interval while waiting on results; liveness checks run on
-#: this cadence, so crash detection latency is bounded by it.
-POLL_SECONDS = 0.05
+#: The message that tells an idle worker to exit.
+_STOP = b""
 
 #: Every live pool, so the atexit sweep can stop the workers even of
 #: pools a caller forgot to shut down.
@@ -79,7 +91,7 @@ def _nested() -> bool:
 
 
 class PoolUnavailable(RuntimeError):
-    """The pool cannot run here (sandbox or nesting).
+    """The pool cannot run here (sandbox, nesting, shut down).
 
     Callers catch this and run serially, which is bit-identical by
     construction.
@@ -112,9 +124,7 @@ def chunk_sizes(n_items: int, n_workers: int) -> int:
 
     Small batches dispatch singly (best makespan: nothing queues
     behind a long item); wide sweeps of cheap items coalesce so the
-    queue round-trip cost stays sublinear.  Mirrors the classic
-    executor heuristic but re-evaluated per dispatch, so the tail of
-    a sweep always degrades back to single-item assignments.
+    pipe round-trip cost stays sublinear.
     """
     if n_items <= 2 * n_workers:
         return 1
@@ -137,71 +147,61 @@ def _resolve_target(target: str, cache: dict) -> Callable:
     return fn
 
 
-def _worker_main(worker_seq: int, inbox, outbox) -> None:
-    """One persistent worker: read batches, execute, reply. Forever.
+def _worker_main(conn) -> None:
+    """One persistent worker: read a batch, execute, reply, repeat.
 
-    The worker is intentionally dumb (the service fleet's design):
-    no queueing, no retry — crash handling lives in the parent, so
-    killing a worker at any moment is safe.
+    The worker is intentionally dumb: no queueing, no retry — crash
+    handling lives in the parent, so killing a worker at any moment
+    is safe.  It exits on the stop message or when its parent dies.
     """
     os.environ[WORKER_ENV_VAR] = "1"
     import repro  # noqa: F401 — preload (no-op under fork)
 
+    parent = multiprocessing.parent_process().sentinel
     fn_cache: dict[str, Callable] = {}
-    while True:
-        message = inbox.get()
-        if message[0] == "stop":
-            break
-        _, batch_id, target, payload = message
+    while parent not in wait([conn, parent]):
         try:
+            message = conn.recv_bytes()
+        except EOFError:
+            return
+        if message == _STOP:
+            return
+        try:
+            target, items = pickle.loads(message)
             fn = _resolve_target(target, fn_cache)
-            results = [fn(item) for item in pickle.loads(payload)]
-            reply = pickle.dumps(results, protocol=pickle.HIGHEST_PROTOCOL)
-        except BaseException as exc:  # noqa: BLE001 — reported upstream
-            if isinstance(exc, (KeyboardInterrupt, SystemExit)):
-                raise
-            try:
-                outbox.put(("fail", worker_seq, batch_id,
-                            f"{type(exc).__name__}: {exc}"))
-            except Exception:
-                break
-            continue
-        outbox.put(("ok", worker_seq, batch_id, reply))
+            reply = pickle.dumps((True, [fn(item) for item in items]),
+                                 protocol=pickle.HIGHEST_PROTOCOL)
+        except Exception as exc:  # noqa: BLE001 — reported upstream
+            reply = pickle.dumps((False, f"{type(exc).__name__}: {exc}"))
+        conn.send_bytes(reply)
 
 
 # ----------------------------------------------------------------------
 # Parent-side pool
 # ----------------------------------------------------------------------
 @dataclass
-class _Worker:
-    seq: int
-    process: Any
-    inbox: Any
-    batch: "_Batch | None" = None    #: in flight, or None when idle
+class _Batch:
+    future: Future
+    message: bytes                   #: pickled ``(target, items)``
+    size: int                        #: items in the batch
+    crashes: int = 0                 #: workers it has taken down
 
 
 @dataclass
-class _Batch:
-    batch_id: int
-    indices: tuple[int, ...]         #: positions in the caller's items
-    retries: int = 0
+class _Worker:
+    seq: int
+    process: Any
+    conn: Any
+    batch: _Batch | None = None      #: in flight, or None when idle
+    units_done: int = 0
 
 
 @dataclass
 class PoolStats:
-    """Lifetime counters for one :class:`WarmPool`."""
+    """Lifetime crash-recovery counters for one :class:`WarmPool`."""
 
-    batches: int = 0
-    tasks: int = 0
-    respawns: int = 0
-    maps: int = 0
-    spawned_workers: int = 0
-    dispatch_orders: list = field(default_factory=list)
-
-    def summary(self) -> str:
-        return (f"{self.maps} maps, {self.tasks} tasks in "
-                f"{self.batches} batches, "
-                f"{self.respawns} respawns")
+    requeues: int = 0    #: batches queued again after their worker died
+    respawns: int = 0    #: replacement workers started
 
 
 class WarmPool:
@@ -222,24 +222,27 @@ class WarmPool:
             raise ValueError("workers must be >= 1")
         if _nested():
             raise PoolUnavailable("nested inside a pool worker")
-        import multiprocessing
-
         self._ctx = multiprocessing.get_context()
         self.stats = PoolStats()
         self._workers: list[_Worker] = []
+        self._pending: deque[_Batch] = deque()
+        self._lock = threading.Lock()
         self._seq = 0
-        self._batch_seq = 0
         self._closed = False
+        self._collector: threading.Thread | None = None
         try:
-            self._outbox = self._ctx.Queue()
-        except (OSError, PermissionError) as exc:
-            raise PoolUnavailable(f"no queue support: {exc}") from exc
+            self._wake_r, self._wake_w = self._ctx.Pipe(duplex=False)
+        except OSError as exc:
+            raise PoolUnavailable(f"no pipe support: {exc}") from exc
         try:
             for _ in range(workers):
                 self._spawn()
-        except (OSError, PermissionError) as exc:
+        except OSError as exc:
             self.shutdown()
             raise PoolUnavailable(f"cannot spawn workers: {exc}") from exc
+        self._collector = threading.Thread(
+            target=self._collect, name="mirage-pool-collector", daemon=True)
+        self._collector.start()
         global _all_pools
         if _all_pools is None:
             _all_pools = weakref.WeakSet()
@@ -247,32 +250,36 @@ class WarmPool:
         _all_pools.add(self)
 
     # -- lifecycle -----------------------------------------------------
-    def _spawn(self) -> _Worker:
+    def _spawn(self) -> None:
+        """Start one worker (the caller holds the lock or is __init__)."""
         self._seq += 1
-        inbox = self._ctx.SimpleQueue()
+        conn, child_conn = self._ctx.Pipe()
         process = self._ctx.Process(
-            target=_worker_main,
-            args=(self._seq, inbox, self._outbox),
-            name=f"mirage-pool-{self._seq}",
-            daemon=True,
-        )
-        process.start()
-        worker = _Worker(seq=self._seq, process=process, inbox=inbox)
-        self._workers.append(worker)
-        self.stats.spawned_workers += 1
-        return worker
+            target=_worker_main, args=(child_conn,),
+            name=f"mirage-pool-{self._seq}", daemon=True)
+        try:
+            process.start()
+        except OSError:
+            conn.close()
+            raise
+        finally:
+            child_conn.close()
+        self._workers.append(_Worker(self._seq, process, conn))
 
     def ensure(self, workers: int) -> None:
         """Grow the pool to at least *workers* live processes."""
-        self._reap(requeue=None)
-        while len(self._workers) < workers:
+        with self._lock:
+            before = len(self._workers)
             try:
-                self._spawn()
-            except (OSError, PermissionError) as exc:
+                while len(self._workers) < workers:
+                    self._spawn()
+            except OSError as exc:
                 if not self._workers:
                     raise PoolUnavailable(
                         f"cannot spawn workers: {exc}") from exc
-                return
+            if len(self._workers) > before:
+                self._wake_w.send_bytes(b"")     # watch the new workers
+                self._dispatch()
 
     @property
     def size(self) -> int:
@@ -282,20 +289,44 @@ class WarmPool:
     def alive(self) -> bool:
         return bool(self._workers) and not self._closed
 
+    def status(self) -> list[dict]:
+        """Per-worker ``id``, ``pid``, ``state`` and ``units_done``."""
+        with self._lock:
+            return [{"id": f"w{w.seq}", "pid": w.process.pid,
+                     "state": "idle" if w.batch is None else "busy",
+                     "units_done": w.units_done} for w in self._workers]
+
     def shutdown(self) -> None:
-        """Stop every worker."""
-        self._closed = True
-        for worker in self._workers:
-            try:
-                worker.inbox.put(("stop",))
-            except Exception:
-                pass
+        """Stop every worker; unfinished batches fail with
+        :class:`PoolUnavailable`."""
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+            workers, self._workers = self._workers, []
+            unfinished = [w.batch for w in workers if w.batch is not None]
+            unfinished += self._pending
+            self._pending.clear()
+            for worker in workers:
+                try:
+                    worker.conn.send_bytes(_STOP)
+                except OSError:
+                    pass
+            self._wake_w.send_bytes(b"")
+        if self._collector is not None:
+            self._collector.join()
         deadline = time.monotonic() + 1.0
-        for worker in self._workers:
+        for worker in workers:
             worker.process.join(max(0.0, deadline - time.monotonic()))
             if worker.process.is_alive():
                 worker.process.terminate()
-        self._workers.clear()
+            worker.conn.close()
+        self._wake_r.close()
+        self._wake_w.close()
+        for batch in unfinished:
+            if _claim(batch):
+                batch.future.set_exception(
+                    PoolUnavailable("pool is shut down"))
         if WarmPool._shared is self:
             WarmPool._shared = None
 
@@ -319,6 +350,30 @@ class WarmPool:
         return pool
 
     # -- dispatch ------------------------------------------------------
+    def submit(self, fn: Callable, items: Sequence[Any]) -> Future:
+        """Run ``[fn(item) for item in items]`` on one worker, without
+        blocking; returns the batch's future.
+
+        *fn* must be module-level (it travels by dotted name).
+        Pickling errors raise here, before anything is queued.  The
+        future resolves to the result list, or raises
+        :class:`PoolTaskError` (the task raised, or crashed its worker
+        more than :data:`MAX_CRASH_RETRIES` times) or
+        :class:`PoolUnavailable` (the pool shut down or lost every
+        worker).  Cancelling the future before a worker takes the
+        batch drops it.
+        """
+        items = list(items)
+        message = pickle.dumps((f"{fn.__module__}:{fn.__qualname__}", items),
+                               protocol=pickle.HIGHEST_PROTOCOL)
+        batch = _Batch(Future(), message, len(items))
+        with self._lock:
+            if self._closed or not self._workers:
+                raise PoolUnavailable("pool is shut down")
+            self._pending.append(batch)
+            self._dispatch()
+        return batch.future
+
     def map(self, fn: Callable, items: Sequence[Any], *,
             costs: Sequence[float | None] | None = None) -> list[Any]:
         """Results of ``fn(item)`` for every item, in input order.
@@ -329,151 +384,138 @@ class WarmPool:
         order.  Either way results land in input order and are
         bit-identical to ``[fn(item) for item in items]``.
         """
-        if self._closed:
-            raise PoolUnavailable("pool is shut down")
         items = list(items)
         if not items:
             return []
-        self._reap(requeue=None)
-        if not self._workers:
-            self.ensure(1)
-        self.stats.maps += 1
-        target = f"{fn.__module__}:{fn.__qualname__}"
-        if costs is not None:
-            if len(costs) != len(items):
-                raise ValueError("costs must match items")
-            order = lpt_order(costs)
-        else:
+        if costs is None:
             order = list(range(len(items)))
-        self.stats.dispatch_orders.append(tuple(order))
-        if len(self.stats.dispatch_orders) > 16:
-            del self.stats.dispatch_orders[0]
-
-        chunk = chunk_sizes(len(items), len(self._workers))
+        elif len(costs) != len(items):
+            raise ValueError("costs must match items")
+        else:
+            order = lpt_order(costs)
+        chunk = chunk_sizes(len(items), self.size)
         # With cost hints, the head of the order is the critical path:
         # dispatch those singly, chunk only the cheap tail.
-        pending: deque[_Batch] = deque()
+        batches: list[list[int]] = []
         cursor = 0
         while cursor < len(order):
             width = 1
             if chunk > 1 and (costs is None
                               or costs[order[cursor]] is None
-                              or cursor >= 2 * len(self._workers)):
+                              or cursor >= 2 * self.size):
                 width = min(chunk, len(order) - cursor)
-            pending.append(self._new_batch(
-                tuple(order[cursor:cursor + width])))
+            batches.append(order[cursor:cursor + width])
             cursor += width
 
-        results: list[Any] = [None] * len(items)
-        resolved = [False] * len(items)
-        errors: list[str] = []
-        in_flight = 0
+        futures: list[Future] = []
+        try:
+            for indices in batches:
+                futures.append(
+                    self.submit(fn, [items[index] for index in indices]))
+            results: list[Any] = [None] * len(items)
+            for indices, future in zip(batches, futures):
+                for index, value in zip(indices, future.result()):
+                    results[index] = value
+            return results
+        finally:
+            for future in futures:
+                future.cancel()     # a raise leaves no batch queued
 
-        def dispatch_all() -> int:
-            n = 0
-            for worker in self._workers:
-                if not pending:
-                    break
-                if worker.batch is None:
-                    self._dispatch(worker, pending.popleft(),
-                                   target, items)
-                    n += 1
-            return n
-
-        in_flight += dispatch_all()
-        while in_flight > 0:
+    # -- internals (the caller holds the lock) -------------------------
+    def _dispatch(self) -> None:
+        """Hand queued batches to idle workers."""
+        idle = [w for w in self._workers if w.batch is None]
+        while idle and self._pending:
+            batch = self._pending.popleft()
+            if not _claim(batch):
+                continue                     # its caller cancelled it
+            worker = idle.pop()
+            worker.batch = batch
             try:
-                message = self._outbox.get(timeout=POLL_SECONDS)
-            except queue_mod.Empty:
-                requeued = self._reap(requeue=pending)
-                if requeued:
-                    in_flight -= requeued
-                    if not self._workers:
-                        raise PoolUnavailable(
-                            "every pool worker died; degrading")
-                    in_flight += dispatch_all()
-                continue
-            kind, wseq, batch_id, body = message
-            worker = self._worker_by_seq(wseq)
-            batch = worker.batch if worker is not None else None
-            if (worker is None or batch is None
-                    or batch.batch_id != batch_id):
-                continue  # stale reply from a presumed-dead worker
-            worker.batch = None
-            in_flight -= 1
-            if kind == "ok":
-                values = pickle.loads(body)
-                if len(values) != len(batch.indices):
-                    errors.append("result arity mismatch")
-                    for index in batch.indices:
-                        resolved[index] = True
+                worker.conn.send_bytes(batch.message)
+            except OSError:
+                pass        # the worker died: its sentinel requeues
+
+    def _collect(self) -> None:
+        """The collector thread: replies, crashes and respawns."""
+        while True:
+            with self._lock:
+                if self._closed:
+                    return
+                owners: dict[Any, _Worker | None] = {self._wake_r: None}
+                for worker in self._workers:
+                    owners[worker.conn] = worker
+                    owners[worker.process.sentinel] = worker
+            # Replies first: a worker that replied and then died has
+            # both its pipe and its sentinel ready.
+            ready = sorted(wait(list(owners)),
+                           key=lambda handle: isinstance(handle, int))
+            settled: list[tuple[Future, bool, Any]] = []
+            with self._lock:
+                if self._closed:
+                    return
+                for handle in ready:
+                    worker = owners[handle]
+                    if worker is None:
+                        self._wake_r.recv_bytes()
+                    elif worker not in self._workers:
+                        continue                 # already handled
+                    elif handle is worker.conn:
+                        self._receive(worker, settled)
+                    else:
+                        self._lost(worker, settled)
+                self._dispatch()
+            # Resolve outside the lock: done-callbacks may submit.
+            for future, ok, value in settled:
+                if ok:
+                    future.set_result(value)
                 else:
-                    for index, value in zip(batch.indices, values):
-                        results[index] = value
-                        resolved[index] = True
-            elif len(batch.indices) > 1:  # "fail"
-                # Isolate the culprit: re-run the batch singly
-                # (deterministic functions make re-running safe).
-                for index in batch.indices:
-                    pending.append(self._new_batch((index,)))
+                    future.set_exception(value)
+
+    def _receive(self, worker: _Worker, settled: list) -> None:
+        try:
+            ok, body = pickle.loads(worker.conn.recv_bytes())
+        except (EOFError, OSError):
+            self._lost(worker, settled)          # died mid-reply
+            return
+        batch, worker.batch = worker.batch, None
+        if ok:
+            worker.units_done += batch.size
+            settled.append((batch.future, True, body))
+        else:
+            settled.append((batch.future, False, PoolTaskError(body)))
+
+    def _lost(self, worker: _Worker, settled: list) -> None:
+        """Requeue a dead worker's batch and start its replacement."""
+        self._workers.remove(worker)
+        worker.process.join()
+        worker.process.close()
+        worker.conn.close()
+        batch = worker.batch
+        if batch is not None:
+            batch.crashes += 1
+            if batch.crashes > MAX_CRASH_RETRIES:
+                settled.append((batch.future, False, PoolTaskError(
+                    f"task crashed its worker {batch.crashes} times")))
             else:
-                errors.append(body)
-                resolved[batch.indices[0]] = True
-            in_flight += dispatch_all()
-
-        if errors:
-            raise PoolTaskError(errors[0])
-        assert all(resolved), "pool lost track of a task"
-        return results
-
-    # -- internals -----------------------------------------------------
-    def _new_batch(self, indices: tuple[int, ...]) -> _Batch:
-        self._batch_seq += 1
-        return _Batch(batch_id=self._batch_seq, indices=indices)
-
-    def _worker_by_seq(self, seq: int) -> _Worker | None:
-        for worker in self._workers:
-            if worker.seq == seq:
-                return worker
-        return None
-
-    def _dispatch(self, worker: _Worker, batch: _Batch,
-                  target: str, items: list) -> None:
-        payload = pickle.dumps([items[index] for index in batch.indices],
-                               protocol=pickle.HIGHEST_PROTOCOL)
-        worker.batch = batch
-        self.stats.batches += 1
-        self.stats.tasks += len(batch.indices)
-        worker.inbox.put(("run", batch.batch_id, target, payload))
-
-    def _reap(self, requeue: "deque[_Batch] | None") -> int:
-        """Respawn dead workers; requeue their in-flight batches.
-
-        Returns how many in-flight batches were pulled back (the
-        caller's ``in_flight`` bookkeeping subtracts them before the
-        requeued batches re-dispatch).
-        """
-        pulled = 0
-        for worker in list(self._workers):
-            if worker.process.is_alive():
-                continue
-            self._workers.remove(worker)
-            batch = worker.batch
-            if batch is not None and requeue is not None:
-                pulled += 1
-                batch.retries += 1
-                if batch.retries > MAX_CRASH_RETRIES:
-                    raise PoolTaskError(
-                        f"task crashed its worker "
-                        f"{batch.retries} times "
-                        f"(items {list(batch.indices)})")
-                requeue.appendleft(batch)
+                self.stats.requeues += 1
+                self._pending.appendleft(batch)
+        try:
+            self._spawn()
             self.stats.respawns += 1
-            try:
-                self._spawn()
-            except (OSError, PermissionError):
-                pass  # map() degrades when no workers remain
-        return pulled
+        except OSError:
+            if not self._workers:
+                while self._pending:
+                    batch = self._pending.popleft()
+                    if _claim(batch):
+                        settled.append((batch.future, False, PoolUnavailable(
+                            "every pool worker died")))
+
+
+def _claim(batch: _Batch) -> bool:
+    """Mark *batch*'s future running; False if its caller cancelled it."""
+    return (batch.future.running()
+            or batch.future.set_running_or_notify_cancel())
 
 
 def _shutdown_all() -> None:

@@ -1,18 +1,17 @@
-"""Simulation-as-a-service: the async experiment server and its fleet.
+"""Simulation-as-a-service: the async experiment server.
 
 The package turns the repository's experiment drivers into a
 long-running service:
 
 * :mod:`repro.service.server` — the asyncio job server behind
-  ``mirage serve`` (priority queue, worker fleet, journal, streams);
-* :mod:`repro.service.worker` — the worker process the server spawns;
+  ``mirage serve`` (priority queue, journal, streams), executing its
+  units on a private :class:`~repro.runner.pool.WarmPool`;
 * :mod:`repro.service.client` — the HTTP client behind ``mirage
   submit`` / ``jobs`` / ``tail``;
 * :mod:`repro.service.protocol` — submissions, decomposition into
-  :class:`~repro.runner.units.WorkUnit` values, digests, framing;
-* :mod:`repro.service.jobs`, :mod:`repro.service.registry`,
-  :mod:`repro.service.journal` — job/task state, the typed worker
-  registry, and the restart journal.
+  :class:`~repro.runner.units.WorkUnit` values, digests;
+* :mod:`repro.service.jobs`, :mod:`repro.service.journal` — job/task
+  state and the restart journal.
 
 See ``docs/service.md`` for the operational guide.
 """

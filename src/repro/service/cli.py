@@ -35,16 +35,10 @@ def _serve(argv: list[str]) -> int:
     parser.add_argument("--port", type=int, default=0,
                         help="bind port (default: 0 = ephemeral)")
     parser.add_argument("--workers", type=int, default=2, metavar="N",
-                        help="worker processes to spawn (default: 2)")
+                        help="worker processes in the pool (default: 2)")
     parser.add_argument("--service-dir", metavar="DIR",
                         help="journal/stream/address directory "
                              "(default: <cache dir>/service)")
-    parser.add_argument("--heartbeat-interval", type=float, default=1.0,
-                        metavar="S", help="worker heartbeat period "
-                        "(default: 1.0)")
-    parser.add_argument("--heartbeat-timeout", type=float, default=5.0,
-                        metavar="S", help="silence before a worker is "
-                        "evicted (default: 5.0)")
     parser.add_argument("--drain-timeout", type=float, default=30.0,
                         metavar="S", help="graceful-shutdown budget "
                         "(default: 30.0)")
@@ -55,14 +49,12 @@ def _serve(argv: list[str]) -> int:
                         help="disable result-cache reads/writes "
                              "(digests still key coalescing)")
     args = parser.parse_args(argv)
-    if args.workers < 0:
-        parser.error("--workers must be >= 0")
+    if args.workers < 1:
+        parser.error("--workers must be >= 1")
     cache_cfg = CacheConfig(cache_dir=args.cache_dir,
                             use_result_cache=not args.no_cache)
     serve(ServiceConfig(
         host=args.host, port=args.port, workers=args.workers,
-        heartbeat_interval=args.heartbeat_interval,
-        heartbeat_timeout=args.heartbeat_timeout,
         drain_timeout=args.drain_timeout,
         service_dir=args.service_dir, cache=cache_cfg))
     return 0

@@ -2,16 +2,17 @@
 
 A *job* is one client submission: a set of work units plus bookkeeping
 (state, priority, per-unit results).  A *unit task* is one unit of
-work the fleet actually executes; several jobs may subscribe to the
-same task when their submissions overlap — that sharing, keyed by the
-result cache's own digests, is how concurrent identical submissions
-coalesce onto a single execution.
+work the server's worker pool actually executes; several jobs may
+subscribe to the same task when their submissions overlap — that
+sharing, keyed by the result cache's own digests, is how concurrent
+identical submissions coalesce onto a single execution.
 
 :class:`JobQueue` is the priority queue between submission and the
-fleet: a heap ordered by ``(-priority, seq)``, so higher priorities
-run first and ties serve in submission order.  Requeued tasks (after
-a worker eviction) keep their original sequence number, so an evicted
-unit goes back *ahead* of everything submitted after it.
+pool: a heap ordered by ``(-priority, seq)``, so higher priorities
+run first and ties serve in submission order.  A task pushed again
+(a coalescing submission raised its priority) keeps its original
+sequence number, so it stays *ahead* of everything submitted after
+it.
 """
 
 from __future__ import annotations
@@ -44,10 +45,8 @@ class UnitTask:
         job_ids: jobs waiting on this task, in subscription order.
         priority: best priority among subscribers (heap order).
         seq: submission sequence of the first subscriber; preserved
-            across requeues so evicted work does not lose its place.
-        attempts: times the task has been handed to a worker.
-        assigned_to: worker id currently executing it, or ``""``.
-        done: set once a result (or terminal failure) was recorded.
+            across requeues so the task does not lose its place.
+        running: set once the task is handed to the worker pool.
     """
 
     digest: str
@@ -55,9 +54,7 @@ class UnitTask:
     job_ids: list[str] = field(default_factory=list)
     priority: int = 0
     seq: int = 0
-    attempts: int = 0
-    assigned_to: str = ""
-    done: bool = False
+    running: bool = False
 
 
 @dataclass
@@ -131,7 +128,7 @@ class Job:
 
 
 class JobQueue:
-    """The priority queue between submissions and the worker fleet.
+    """The priority queue between submissions and the worker pool.
 
     A binary heap of ``(-priority, seq, digest)`` triples with lazy
     invalidation: pushing the same digest again (e.g. after a
@@ -166,5 +163,5 @@ class JobQueue:
         return None
 
     def pending(self) -> set[str]:
-        """A snapshot of every digest still waiting for a worker."""
+        """A snapshot of every digest still waiting for the pool."""
         return set(self._pending)

@@ -1,19 +1,19 @@
-"""Wire protocol and job decomposition for the experiment service.
+"""Submissions and job decomposition for the experiment service.
 
-Everything that crosses a process or socket boundary is defined here:
+What a client sends, and what the server makes of it, is defined here:
 
 * :class:`SubmitRequest` — what a client asks for (named experiments,
   or an ad-hoc ``"pkg.mod:fn"`` call target), plus priority;
 * :func:`decompose` — a request broken into the picklable
-  :class:`~repro.runner.units.WorkUnit` values the worker fleet
-  executes, one per experiment — ``mirage submit all`` really does
-  fan one unit per driver across the workers;
+  :class:`~repro.runner.units.WorkUnit` values the server's worker
+  pool executes, one per experiment — ``mirage submit all`` really
+  does fan one unit per driver across the workers;
 * :func:`unit_digest` — the unit's content identity under the *shared*
   :class:`~repro.runner.cache.ResultCache` keying, which is what makes
   concurrent identical submissions coalesce onto one execution and
   lets a job reuse what a CLI sweep already computed;
-* JSONL message framing (:func:`dump_message` / :func:`load_message`)
-  used on both the worker TCP protocol and the job stream files.
+* :func:`unit_to_dict` / :func:`unit_from_dict` — the JSON form of a
+  unit the journal records.
 
 The module also hosts the call-unit targets the service dispatches
 (:func:`run_experiment_unit`) and a few tiny deterministic targets the
@@ -29,7 +29,8 @@ import time
 from dataclasses import dataclass
 from typing import Any
 
-from repro.runner.units import WorkUnit, call_unit
+from repro.runner.cache import encode_payload
+from repro.runner.units import WorkUnit, call_unit, execute_unit
 
 
 @dataclass(frozen=True)
@@ -91,7 +92,7 @@ def request_to_dict(request: SubmitRequest) -> dict:
 # Decomposition into work units
 # ----------------------------------------------------------------------
 def decompose(request: SubmitRequest) -> list[WorkUnit]:
-    """Break a submission into the units the worker fleet executes.
+    """Break a submission into the units the worker pool executes.
 
     Experiment submissions become one ``"call"`` unit per named
     driver (``"all"`` expands against the registry), each invoking
@@ -129,6 +130,19 @@ def decompose(request: SubmitRequest) -> list[WorkUnit]:
     ]
 
 
+def run_unit(unit: WorkUnit) -> dict:
+    """Execute one unit in a pool worker; returns its result envelope.
+
+    The envelope is what the job stream and the result cache store, so
+    a result JSON cannot hold (a set, bytes, an arbitrary object from
+    an ad-hoc target) raises here and fails its unit, instead of
+    failing later on the server's event loop.
+    """
+    envelope = encode_payload(execute_unit(unit))
+    json.dumps(envelope)
+    return envelope
+
+
 def run_experiment_unit(name: str, *, quick: bool = False,
                         n_mixes: int | None = None,
                         seed: int | None = None) -> dict:
@@ -136,7 +150,7 @@ def run_experiment_unit(name: str, *, quick: bool = False,
 
     The service's per-unit :class:`~repro.runner.cache.ResultCache` is
     the dedup layer, so the driver itself runs uncached and serial —
-    parallelism comes from the fleet, not from nested pools.
+    parallelism comes from the server's pool, not from nested pools.
     """
     from repro.experiments import EXPERIMENTS, ExperimentParams
 
@@ -146,7 +160,7 @@ def run_experiment_unit(name: str, *, quick: bool = False,
 
 
 def unit_to_dict(unit: WorkUnit) -> dict:
-    """A work unit as plain JSON data (for the wire and the journal)."""
+    """A work unit as plain JSON data (for the journal)."""
     return dataclasses.asdict(unit)
 
 
@@ -179,22 +193,6 @@ def unit_digest(cache, unit: WorkUnit) -> str:
     wrote, and the reverse.
     """
     return cache.digest(unit)
-
-
-# ----------------------------------------------------------------------
-# Message framing (worker protocol and stream files)
-# ----------------------------------------------------------------------
-def dump_message(message: dict) -> str:
-    """One protocol message as a compact single-line JSON string."""
-    return json.dumps(message, separators=(",", ":"))
-
-
-def load_message(line: str) -> dict:
-    """Parse one protocol line; raises ``ValueError`` on junk."""
-    message = json.loads(line)
-    if not isinstance(message, dict):
-        raise ValueError(f"protocol message must be an object: {line!r}")
-    return message
 
 
 # ----------------------------------------------------------------------

@@ -4,19 +4,19 @@ One process, one event loop, three responsibilities:
 
 * **Jobs** — submissions decompose into work units
   (:func:`~repro.service.protocol.decompose`); a priority
-  :class:`~repro.service.jobs.JobQueue` feeds them to the fleet.
+  :class:`~repro.service.jobs.JobQueue` orders them for execution.
   Identical concurrent submissions coalesce: unit identity is the
   shared :class:`~repro.runner.cache.ResultCache` digest, so two
   clients asking for the same sweep share one in-flight execution —
   and a later identical submission after completion is a cache hit
   that never reaches the queue at all.
-* **Workers** — a typed registry
-  (:class:`~repro.service.registry.WorkerRegistry`) of worker
-  processes the server spawns (and respawns) plus any that attach
-  externally.  Workers speak a JSONL protocol over the same TCP port
-  the HTTP API lives on; heartbeats ride the connection, a monitor
-  loop evicts the silent, and evicted workers' in-flight units are
-  requeued ahead of later submissions.
+* **Execution** — the server owns a private
+  :class:`~repro.runner.pool.WarmPool` of ``workers`` processes and
+  keeps at most that many units in flight, so the queue, not the
+  pool, decides what runs next.  Each unit is one
+  :meth:`~repro.runner.pool.WarmPool.submit` whose future the loop
+  awaits; the pool detects a dead worker, requeues its unit and
+  respawns it, and fails a unit that keeps crashing workers.
 * **State** — every submission and job state change is appended to an
   on-disk journal (:mod:`repro.service.journal`); a restarted server
   replays it and resubmits unfinished jobs, whose finished units come
@@ -38,41 +38,30 @@ import hashlib
 import json
 import os
 import secrets
-import subprocess
 import sys
 import threading
 import time
-from pathlib import Path
 from typing import Any
 
 import repro
 from repro.config import ServiceConfig
 from repro.runner.cache import MISS, ResultCache, decode_payload, encode_payload
+from repro.runner.pool import PoolTaskError, PoolUnavailable, WarmPool
 import repro.service.jobs as jobstates
 from repro.service.journal import Journal, replay
 from repro.service.jobs import Job, JobQueue, UnitTask
 from repro.service.protocol import (
     SubmitRequest,
     decompose,
-    dump_message,
-    load_message,
     request_from_dict,
     request_to_dict,
+    run_unit,
     unit_digest,
     unit_from_dict,
     unit_to_dict,
 )
-from repro.service.registry import BUSY, IDLE, WorkerInfo, WorkerRegistry
-from repro.telemetry.events import JobRecord, WorkerRecord
+from repro.telemetry.events import JobRecord
 from repro.telemetry.sinks import JSONLSink, dump_record
-
-#: Per-line buffer limit for the shared listener.  Worker ``result``
-#: lines carry whole encoded result envelopes (detailed-tier CMP
-#: histories run to megabytes), which would blow through asyncio's
-#: default 64 KiB stream limit and kill the session mid-job — so the
-#: listener gets a far larger one, and :meth:`_worker_session` treats
-#: an overrun as a failed unit rather than a retriable disconnect.
-PROTOCOL_LINE_LIMIT = 64 * 1024 * 1024
 
 #: Bind hosts the server treats as trusted (no HTTP auth required).
 _LOOPBACK_HOSTS = ("localhost", "::1")
@@ -102,14 +91,15 @@ class ExperimentServer:
         self.cache = ResultCache(cache_cfg.cache_dir)
         self.use_result_cache = cache_cfg.use_result_cache
         self.journal = Journal(self.dir / "journal.jsonl")
-        self.registry = WorkerRegistry()
+        #: The worker processes; started by :meth:`start`.
+        self.pool: WarmPool | None = None
         self.queue = JobQueue()
         self.jobs: dict[str, Job] = {}
         self.tasks: dict[str, UnitTask] = {}
         self.token = secrets.token_hex(8)
-        #: Operational counters exposed under ``GET /health``.
+        #: Operational counters exposed under ``GET /health`` (the pool
+        #: adds its ``requeues`` and ``respawns``).
         self.stats = {"executions": 0, "cache_hits": 0, "coalesced": 0,
-                      "evictions": 0, "requeues": 0, "respawns": 0,
                       "submissions": 0}
         self.address: tuple[str, int] | None = None
         self._active_keys: dict[str, str] = {}    # job key -> job id
@@ -117,31 +107,27 @@ class ExperimentServer:
         self._streams: dict[str, list[str]] = {}
         self._stream_sinks: dict[str, JSONLSink] = {}
         self._stream_events: dict[str, asyncio.Event] = {}
-        self._evict_reason: dict[str, str] = {}
-        self._procs: dict[str, subprocess.Popen] = {}
+        self._running: set[asyncio.Task] = set()  # units on the pool
         self._seq = 0
         self._job_counter = 0
-        self._worker_counter = 0
-        self._respawn_budget = 5 * max(1, self.config.workers)
         self._draining = False
         self._stopping = False
         self._server: asyncio.base_events.Server | None = None
-        self._monitor: asyncio.Task | None = None
         self._stopped = asyncio.Event()
-        self._trace: JSONLSink | None = None
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> tuple[str, int]:
-        """Bind, recover the journal, spawn the fleet; returns the
-        bound ``(host, port)``."""
+        """Start the pool, bind, recover the journal; returns the bound
+        ``(host, port)``."""
         self.dir.mkdir(parents=True, exist_ok=True)
         (self.dir / "streams").mkdir(exist_ok=True)
-        self._trace = JSONLSink(self.dir / "server-trace.jsonl", mode="a")
+        # Workers fork before the listener exists, so they hold no
+        # copy of it.
+        self.pool = WarmPool(self.config.workers)
         self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port,
-            limit=PROTOCOL_LINE_LIMIT)
+            self._handle_connection, self.config.host, self.config.port)
         sock = self._server.sockets[0].getsockname()
         self.address = (sock[0], sock[1])
         if not _is_loopback(self.config.host):
@@ -152,9 +138,7 @@ class ExperimentServer:
                   file=sys.stderr, flush=True)
         self._write_address_file()
         await self._recover()
-        for _ in range(self.config.workers):
-            self._spawn_worker()
-        self._monitor = asyncio.ensure_future(self._monitor_loop())
+        self._dispatch()
         return self.address
 
     async def run_until_stopped(self) -> None:
@@ -168,7 +152,7 @@ class ExperimentServer:
 
         Draining rejects new submissions (503) immediately, then waits
         up to ``drain_timeout`` for the queue and every in-flight unit
-        to finish before stopping the fleet.  Without drain (or past
+        to finish before stopping the pool.  Without drain (or past
         the timeout) unfinished jobs simply stay non-terminal in the
         journal, and the next server start requeues them.
         """
@@ -179,32 +163,15 @@ class ExperimentServer:
                    and time.monotonic() < deadline):
                 await asyncio.sleep(0.05)
         self._stopping = True
-        for info in self.registry.all():
-            writer = info.handle
-            if writer is not None:
-                try:
-                    writer.write((dump_message({"type": "stop"})
-                                  + "\n").encode())
-                    await writer.drain()
-                except (ConnectionError, OSError):
-                    pass
-        if self._monitor is not None:
-            self._monitor.cancel()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        for popen in self._procs.values():
-            popen.terminate()
-        for popen in self._procs.values():
-            try:
-                popen.wait(timeout=2.0)
-            except subprocess.TimeoutExpired:
-                popen.kill()
-        self._procs.clear()
+        if self.pool is not None:
+            self.pool.shutdown()
+        # Shutting the pool down failed every unit still on it.
+        await asyncio.gather(*self._running, return_exceptions=True)
         for sink in self._stream_sinks.values():
             sink.close()
-        if self._trace is not None:
-            self._trace.close()
         self.journal.close()
         try:
             (self.dir / "server.json").unlink()
@@ -278,14 +245,14 @@ class ExperimentServer:
                 job.priority = request.priority
                 for digest in job.digests:
                     task = self.tasks.get(digest)
-                    if task is not None and not task.done:
+                    if task is not None:
                         task.priority = max(task.priority,
                                             request.priority)
-                        if not task.assigned_to:
+                        if not task.running:
                             self.queue.push(task)
             self._emit_job(job, "coalesced",
                            detail=f"submission #{job.submissions}")
-            await self._dispatch()
+            self._dispatch()
             return job, True
         self._job_counter += 1
         self._seq += 1
@@ -307,7 +274,7 @@ class ExperimentServer:
         self._emit_job(job, "queued")
         self._enqueue_units(job)
         self._maybe_finalize(job)
-        await self._dispatch()
+        self._dispatch()
         return job, False
 
     def _enqueue_units(self, job: Job) -> None:
@@ -317,7 +284,7 @@ class ExperimentServer:
             if digest in job.results:
                 continue                       # duplicate within job
             task = self.tasks.get(digest)
-            if task is not None and not task.done:
+            if task is not None:
                 if job.job_id not in task.job_ids:
                     task.job_ids.append(job.job_id)
                 task.priority = max(task.priority, job.priority)
@@ -339,83 +306,58 @@ class ExperimentServer:
     # ------------------------------------------------------------------
     # Dispatch and completion
     # ------------------------------------------------------------------
-    async def _dispatch(self) -> None:
-        """Hand queued units to idle workers until one side runs dry."""
-        while True:
-            idle = self.registry.idle()
-            if not idle:
-                return
+    def _dispatch(self) -> None:
+        """Hand queued units to the pool, at most ``workers`` at once."""
+        while (len(self._running) < self.config.workers
+               and not self._stopping):
             digest = self.queue.pop()
             if digest is None:
                 return
             task = self.tasks.get(digest)
-            if task is None or task.done or task.assigned_to:
+            if task is None or task.running:
                 continue
-            worker = idle[0]
-            task.assigned_to = worker.worker_id
-            task.attempts += 1
-            worker.state = BUSY
-            worker.unit_digest = digest
-            self._emit_worker(worker, "busy", unit_digest=digest)
+            task.running = True
             for job_id in task.job_ids:
                 job = self.jobs.get(job_id)
                 if job is not None and job.state == jobstates.QUEUED:
                     job.state = jobstates.RUNNING
-                    self._emit_job(job, "started",
-                                   worker_id=worker.worker_id)
-            message = dump_message({"type": "run", "digest": digest,
-                                    "unit": unit_to_dict(task.unit)})
-            try:
-                worker.handle.write((message + "\n").encode())
-                await worker.handle.drain()
-            except (ConnectionError, OSError):
-                # The session handler will notice the dead connection
-                # and requeue; just stop assigning to this worker.
-                worker.state = IDLE
-                worker.unit_digest = ""
-                task.assigned_to = ""
-                self.queue.push(task)
-                return
+                    self._emit_job(job, "started")
+            run = asyncio.ensure_future(self._run_unit(task))
+            self._running.add(run)
+            run.add_done_callback(self._unit_settled)
 
-    def _unit_result(self, info: WorkerInfo, digest: str,
-                     envelope: dict) -> None:
-        info.state = IDLE
-        info.unit_digest = ""
-        info.units_done += 1
-        self._emit_worker(info, "idle", unit_digest=digest)
-        task = self.tasks.get(digest)
-        if task is None or task.done:
-            return                              # late duplicate: drop
-        task.done = True
-        task.assigned_to = ""
+    def _unit_settled(self, run: asyncio.Task) -> None:
+        self._running.discard(run)
+        self._dispatch()
+
+    async def _run_unit(self, task: UnitTask) -> None:
+        """Execute one unit on the pool and record its outcome."""
+        try:
+            future = self.pool.submit(run_unit, [task.unit])
+            [envelope] = await asyncio.wrap_future(future)
+        except (PoolTaskError, PoolUnavailable) as exc:
+            if not self._stopping:
+                self._unit_error(task, str(exc))
+            return
+        if self._stopping:
+            return          # the journal may be closed: replay reruns it
         self.stats["executions"] += 1
         if self.use_result_cache:
             try:
                 self.cache.put(task.unit, decode_payload(envelope))
-            except (OSError, TypeError, KeyError):
+            except OSError:
                 pass                            # caching is best-effort
-        self._complete_unit(task, envelope, worker_id=info.worker_id)
+        self._complete_unit(task, envelope)
 
-    def _unit_error(self, info: WorkerInfo, digest: str,
-                    message: str) -> None:
-        info.state = IDLE
-        info.unit_digest = ""
-        self._emit_worker(info, "idle", unit_digest=digest,
-                          detail=message)
-        task = self.tasks.get(digest)
-        if task is None or task.done:
-            return
-        task.done = True
-        task.assigned_to = ""
-        self.queue.discard(digest)
-        self.tasks.pop(digest, None)
+    def _unit_error(self, task: UnitTask, message: str) -> None:
+        self.queue.discard(task.digest)
+        self.tasks.pop(task.digest, None)
         for job_id in task.job_ids:
             job = self.jobs.get(job_id)
             if job is not None and not job.finished:
                 self._finalize(job, jobstates.FAILED, error=message)
 
-    def _complete_unit(self, task: UnitTask, envelope: dict,
-                       worker_id: str) -> None:
+    def _complete_unit(self, task: UnitTask, envelope: dict) -> None:
         self.queue.discard(task.digest)
         self.tasks.pop(task.digest, None)
         for job_id in task.job_ids:
@@ -423,7 +365,7 @@ class ExperimentServer:
             if job is None or job.finished:
                 continue
             job.results[task.digest] = envelope
-            self._emit_job(job, "unit", worker_id=worker_id,
+            self._emit_job(job, "unit", worker_id="pool",
                            payload={"digest": task.digest,
                                     "result": envelope})
             self._maybe_finalize(job)
@@ -450,136 +392,6 @@ class ExperimentServer:
             sink.close()
 
     # ------------------------------------------------------------------
-    # Worker fleet
-    # ------------------------------------------------------------------
-    def _spawn_worker(self) -> None:
-        if self._respawn_budget <= 0 or self.address is None:
-            return
-        self._respawn_budget -= 1
-        self._worker_counter += 1
-        worker_id = f"w{self._worker_counter}"
-        host, port = self.address
-        env = dict(os.environ)
-        src_root = str(Path(repro.__file__).resolve().parent.parent)
-        existing = env.get("PYTHONPATH", "")
-        env["PYTHONPATH"] = (src_root + (os.pathsep + existing
-                                         if existing else ""))
-        popen = subprocess.Popen(
-            [sys.executable, "-m", "repro.service.worker",
-             "--connect", f"{host}:{port}", "--id", worker_id,
-             "--token", self.token,
-             "--heartbeat", str(self.config.heartbeat_interval)],
-            env=env, stdout=subprocess.DEVNULL)
-        self._procs[worker_id] = popen
-        self._emit_worker_raw(worker_id, "spawned", pid=popen.pid)
-
-    async def _monitor_loop(self) -> None:
-        """Evict workers whose heartbeats went silent."""
-        interval = max(0.05, self.config.heartbeat_interval / 2)
-        while not self._stopping:
-            await asyncio.sleep(interval)
-            for info in self.registry.stale(
-                    self.config.heartbeat_timeout):
-                self.stats["evictions"] += 1
-                self._evict_reason[info.worker_id] = "heartbeat-timeout"
-                writer = info.handle
-                if writer is not None:
-                    writer.close()  # session handler does the requeue
-
-    async def _worker_session(self, hello_line: str, reader, writer
-                              ) -> None:
-        try:
-            hello = load_message(hello_line)
-        except ValueError:
-            writer.close()
-            return
-        if (hello.get("type") != "hello"
-                or hello.get("token") != self.token):
-            writer.close()
-            return
-        worker_id = str(hello.get("worker_id") or
-                        f"x{secrets.token_hex(3)}")
-        info = WorkerInfo(worker_id=worker_id,
-                          pid=int(hello.get("pid", 0)),
-                          spawned=worker_id in self._procs,
-                          handle=writer)
-        try:
-            self.registry.add(info)
-        except ValueError:
-            writer.close()
-            return
-        self._emit_worker(info, "registered")
-        await self._dispatch()
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except ValueError:
-                    # The line overran PROTOCOL_LINE_LIMIT: a result
-                    # this server can never read.  Requeueing would
-                    # loop forever (a respawned worker reproduces the
-                    # same oversized line), so fail the unit instead.
-                    if info.unit_digest:
-                        self._unit_error(
-                            info, info.unit_digest,
-                            "result line exceeded the protocol limit "
-                            f"of {PROTOCOL_LINE_LIMIT} bytes")
-                        await self._dispatch()
-                    break
-                if not line:
-                    break
-                try:
-                    message = load_message(line.decode())
-                except ValueError:
-                    continue
-                info.beat()
-                mtype = message.get("type")
-                if mtype == "result":
-                    self._unit_result(info, message.get("digest", ""),
-                                      message.get("payload", {}))
-                    await self._dispatch()
-                elif mtype == "error":
-                    self._unit_error(info, message.get("digest", ""),
-                                     str(message.get("message", "")))
-                    await self._dispatch()
-                # heartbeats only needed info.beat() above
-        except (ConnectionError, OSError, asyncio.CancelledError):
-            pass
-        finally:
-            await self._worker_gone(worker_id)
-
-    async def _worker_gone(self, worker_id: str) -> None:
-        info = self.registry.remove(worker_id)
-        if info is None:
-            return
-        reason = self._evict_reason.pop(worker_id, "disconnect")
-        popen = self._procs.pop(worker_id, None)
-        if popen is not None:
-            popen.kill()
-        if info.unit_digest:
-            task = self.tasks.get(info.unit_digest)
-            if (task is not None and not task.done
-                    and task.assigned_to == worker_id):
-                task.assigned_to = ""
-                self.queue.push(task)
-                self.stats["requeues"] += 1
-                for job_id in task.job_ids:
-                    job = self.jobs.get(job_id)
-                    if job is not None and not job.finished:
-                        self._emit_job(
-                            job, "requeued", worker_id=worker_id,
-                            detail=f"worker lost ({reason})")
-        self._emit_worker(info, "evicted", detail=reason)
-        # Respawn during a drain too: a drain that loses its last
-        # worker would otherwise spin out the whole drain_timeout with
-        # accepted work it can never finish.
-        if info.spawned and not self._stopping:
-            self.stats["respawns"] += 1
-            self._spawn_worker()
-        if not self._stopping:
-            await self._dispatch()
-
-    # ------------------------------------------------------------------
     # Streaming + telemetry emission
     # ------------------------------------------------------------------
     def _emit_job(self, job: Job, event: str, *, worker_id: str = "",
@@ -601,23 +413,6 @@ class ExperimentServer:
         sink.close()          # flush every record: tails may be live
         self._notify_stream(job.job_id)
 
-    def _emit_worker(self, info: WorkerInfo, event: str, *,
-                     unit_digest: str = "", detail: str = "") -> None:
-        self._emit_worker_raw(info.worker_id, event, pid=info.pid,
-                              unit_digest=unit_digest,
-                              units_done=info.units_done, detail=detail)
-
-    def _emit_worker_raw(self, worker_id: str, event: str, *,
-                         pid: int = 0, unit_digest: str = "",
-                         units_done: int = 0, detail: str = "") -> None:
-        if self._trace is None:
-            return
-        self._trace.emit(WorkerRecord(
-            worker_id=worker_id, event=event, pid=pid,
-            unit_digest=unit_digest, units_done=units_done,
-            detail=detail))
-        self._trace.close()
-
     def _notify_stream(self, job_id: str) -> None:
         event = self._stream_events.pop(job_id, None)
         if event is not None:
@@ -631,27 +426,27 @@ class ExperimentServer:
     # ------------------------------------------------------------------
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
-        """Sort one fresh connection into worker vs HTTP handling."""
+        """Serve one HTTP request; the response ends at connection
+        close."""
         try:
             first = await reader.readline()
         except (ConnectionError, OSError, ValueError):
-            writer.close()
-            return
-        if not first:
-            writer.close()
-            return
-        text = first.decode("utf-8", errors="replace").strip()
+            first = b""
         try:
-            if text.startswith("{"):
-                await self._worker_session(text, reader, writer)
-            else:
-                await self._http_session(text, reader, writer)
+            if first:
+                await self._http_session(
+                    first.decode("utf-8", errors="replace").strip(),
+                    reader, writer)
         except (ConnectionError, OSError, EOFError):
             # EOFError covers asyncio.IncompleteReadError: a client
             # that sent Content-Length but hung up early.
             pass
         finally:
             try:
+                # Half-close first: a worker forked while this
+                # connection was open holds a copy of the socket, so
+                # close() alone would never send the client its EOF.
+                writer.write_eof()
                 writer.close()
             except (ConnectionError, OSError):
                 pass
@@ -782,7 +577,7 @@ class ExperimentServer:
 
     # ------------------------------------------------------------------
     def health(self) -> dict:
-        """The ``GET /health`` snapshot: fleet, queue, and counters."""
+        """The ``GET /health`` snapshot: workers, queue, and counters."""
         states: dict[str, int] = {}
         for job in self.jobs.values():
             states[job.state] = states.get(job.state, 0) + 1
@@ -791,11 +586,11 @@ class ExperimentServer:
             "version": repro.__version__,
             "draining": self._draining,
             "queue_depth": len(self.queue),
-            "inflight": len([t for t in self.tasks.values()
-                             if t.assigned_to]),
-            "workers": [w.status() for w in self.registry.all()],
+            "inflight": len(self._running),
+            "workers": self.pool.status(),
             "jobs": states,
-            "stats": dict(self.stats),
+            "stats": {**self.stats, "requeues": self.pool.stats.requeues,
+                      "respawns": self.pool.stats.respawns},
         }
 
 
@@ -879,20 +674,11 @@ class ServerHandle:
         self._teardown()
 
     def abort(self) -> None:
-        """Simulate a crash: kill workers and the loop with no
+        """Simulate a crash: stop the loop, then the pool, with no
         journal finalization (the journal-replay tests use this)."""
-        for popen in list(self.server._procs.values()):
-            popen.kill()
-        self.server._procs.clear()
-
-        def _close() -> None:
-            if self.server._server is not None:
-                self.server._server.close()
-            if self.server._monitor is not None:
-                self.server._monitor.cancel()
-
-        self.loop.call_soon_threadsafe(_close)
+        self.loop.call_soon_threadsafe(self.server._server.close)
         self._teardown()
+        self.server.pool.shutdown()
 
     def _teardown(self) -> None:
         self.loop.call_soon_threadsafe(self.loop.stop)

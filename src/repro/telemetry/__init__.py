@@ -24,7 +24,6 @@ from repro.telemetry.events import (
     MigrationRecord,
     RunRecord,
     TelemetryEvent,
-    WorkerRecord,
     from_record,
     to_record,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "Telemetry",
     "TelemetryEvent",
     "TelemetrySink",
-    "WorkerRecord",
     "dump_record",
     "from_record",
     "read_trace",

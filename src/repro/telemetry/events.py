@@ -25,8 +25,6 @@ Record kinds:
 * ``"job"`` — one state change of a job inside the experiment service
   (:mod:`repro.service`); the per-job JSONL stream that ``mirage
   tail`` follows is a sequence of these.
-* ``"worker"`` — one lifecycle event of a service worker process:
-  spawn, heartbeat, eviction, drain.
 
 Records round-trip losslessly through JSON (:func:`to_record` /
 :func:`from_record`): floats survive via shortest-repr, and no field
@@ -135,25 +133,11 @@ class JobRecord:
     units_total: int = 0
     units_done: int = 0
     priority: int = 0
-    worker_id: str = ""         #: who produced this event, if a worker
+    worker_id: str = ""         #: "pool" or "cache" for unit events
     detail: str = ""            #: error text / coalescing notes
     payload: dict = field(default_factory=dict)  #: result envelopes
 
     kind: ClassVar[str] = "job"
-
-
-@dataclass(slots=True)
-class WorkerRecord:
-    """One lifecycle event of a service worker process."""
-
-    worker_id: str
-    event: str                  #: spawned|registered|busy|idle|evicted|drained|exited
-    pid: int = 0
-    unit_digest: str = ""       #: the unit involved, for busy/evicted
-    units_done: int = 0         #: completed by this worker so far
-    detail: str = ""            #: eviction reason, exit status
-
-    kind: ClassVar[str] = "worker"
 
 
 @dataclass(slots=True)
@@ -171,15 +155,14 @@ class RunRecord:
 
 TelemetryEvent = Union[
     IntervalRecord, ArbitrationRecord, MigrationRecord,
-    EnergyRecord, LifecycleRecord, JobRecord, WorkerRecord, RunRecord,
+    EnergyRecord, LifecycleRecord, JobRecord, RunRecord,
 ]
 
 #: Registry used by :func:`from_record` and the ``mirage trace`` command.
 EVENT_TYPES: dict[str, type] = {
     cls.kind: cls
     for cls in (IntervalRecord, ArbitrationRecord, MigrationRecord,
-                EnergyRecord, LifecycleRecord, JobRecord, WorkerRecord,
-                RunRecord)
+                EnergyRecord, LifecycleRecord, JobRecord, RunRecord)
 }
 
 

@@ -44,10 +44,8 @@ DOCUMENTED_SURFACES = [
     "repro.service",
     "repro.service.protocol",
     "repro.service.jobs",
-    "repro.service.registry",
     "repro.service.journal",
     "repro.service.server",
-    "repro.service.worker",
     "repro.service.client",
     "repro.service.cli",
 ]

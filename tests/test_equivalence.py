@@ -11,8 +11,11 @@ slice memo (:mod:`repro.simcache`) must be invisible: a cold run and
 an all-hit replay match the run without a memo.  The detailed-core
 measurements (``table1``, ``fig1``, ``fig2``) generate one instruction
 window and hand it to every core; they must match giving each core its
-own freshly generated stream.  These tests run whole simulations both
-ways and compare every field of the results exactly — no tolerances.
+own freshly generated stream.  The warm worker pool must be a pure
+transport: random work-unit batches and random scenario fan-outs give
+the same results pooled as serially.  These tests run whole
+simulations both ways and compare every field of the results exactly
+— no tolerances.
 """
 
 import dataclasses
@@ -24,6 +27,8 @@ from hypothesis import given, settings, strategies as st
 from repro.arbiter import Arbitrator, SCMPKIArbitrator
 from repro.arbiter.software import SoftwareArbitrator
 from repro.characterize import analytic_model
+from repro.cluster.dynamic import run_scenario
+from repro.cluster.scheduler import POLICIES as PLACEMENTS
 from repro.cmp import ClusterConfig
 from repro.cmp.detailed import CYCLE_BACKENDS, DetailedMirageCluster
 from repro.cmp.system import CMPSystem
@@ -34,10 +39,12 @@ from repro.experiments import fig1_core_characteristics as fig1
 from repro.experiments import fig2_memoization as fig2
 from repro.experiments import table1
 from repro.memory import MemoryHierarchy
-from repro.runner.units import ARBITRATORS
+from repro.runner import WarmPool
+from repro.runner.units import ARBITRATORS, call_unit, cmp_unit, execute_unit
 from repro.schedule import ScheduleCache, ScheduleRecorder
 from repro.simcache import SliceMemo
 from repro.workloads import ALL_BENCHMARKS, get_profile, make_benchmark
+from repro.workloads.scenario import SHAPES, make_scenario
 from tests.test_simcache import run_fingerprint
 
 
@@ -235,3 +242,64 @@ def test_shared_window_matches_fresh_streams(name, seed, instructions):
             == reference_ratio(name, **kwargs))
     assert fig1.measure(name, **kwargs) == reference_fig1(name, **kwargs)
     assert fig2.measure(name, **kwargs) == reference_fig2(name, **kwargs)
+
+
+# -- the warm pool: pooled maps and fan-outs match serial execution ------
+@pytest.fixture(scope="module")
+def pool():
+    warm = WarmPool(2)
+    yield warm
+    warm.shutdown()
+
+
+#: Short arbitrated cluster runs and JSON-pure call units.
+UNITS = st.one_of(
+    st.builds(
+        lambda names, policy, intervals, history: cmp_unit(
+            names, policy, max_intervals=intervals,
+            record_history=history),
+        st.lists(st.sampled_from(ALL_BENCHMARKS), min_size=1, max_size=6),
+        st.sampled_from(sorted(ARBITRATORS)),
+        st.integers(5, 40),
+        st.booleans()),
+    st.builds(
+        lambda value, tag: call_unit("repro.service.protocol:echo_unit",
+                                     value=value, tag=tag),
+        st.integers() | st.lists(st.integers(), max_size=4),
+        st.text(max_size=6)),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_pooled_map_matches_serial(pool, data):
+    # Up to 40 units over 2 workers: wide draws chunk, and drawn costs
+    # (None = unknown) reorder dispatch longest-first.
+    units = data.draw(st.lists(UNITS, max_size=40), label="units")
+    costs = data.draw(st.none() | st.lists(
+        st.none() | st.floats(0.0, 10.0), min_size=len(units),
+        max_size=len(units)), label="costs")
+    assert (pool.map(execute_unit, units, costs=costs)
+            == [execute_unit(unit) for unit in units])
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    shape=st.sampled_from(SHAPES),
+    n_apps=st.integers(2, 16),
+    duration=st.integers(4, 60),
+    seed=st.integers(0, 2**16),
+    n_clusters=st.integers(2, 4),
+    capacity=st.integers(1, 6),
+    placement=st.sampled_from(sorted(PLACEMENTS)),
+    arbitrator=st.sampled_from(sorted(ARBITRATORS)),
+)
+def test_pooled_scenario_matches_serial(shape, n_apps, duration, seed,
+                                        n_clusters, capacity, placement,
+                                        arbitrator):
+    scenario = make_scenario(shape, n_apps=n_apps, duration=duration,
+                             seed=seed)
+    kwargs = dict(n_clusters=n_clusters, capacity=capacity,
+                  policy=placement, arbitrator=arbitrator)
+    assert (run_scenario(scenario, jobs=2, **kwargs)
+            == run_scenario(scenario, jobs=None, **kwargs))

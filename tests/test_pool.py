@@ -1,17 +1,25 @@
 """Tests for the warm worker pool: identity, crashes, transport, LPT.
 
-The contract under test is the one the CI ``--pool-gate`` enforces
-end to end: the pool is a pure transport/scheduling layer.  Results
-are bit-identical to serial execution for small and large pickled
-batches, whether dispatch is FIFO or longest-processing-time-first,
-and across worker crashes.
+The contract under test: the pool is a pure transport/scheduling
+layer.  Results are bit-identical to serial execution for small and
+large pickled batches, whether dispatch is FIFO or
+longest-processing-time-first, and across worker crashes; a call
+that raises leaves nothing behind for the next one, and workers do
+not outlive their parent.  ``tests/test_equivalence.py`` draws
+randomized batches against serial execution.
 
 All task helpers are module-level: pool workers resolve targets by
 ``module:qualname``, so they must be importable (functions defined
 inside a test body would only exist in the parent's ``__main__``).
 """
 
+import json
 import os
+import pickle
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -58,6 +66,11 @@ def _crash_once(arg):
 
 def _boom(x):
     raise ValueError(f"boom {x}")
+
+
+def _sleep(seconds):
+    time.sleep(seconds)
+    return {"slept": seconds}
 
 
 def _unpicklable(x):
@@ -112,6 +125,19 @@ class TestMapIdentity:
         # The pool survives a task failure and keeps serving.
         assert pool.map(_double, [5]) == [10]
 
+    def test_raising_map_leaks_nothing_into_the_next_call(self, pool):
+        # The second item cannot be pickled, so map raises while the
+        # first batch is still running on a worker.
+        with pytest.raises((pickle.PicklingError, AttributeError)):
+            pool.map(_sleep, [0.5, lambda: None])
+        time.sleep(0.8)         # the orphaned batch has replied by now
+        assert pool.map(_sleep, [0.0]) == [{"slept": 0.0}]
+        assert pool.map(_sleep, [0.0]) == [{"slept": 0.0}]
+
+    def test_submit_resolves_one_batch(self, pool):
+        future = pool.submit(_double, [1, 2, 3])
+        assert future.result(timeout=30) == [2, 4, 6]
+
 
 class TestLptOrder:
     def test_descending_and_stable(self):
@@ -139,6 +165,42 @@ class TestCrashRecovery:
             assert pool.map(_double, [7]) == [14]
         finally:
             pool.shutdown()
+
+
+def _running(pid):
+    """True while *pid* is a live (non-zombie) process."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rpartition(")")[2].split()[0] != "Z"
+    except OSError:                 # gone (or going) from /proc
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+def test_workers_exit_when_their_parent_is_killed():
+    script = ("import json, multiprocessing, time\n"
+              "from repro.runner import WarmPool\n"
+              "pool = WarmPool(2)\n"
+              "print(json.dumps([p.pid for p in "
+              "multiprocessing.active_children()]), flush=True)\n"
+              "time.sleep(60)\n")
+    parent = subprocess.Popen([sys.executable, "-c", script],
+                              stdout=subprocess.PIPE, text=True)
+    pids = []
+    try:
+        pids = json.loads(parent.stdout.readline())
+        assert len(pids) == 2
+        parent.kill()
+        parent.wait(timeout=10)
+        deadline = time.monotonic() + 5.0
+        while any(map(_running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_running, pids)), "workers outlived the parent"
+    finally:
+        parent.kill()
+        parent.stdout.close()
+        for pid in filter(_running, pids):
+            os.kill(pid, signal.SIGKILL)
 
 
 class TestTransport:

@@ -1,10 +1,11 @@
 """Tests for the experiment service (repro.service).
 
-Covers the queue, coalescing-through-the-cache, heartbeat eviction
-and requeue, worker SIGKILL recovery, graceful drain, journal replay
-after a simulated crash, the HTTP client round-trip, and the
-end-to-end byte-identity of streamed results against a direct
-SweepRunner execution.
+Covers the queue, coalescing-through-the-cache, worker SIGKILL
+recovery on the server's pool, crash-looping units, graceful drain,
+journal replay after a simulated crash, the HTTP client round-trip,
+stream EOF with a respawned worker alive, and the end-to-end
+byte-identity of streamed results against a direct SweepRunner
+execution.
 """
 
 from __future__ import annotations
@@ -32,12 +33,10 @@ from repro.service.jobs import Job, JobQueue, UnitTask
 from repro.service.journal import Journal, replay
 from repro.service.protocol import (
     decompose,
-    dump_message,
-    load_message,
     unit_from_dict,
     unit_to_dict,
 )
-from repro.service.worker import run_worker
+from repro.runner.pool import MAX_CRASH_RETRIES
 from repro.runner.units import call_unit
 
 @pytest.fixture(autouse=True)
@@ -186,7 +185,7 @@ def test_journal_replay_tolerates_truncation(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Server integration (in-process, real worker subprocesses)
+# Server integration (in-process, real pool worker processes)
 # ----------------------------------------------------------------------
 def test_client_round_trip_and_errors(tmp_path):
     handle = ServerHandle.start(_config(tmp_path))
@@ -263,51 +262,9 @@ def test_service_and_sweep_runner_share_one_entry(tmp_path):
         [cache.path_for(swept), cache.path_for(served)])
 
 
-def test_heartbeat_timeout_evicts_and_requeues(tmp_path):
-    config = _config(tmp_path, workers=0, heartbeat_interval=0.1,
-                     heartbeat_timeout=0.6)
-    handle = ServerHandle.start(config)
-    try:
-        host, port = handle.address
-        token = json.loads(
-            (tmp_path / "svc" / "server.json").read_text())["token"]
-        client = ServiceClient(service_dir=tmp_path / "svc")
-        job_id = client.submit(_echo_request("evict-me"))["job"]["id"]
-
-        # A scripted worker: registers, takes the unit, then goes
-        # silent (no heartbeats) while "executing" forever.
-        sock = socket.create_connection((host, port))
-        sock.sendall((dump_message(
-            {"type": "hello", "worker_id": "fake", "token": token,
-             "pid": 0}) + "\n").encode())
-        reader = sock.makefile("r")
-        run_message = load_message(reader.readline())
-        assert run_message["type"] == "run"
-
-        _wait_for(lambda: client.health()["stats"]["evictions"] >= 1,
-                  message="eviction")
-        stats = client.health()["stats"]
-        assert stats["requeues"] >= 1
-        sock.close()
-
-        # A healthy worker picks the requeued unit up and finishes it.
-        thread = threading.Thread(
-            target=run_worker, args=(host, port, "healthy", token),
-            kwargs={"heartbeat_interval": 0.1}, daemon=True)
-        thread.start()
-        record = client.wait(job_id, timeout=30)
-        assert record["event"] == "done"
-        events = [r["event"] for r in client.tail(job_id, timeout=10)]
-        assert "requeued" in events
-    finally:
-        handle.stop(drain=False)
-
-
 def test_sigkilled_worker_job_requeues_and_completes(tmp_path):
     flag = tmp_path / "flaky.flag"
-    config = _config(tmp_path, workers=2, heartbeat_interval=0.1,
-                     heartbeat_timeout=0.8)
-    handle = ServerHandle.start(config)
+    handle = ServerHandle.start(_config(tmp_path, workers=2))
     try:
         client = ServiceClient(service_dir=tmp_path / "svc")
         request = SubmitRequest(
@@ -331,9 +288,8 @@ def test_sigkilled_worker_job_requeues_and_completes(tmp_path):
 
 
 def test_large_result_payload_round_trips(tmp_path):
-    """Worker result lines bigger than asyncio's default 64 KiB
-    stream limit survive the JSONL protocol (the listener runs with
-    PROTOCOL_LINE_LIMIT)."""
+    """Results far bigger than a pipe buffer (and than asyncio's
+    default 64 KiB stream limit) come back whole from the pool."""
     handle = ServerHandle.start(_config(tmp_path))
     try:
         client = ServiceClient(service_dir=tmp_path / "svc")
@@ -347,25 +303,69 @@ def test_large_result_payload_round_trips(tmp_path):
         handle.stop(drain=False)
 
 
-def test_oversized_result_line_fails_unit_not_loop(tmp_path,
-                                                   monkeypatch):
-    """A result line beyond PROTOCOL_LINE_LIMIT fails the unit (and
-    its jobs) instead of evict/requeue-looping forever."""
-    import repro.service.server as server_mod
+@pytest.mark.parametrize("target, args, detail, crashes", [
+    ("os:_exit", (3,),
+     f"crashed its worker {MAX_CRASH_RETRIES + 1} times",
+     MAX_CRASH_RETRIES + 1),
+    ("builtins:frozenset", ([1, 2],), "not JSON serializable", 0),
+], ids=["crash-loop", "non-json-result"])
+def test_failing_unit_fails_its_job_and_server_keeps_serving(
+        tmp_path, target, args, detail, crashes):
+    """A unit that kills every worker it runs on fails its job once the
+    pool's retry limit is spent, and so does a result the stream
+    cannot carry; the server keeps serving either way."""
+    handle = ServerHandle.start(_config(tmp_path))
+    try:
+        client = ServiceClient(service_dir=tmp_path / "svc")
+        request = SubmitRequest(target=target, args=args)
+        job_id = client.submit(request)["job"]["id"]
+        record = client.wait(job_id, timeout=60)
+        assert record["event"] == "failed"
+        assert detail in record["detail"]
+        stats = client.health()["stats"]
+        assert stats["requeues"] == max(0, crashes - 1)
+        assert stats["respawns"] == crashes
+        job_id = client.submit(_echo_request("after"))["job"]["id"]
+        assert client.result(job_id, timeout=60) == [
+            {"value": None, "tag": "after"}]
+    finally:
+        handle.stop(drain=False)
 
-    monkeypatch.setattr(server_mod, "PROTOCOL_LINE_LIMIT", 2048)
+
+def test_stream_ends_at_done_with_a_respawned_worker(tmp_path):
+    """A respawned worker is forked while a tail is connected, so it
+    holds a copy of that socket; the stream must still reach EOF when
+    the job is done."""
+    flag = tmp_path / "flaky.flag"
     handle = ServerHandle.start(_config(tmp_path))
     try:
         client = ServiceClient(service_dir=tmp_path / "svc")
         request = SubmitRequest(
-            target=ECHO, kwargs=(("tag", "huge"), ("value", "y" * 8192)))
+            target=FLAKY, args=(str(flag),), kwargs=(("sleep_s", 60.0),))
         job_id = client.submit(request)["job"]["id"]
-        record = client.wait(job_id, timeout=60)
-        assert record["event"] == "failed"
-        assert "protocol limit" in record["detail"]
-        # The server survives and keeps serving.
-        assert client.health()["ok"]
-        assert client.job(job_id)["state"] == "failed"
+        _wait_for(flag.exists, message="first execution to start")
+        seen: list[tuple[str, float]] = []
+        ended: list[float] = []
+
+        def follow() -> None:
+            try:
+                for record in client.tail(job_id, timeout=20):
+                    seen.append((record["event"], time.monotonic()))
+            finally:
+                ended.append(time.monotonic())
+
+        thread = threading.Thread(target=follow, daemon=True)
+        thread.start()
+        _wait_for(lambda: any(e == "started" for e, _ in seen),
+                  message="the tail to connect")
+        busy = [w for w in client.health()["workers"]
+                if w["state"] == "busy"]
+        os.kill(busy[0]["pid"], signal.SIGKILL)
+        thread.join(timeout=40)
+        assert not thread.is_alive()
+        done_at = [t for event, t in seen if event == "done"]
+        assert done_at, f"no done record in {seen}"
+        assert ended[0] - done_at[0] < 10
     finally:
         handle.stop(drain=False)
 
@@ -392,11 +392,10 @@ def test_graceful_drain_finishes_accepted_work(tmp_path):
 
 def test_drain_respawns_dead_worker_and_finishes(tmp_path):
     """Losing the only worker mid-drain must not strand the queue:
-    respawn stays on while draining (only _stopping suppresses it),
-    so the drain completes instead of spinning out its timeout."""
+    the pool respawns it and retries the unit, so the drain completes
+    instead of spinning out its timeout."""
     flag = tmp_path / "flaky.flag"
-    config = _config(tmp_path, workers=1, heartbeat_interval=0.1,
-                     heartbeat_timeout=0.8, drain_timeout=60.0)
+    config = _config(tmp_path, workers=1, drain_timeout=60.0)
     handle = ServerHandle.start(config)
     client = ServiceClient(service_dir=tmp_path / "svc")
     request = SubmitRequest(
@@ -416,14 +415,14 @@ def test_drain_respawns_dead_worker_and_finishes(tmp_path):
               message="drained shutdown after worker loss")
     job = handle.server.jobs[job_id]
     assert job.state == "done"
-    assert handle.server.stats["respawns"] >= 1
+    assert handle.server.health()["stats"]["respawns"] >= 1
     handle._teardown()
 
 
 def test_non_loopback_bind_requires_token_for_mutations(tmp_path):
     """POST /jobs executes arbitrary call targets, so a non-loopback
     bind demands the session token; reads stay open."""
-    config = _config(tmp_path, workers=0, host="0.0.0.0")
+    config = _config(tmp_path, host="0.0.0.0")
     handle = ServerHandle.start(config)
     try:
         port = handle.address[1]
@@ -452,7 +451,7 @@ def test_non_loopback_bind_requires_token_for_mutations(tmp_path):
 def test_truncated_http_request_is_harmless(tmp_path):
     """A client that advertises Content-Length then hangs up must not
     wedge the server (readexactly's IncompleteReadError is handled)."""
-    handle = ServerHandle.start(_config(tmp_path, workers=0))
+    handle = ServerHandle.start(_config(tmp_path))
     try:
         host, port = handle.address
         sock = socket.create_connection((host, port))
@@ -466,12 +465,16 @@ def test_truncated_http_request_is_harmless(tmp_path):
 
 
 def test_journal_replay_after_crash_resubmits(tmp_path):
-    # Server A accepts a job but has no workers: nothing executes.
-    config_a = _config(tmp_path, workers=0)
-    handle_a = ServerHandle.start(config_a)
+    # Server A accepts a job whose first execution parks: it cannot
+    # finish before the crash.
+    flag = tmp_path / "flaky.flag"
+    handle_a = ServerHandle.start(_config(tmp_path))
     client = ServiceClient(service_dir=tmp_path / "svc")
-    job_id = client.submit(_echo_request("survive"))["job"]["id"]
-    assert client.job(job_id)["state"] == "queued"
+    request = SubmitRequest(
+        target=FLAKY, args=(str(flag),), kwargs=(("sleep_s", 60.0),))
+    job_id = client.submit(request)["job"]["id"]
+    _wait_for(flag.exists, message="first execution to start")
+    assert client.job(job_id)["state"] == "running"
     handle_a.abort()               # simulated crash: no finalization
 
     # Server B replays the journal and runs the job to completion.
@@ -480,6 +483,8 @@ def test_journal_replay_after_crash_resubmits(tmp_path):
         client = ServiceClient(service_dir=tmp_path / "svc")
         record = client.wait(job_id, timeout=60)
         assert record["event"] == "done"
+        assert record["payload"]["results"][0]["value"] == {
+            "attempt": "retry"}
         # Replayed history (including the original queued record) is
         # visible to late tails, and the id counter moved on.
         events = [r["event"] for r in client.tail(job_id, timeout=10)]
