@@ -9,8 +9,6 @@ The deep module paths (``repro.cmp.system``, ``repro.engine.backends``,
 ...) keep working — they are where the code lives — but this module is
 the *supported* spelling: names listed in ``__all__`` follow the
 package version's compatibility promise, internal layouts do not.
-Legacy aliases that predate the facade (``repro.cmp.system.
-IntervalSample``) now warn on import and point here.
 
 The facade groups six surfaces:
 
@@ -20,9 +18,9 @@ The facade groups six surfaces:
   :class:`ExecutionBackend` protocol and its backends, the backend
   registry (:func:`register_backend` / :func:`get_backend` /
   :func:`list_backends` over every flavour: analytic, detailed,
-  CG-OoO, load-delay tracking), migration pricing
-  (:func:`make_cost_model`), plus the process-sharded runner in
-  :mod:`repro.cmp.sharded`;
+  CG-OoO, load-delay tracking), and the one migration price
+  (:class:`MigrationCostModel`: pipeline drain, L1 warm-up and the
+  Schedule Cache transfer);
 * **arbitration** — the five paper arbitrators;
 * **infrastructure** — telemetry, the sweep runner, the result cache
   (selected by a :class:`CacheConfig`) and the slice memo;
@@ -46,11 +44,7 @@ from repro.arbiter import (
 )
 from repro.bench import compare_reports, run_benchmarks
 from repro.characterize import AppModel, analytic_model
-from repro.cmp import (
-    ClusterConfig,
-    StateTransferMigrationModel,
-    make_cost_model,
-)
+from repro.cmp import ClusterConfig, MigrationCostModel
 from repro.cmp.detailed import (
     CGOoOBackend,
     DetailedBackend,
@@ -59,12 +53,6 @@ from repro.cmp.detailed import (
     LoadDelayBackend,
 )
 from repro.cores import CGOoOCore
-from repro.cmp.sharded import (
-    ClusterSpec,
-    ShardedDetailedBackend,
-    ShardOutcome,
-    run_cluster_spec,
-)
 from repro.cmp.system import CMPResult, CMPSystem, run_homo
 from repro.config import CacheConfig, ServiceConfig, default_cache_dir
 from repro.engine import (
@@ -104,12 +92,10 @@ __all__ = [
     # simulation
     "AnalyticBackend", "AppViewBatch", "BackendBundle", "BackendInfo",
     "BackendSpec", "CGOoOBackend", "CGOoOCore", "CMPResult",
-    "CMPSystem", "ClusterSpec", "DetailedBackend",
-    "DetailedMirageCluster", "DetailedResult", "ExecutionBackend",
-    "IntervalEngine", "LoadDelayBackend", "ShardOutcome",
-    "ShardedDetailedBackend", "StateTransferMigrationModel",
-    "backend_names", "get_backend", "list_backends", "make_cost_model",
-    "register_backend", "run_cluster_spec", "run_homo",
+    "CMPSystem", "DetailedBackend", "DetailedMirageCluster",
+    "DetailedResult", "ExecutionBackend", "IntervalEngine",
+    "LoadDelayBackend", "MigrationCostModel", "backend_names",
+    "get_backend", "list_backends", "register_backend", "run_homo",
     # arbitration
     "FairArbitrator", "MaxSTPArbitrator", "SCMPKIArbitrator",
     "SCMPKIFairArbitrator", "SCMPKIMaxSTPArbitrator",
@@ -147,10 +133,5 @@ def run_experiment(name: str, *, quick: bool = False,
     if name not in EXPERIMENTS:
         known = ", ".join(EXPERIMENTS)
         raise KeyError(f"unknown experiment {name!r} — one of: {known}")
-    params = ExperimentParams(
-        quick=quick, jobs=jobs,
-        use_cache=cache.use_result_cache if cache is not None else False,
-        cache_dir=cache.cache_dir if cache is not None else None,
-        cache=cache,
-    )
+    params = ExperimentParams(quick=quick, jobs=jobs, cache=cache)
     return EXPERIMENTS[name].run(params, **overrides)

@@ -61,12 +61,12 @@ class Arbitrator(ABC):
 
     def pick_batch(self, batch: "AppViewBatch", *, interval_index: int,
                    slots: int = 1) -> list[int]:
-        """Batch-first entry point the engine pipeline prefers.
+        """The entry point the engine's arbitration phase calls.
 
         The default materializes the historical view list from the
         batch and defers to :meth:`pick`, so subclassing ``pick``
-        alone keeps working; arbitrators with a batch fast path
-        override this and must return the identical indices.
+        alone is enough; arbitrators with a batch fast path override
+        this and must return the identical indices.
         """
         return self.pick(batch.views(), interval_index=interval_index,
                          slots=slots)

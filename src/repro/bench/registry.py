@@ -303,44 +303,6 @@ def bench_interval_engine(ctx: BenchContext) -> None:
 
 
 @register(
-    "detailed-shard", tier="detailed",
-    description="ShardedDetailedBackend: two independent clusters "
-                "fanned over a 2-worker process pool, merged in order",
-)
-def bench_detailed_shard(ctx: BenchContext) -> None:
-    """Two cluster specs through the process-pool fan-out path.
-
-    Exercises spec pickling, worker-side cluster rebuild, and the
-    deterministic spec-order merge; on a one-core box this mostly
-    measures pool overhead, which is exactly what the probe is for.
-    """
-    from repro.cmp.sharded import (
-        ClusterSpec,
-        ShardedDetailedBackend,
-        merge_counters,
-    )
-
-    with ctx.telemetry.profiler.time("setup"):
-        slice_n = ctx.size(3_000, 1_000)
-        n_slices = ctx.size(5, 2)
-        specs = [
-            ClusterSpec(
-                benchmarks=(("hmmer", 3, 1 << 34), ("mcf", 3, 2 << 34)),
-                slice_instructions=slice_n, n_slices=n_slices),
-            ClusterSpec(
-                benchmarks=(("bzip2", 3, 1 << 34), ("astar", 3, 2 << 34)),
-                slice_instructions=slice_n, n_slices=n_slices),
-        ]
-    with ctx.telemetry.profiler.time("shards"):
-        outcomes = ShardedDetailedBackend(specs, jobs=2).run()
-    counters = ctx.telemetry.counters
-    counters.merge(merge_counters(outcomes))
-    for outcome in outcomes:
-        counters.bump("bench.stp_milli",
-                      round(outcome.result.stp * 1000))
-
-
-@register(
     "memory-hierarchy", tier="detailed",
     description="CoreMemory access loop: L1/TLB hits, L2 refills, "
                 "strided and pointer-chase address patterns",

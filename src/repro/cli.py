@@ -163,7 +163,11 @@ def _trace_command(path: str, *, app: str | None, limit: int,
     if not trace_path.exists():
         print(f"mirage trace: no such file: {path}", file=sys.stderr)
         return 1
-    events = read_trace(trace_path)
+    try:
+        events = read_trace(trace_path)
+    except ValueError as exc:
+        print(f"mirage trace: {exc}", file=sys.stderr)
+        return 1
     by_kind: dict[str, int] = {}
     for event in events:
         by_kind[event.kind] = by_kind.get(event.kind, 0) + 1
@@ -500,8 +504,6 @@ def main(argv: list[str] | None = None) -> int:
         params = ExperimentParams(
             quick=args.quick,
             jobs=args.jobs,
-            use_cache=cache_cfg.use_result_cache,
-            cache_dir=cache_cfg.cache_dir,
             cache=cache_cfg,
             trace=args.trace,
         )

@@ -9,9 +9,9 @@ least-loaded / SC-MPKI-aware), and :mod:`repro.cluster.dynamic` runs
 each placed sub-scenario on an independent
 :class:`~repro.engine.loop.IntervalEngine` with the lifecycle phase
 admitting and retiring tenants mid-run.  Placement is a pure function
-of the schedule, so the per-cluster simulations parallelize through
-:func:`repro.cmp.sharded.fan_out` and cache through the sweep runner
-without changing a single bit of the outcome.
+of the schedule, so the per-cluster simulations parallelize and cache
+through the sweep runner without changing a single bit of the
+outcome.
 """
 
 from repro.cluster.dynamic import (

@@ -13,12 +13,10 @@ byte-identical fixed-population path — including the
 :class:`~repro.cmp.system.CMPResult`.
 
 Multi-cluster runs go through :func:`run_scenario_unit`, a
-module-level JSON-pure function: the scenario experiment fans one
-unit per ``(policy, cluster)`` over the
-:class:`~repro.runner.executor.SweepRunner` (serial, ``--jobs N`` and
-cached runs bit-identical), and the direct API :func:`run_scenario`
-reuses :func:`repro.cmp.sharded.fan_out` — the same pool idiom the
-detailed tier shards with.
+module-level JSON-pure function: the scenario experiment and the
+direct API :func:`run_scenario` both map one call unit per cluster
+over the :class:`~repro.runner.executor.SweepRunner`, so serial,
+``--jobs N`` and cached runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ from dataclasses import dataclass, field
 
 from repro.cluster.scheduler import Placement, place_scenario
 from repro.cmp.config import ClusterConfig, SIM_SCALE
-from repro.cmp.migration import MigrationCostModel, make_cost_model
+from repro.cmp.migration import MigrationCostModel
 from repro.cmp.system import CMPResult, fold_result
 from repro.energy.model import CoreEnergyModel
 from repro.engine import (
@@ -53,6 +51,9 @@ from repro.workloads.scenario import Scenario
 
 #: Fallback horizon for duration=0 (run-to-completion) scenarios.
 DEFAULT_MAX_INTERVALS = 50_000
+
+#: The dotted path of :func:`run_scenario_unit`, as call units name it.
+UNIT_TARGET = "repro.cluster.dynamic:run_scenario_unit"
 
 
 class SeriesPhase(EnginePhase):
@@ -165,7 +166,7 @@ class DynamicCluster:
         self.arbitrator = arbitrator
         self.label = label or config.name
         self.telemetry = telemetry or Telemetry()
-        self.migration = make_cost_model(config)
+        self.migration = MigrationCostModel(config)
         self.backend = AnalyticBackend(self.migration)
         self.summaries: list[AppRunSummary] = []
         initial: list[AppState] = []
@@ -395,21 +396,25 @@ def run_scenario(scenario: Scenario, *, n_clusters: int,
                  sla_target: float = 0.5) -> dict:
     """Place and simulate *scenario* across *n_clusters* clusters.
 
-    The direct (non-runner) API: placement via
-    :func:`~repro.cluster.scheduler.place_scenario`, one independent
-    cluster simulation per sub-scenario fanned out with
-    :func:`repro.cmp.sharded.fan_out` (``jobs=None`` serial), and the
-    deterministic :func:`summarize_scenario` fold.  Returns a
-    JSON-pure dict with ``placement`` / ``clusters`` / ``metrics``.
+    The direct API: placement via
+    :func:`~repro.cluster.scheduler.place_scenario`, one
+    :func:`run_scenario_unit` call unit per sub-scenario mapped
+    through an uncached :class:`~repro.runner.executor.SweepRunner`
+    (``jobs=None`` serial), and the deterministic
+    :func:`summarize_scenario` fold.  Returns a JSON-pure dict with
+    ``placement`` / ``clusters`` / ``metrics``.
     """
-    from repro.cmp.sharded import fan_out
+    # Lazy, like app_model in DynamicCluster: importing repro.cluster
+    # does not load the runner.
+    from repro.runner import SweepRunner, call_unit
 
     placement = place_scenario(
         scenario, n_clusters=n_clusters, capacity=capacity,
         policy=policy)
     specs = cluster_specs(placement, capacity=capacity,
                           arbitrator=arbitrator)
-    results = fan_out(run_scenario_unit, specs, jobs)
+    results = SweepRunner(jobs=jobs or 1).map(
+        [call_unit(UNIT_TARGET, spec) for spec in specs])
     metrics = summarize_scenario(
         results, len(placement.rejected), placement.queued_delays,
         sla_target=sla_target)

@@ -14,13 +14,7 @@ from repro.cmp.config import (
     ClusterConfig,
     TimeScale,
 )
-from repro.cmp.migration import (
-    MIGRATION_COST_MODELS,
-    MigrationCostModel,
-    MigrationEvent,
-    StateTransferMigrationModel,
-    make_cost_model,
-)
+from repro.cmp.migration import MigrationCostModel, MigrationEvent
 from repro.cmp.system import AppState, CMPResult, CMPSystem
 
 __all__ = [
@@ -28,11 +22,8 @@ __all__ = [
     "PAPER_SCALE",
     "SIM_SCALE",
     "ClusterConfig",
-    "MIGRATION_COST_MODELS",
     "MigrationCostModel",
     "MigrationEvent",
-    "StateTransferMigrationModel",
-    "make_cost_model",
     "CMPSystem",
     "CMPResult",
     "AppState",

@@ -68,12 +68,7 @@ class ClusterConfig:
     n_producers: int = 1         #: OoO cores
     mirage: bool = True          #: consumers have the OinO mode + SC
     sc_capacity_bytes: int = 8 * 1024
-    power_gate_idle_ooo: bool = True
     scale: TimeScale = SIM_SCALE
-    #: Migration warm-up pricing: ``"l1-flush"`` (flat full-L1 re-warm)
-    #: or ``"state-transfer"`` (SAHM-style, scales with moved state).
-    #: See :data:`repro.cmp.migration.MIGRATION_COST_MODELS`.
-    migration_cost_model: str = "l1-flush"
 
     def __post_init__(self) -> None:
         if self.n_consumers < 0 or self.n_producers < 0:

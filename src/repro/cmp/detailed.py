@@ -38,7 +38,7 @@ from functools import lru_cache
 from repro import simcache
 from repro.arbiter.base import Arbitrator
 from repro.cmp.config import ClusterConfig
-from repro.cmp.migration import MigrationCostModel, make_cost_model
+from repro.cmp.migration import MigrationCostModel
 from repro.cores import LDT_PARAMS, CGOoOCore, OinOCore, OutOfOrderCore
 from repro.energy.model import CoreEnergyModel
 from repro.engine import (
@@ -192,7 +192,7 @@ class DetailedBackend(ExecutionBackend):
         # transfer stays on the cluster's shared bus below (so L1<->L2
         # contention is unchanged); this model prices each event with
         # the same breakdown the interval tier reports.
-        self.migration = make_cost_model(config)
+        self.migration = MigrationCostModel(config)
         self.sc_bytes_transferred = 0
         self._pending: list[bool | None] = [None] * len(benchmarks)
         # Logical-state snapshot cache (memo on only).  Maps a slot —
@@ -603,7 +603,6 @@ class DetailedMirageCluster:
         telemetry: Telemetry | None = None,
         sim_cache: "bool | simcache.SliceMemo" = False,
         backend: str = "detailed",
-        migration_cost_model: str = "l1-flush",
     ):
         backend_cls = CYCLE_BACKENDS.get(backend)
         if backend_cls is None:
@@ -618,7 +617,6 @@ class DetailedMirageCluster:
             n_producers=1,
             mirage=True,
             sc_capacity_bytes=sc_capacity or 8 * 1024,
-            migration_cost_model=migration_cost_model,
         )
         self.backend = backend_cls(
             benchmarks, config=config, sc_capacity=sc_capacity,

@@ -92,7 +92,7 @@ class MigrationCostModel:
             interval_index=interval_index,
             to_ooo=to_ooo,
             drain_cycles=scale.drain_cycles,
-            l1_warmup_cycles=self._warmup_cycles(sc_bytes),
+            l1_warmup_cycles=scale.l1_warmup_cycles,
             sc_transfer_cycles=sc_cycles,
             bus_contention_cycles=contention,
         )
@@ -104,15 +104,6 @@ class MigrationCostModel:
         totals["bus_contention"] += contention
         return event
 
-    def _warmup_cycles(self, sc_bytes: int) -> int:
-        """Destination warm-up charge; the flat L1-flush model.
-
-        Subclasses override this hook to price warm-up differently —
-        the event/bus bookkeeping in :meth:`migrate` stays shared.
-        """
-        del sc_bytes
-        return self.config.scale.l1_warmup_cycles
-
     # ------------------------------------------------------------------
     @property
     def total_migrations(self) -> int:
@@ -122,55 +113,3 @@ class MigrationCostModel:
     def cost_summary(self) -> dict[str, float]:
         """Aggregate cycles by component (Figure 15's stacking)."""
         return dict(self._totals)
-
-
-#: Architectural + pipeline state every migration ships, in bytes
-#: (register files, PC/flags, TLB tags — the 2 KB bus payload above).
-ARCH_STATE_BYTES = 2048
-#: Reference working set for the flat model's full L1 re-warm.
-L1_WORKING_SET_BYTES = 32 * 1024
-
-
-class StateTransferMigrationModel(MigrationCostModel):
-    """SAHM-style warm-up: cost scales with the state actually moved.
-
-    The flat model charges a full L1 re-warm
-    (``scale.l1_warmup_cycles``) on every migration.  Following SAHM
-    (PAPERS.md: hardware state migration at instruction granularity),
-    this variant prices warm-up by the state the migration actually
-    transfers — architectural state plus the live Schedule Cache
-    payload — as a fraction of a full L1 working set.  A mostly-empty
-    SC migrates almost for free; the charge can never exceed the flat
-    model's.
-    """
-
-    def _warmup_cycles(self, sc_bytes: int) -> int:
-        """Warm-up cycles proportional to transferred state."""
-        scale = self.config.scale
-        moved = ARCH_STATE_BYTES + max(0, sc_bytes)
-        frac = min(1.0, moved / L1_WORKING_SET_BYTES)
-        return max(1, int(scale.l1_warmup_cycles * frac))
-
-
-#: Selectable migration cost models, keyed by
-#: :attr:`~repro.cmp.config.ClusterConfig.migration_cost_model`.
-MIGRATION_COST_MODELS: dict[str, type[MigrationCostModel]] = {
-    "l1-flush": MigrationCostModel,
-    "state-transfer": StateTransferMigrationModel,
-}
-
-
-def make_cost_model(config: ClusterConfig,
-                    bus: SharedBus | None = None) -> MigrationCostModel:
-    """Build the migration cost model the cluster config selects.
-
-    Raises ``ValueError`` naming the known models when the config asks
-    for an unknown one.
-    """
-    name = config.migration_cost_model
-    cls = MIGRATION_COST_MODELS.get(name)
-    if cls is None:
-        known = ", ".join(sorted(MIGRATION_COST_MODELS))
-        raise ValueError(
-            f"unknown migration cost model {name!r} — one of: {known}")
-    return cls(config, bus)

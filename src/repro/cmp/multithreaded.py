@@ -30,7 +30,7 @@ from repro.arbiter.base import Arbitrator
 from repro.arbiter.sc_mpki import SCMPKIArbitrator
 from repro.characterize.phase_model import AppModel
 from repro.cmp.config import ClusterConfig
-from repro.cmp.migration import MigrationCostModel, make_cost_model
+from repro.cmp.migration import MigrationCostModel
 from repro.energy.model import CoreEnergyModel
 from repro.engine import (
     AnalyticBackend,
@@ -126,7 +126,7 @@ class MultithreadedMirage:
         self.arbitrator = arbitrator or SCMPKIArbitrator()
         self.broadcast = broadcast
         self.energy_model = energy_model or CoreEnergyModel()
-        self.migration = make_cost_model(config)
+        self.migration = MigrationCostModel(config)
         self.telemetry = telemetry or Telemetry()
         self.threads = [
             AppState(model=model, instr_done=float(i * skew_instructions))

@@ -19,10 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.arbiter.base import AppView, Arbitrator
+from repro.arbiter.base import Arbitrator
 from repro.characterize.phase_model import AppModel
 from repro.cmp.config import ClusterConfig
-from repro.cmp.migration import MigrationCostModel, make_cost_model
+from repro.cmp.migration import MigrationCostModel
 from repro.energy.model import CoreEnergyModel
 from repro.engine import (
     AnalyticBackend,
@@ -33,24 +33,8 @@ from repro.engine import (
     MigrationPhase,
 )
 from repro.engine.state import AppState
-from repro.engine.views import interval_tier_views
 from repro.metrics import system_throughput
 from repro.telemetry import IntervalRecord, MemorySink, Telemetry
-
-def __getattr__(name: str):
-    # The bespoke history row was superseded by the telemetry schema's
-    # IntervalRecord; the old deep-import spelling keeps resolving (to
-    # the identical class) but steers callers to the supported names.
-    if name == "IntervalSample":
-        import warnings
-
-        warnings.warn(
-            "repro.cmp.system.IntervalSample is deprecated; import "
-            "IntervalRecord from repro.api (or repro.telemetry)",
-            DeprecationWarning, stacklevel=2)
-        return IntervalRecord
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass
@@ -145,21 +129,13 @@ class CMPSystem:
                 f"{config.name} has {config.n_consumers + config.n_producers}"
                 f" cores for {len(apps)} apps"
             )
-        if config.n_consumers < len(apps) and config.n_producers > 0:
-            # Fewer consumers than apps (e.g. the 5:3 area-neutral
-            # study): the producers must always be occupied or some
-            # application would have no core; only the never-gating
-            # arbitrators are safe on such configs.
-            self._producers_always_busy = True
-        else:
-            self._producers_always_busy = False
         if config.n_producers > 0 and arbitrator is None:
             raise ValueError("a producer CMP needs an arbitrator")
         self.config = config
         self.apps = [AppState(model=m) for m in apps]
         self.arbitrator = arbitrator
         self.energy_model = energy_model or CoreEnergyModel()
-        self.migration = make_cost_model(config)
+        self.migration = MigrationCostModel(config)
         self.telemetry = telemetry or Telemetry()
         self.record_history = record_history
         self._history_sink: MemorySink | None = None
@@ -184,9 +160,6 @@ class CMPSystem:
         if self._history_sink is None:
             return []
         return self._history_sink.events
-
-    def _views(self) -> list[AppView]:
-        return interval_tier_views(self.apps)
 
     # ------------------------------------------------------------------
     def run(self, *, max_intervals: int = 50_000) -> CMPResult:

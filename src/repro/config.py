@@ -2,15 +2,13 @@
 
 :class:`CacheConfig` describes the **result cache**
 (:mod:`repro.runner.cache`) — finished work-unit payloads on disk,
-controlled by ``--cache-dir`` / ``--no-cache`` — plus the backend and
-migration pricing folded into its keys.  The CLI builds one and
+controlled by ``--cache-dir`` / ``--no-cache``.  The CLI builds one and
 threads it through :class:`~repro.experiments.registry.ExperimentParams`
 to the sweep runner.  It is a value: building or passing one changes
 nothing in the process.
 
-:func:`default_cache_dir` lives here (re-exported from
-:mod:`repro.runner.cache` for compatibility) because both the result
-cache and the service directory root under it.
+:func:`default_cache_dir` lives here because both the result cache and
+the service directory root under it.
 
 :class:`ServiceConfig` is the same idea for the experiment service
 (:mod:`repro.service`): one picklable dataclass carrying every server
@@ -71,19 +69,10 @@ class CacheConfig:
         cache_dir: root for the result cache
             (``None`` = :func:`default_cache_dir`).
         use_result_cache: consult/populate the on-disk result cache.
-        backend: the selected registry backend name (see
-            :func:`repro.engine.registry.get_backend`); folded into
-            every result-cache key so entries from different backends
-            never collide.  ``None`` = the default backend pair.
-        migration_cost_model: the selected migration pricing (see
-            :data:`repro.cmp.migration.MIGRATION_COST_MODELS`), also
-            folded into the cache key.  ``None`` = ``"l1-flush"``.
     """
 
     cache_dir: str | Path | None = None
     use_result_cache: bool = True
-    backend: str | None = None
-    migration_cost_model: str | None = None
 
     def result_cache(self) -> "ResultCache | None":
         """The :class:`~repro.runner.cache.ResultCache` this config
@@ -92,17 +81,7 @@ class CacheConfig:
             return None
         from repro.runner.cache import ResultCache
 
-        if self.backend is not None:
-            # Resolve through the registry so a typo surfaces here as
-            # a roster-listing ValueError, not as a silent cache key.
-            from repro.engine.registry import get_backend
-
-            get_backend(self.backend)
-        return ResultCache(
-            self.cache_dir,
-            core_backend=self.backend,
-            cost_model=self.migration_cost_model,
-        )
+        return ResultCache(self.cache_dir)
 
 
 @dataclass

@@ -16,7 +16,7 @@ in alongside the standard ones (see ``docs/api.md``).
 Backends are enumerable through :mod:`repro.engine.registry`: every
 flavour — analytic, detailed, CG-OoO, load-delay tracking — registers
 a factory under a name, and :func:`get_backend`/:func:`list_backends`
-resolve names everywhere one is accepted (CLI, experiments, caches).
+resolve names where one is accepted (the CLI and the experiments).
 """
 
 from repro.engine.backends import (

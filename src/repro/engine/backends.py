@@ -34,13 +34,13 @@ one runs its first slice — is part of the measured hand-off cost).
 
 The batch-first protocol
 ------------------------
-The pipeline drives backends through batch entry points —
+The pipeline drives backends through batch entry points only —
 :meth:`ExecutionBackend.views_batch` hands the arbitrator an
 :class:`~repro.engine.views.AppViewBatch` and
 :meth:`ExecutionBackend.advance_all` executes every application for
-the interval — with per-application :meth:`~ExecutionBackend.views` /
+the interval — with the per-application
 :meth:`~ExecutionBackend.advance` kept as the reference surface the
-defaults delegate to.  :class:`AnalyticBackend` overrides
+default ``advance_all`` loops over.  :class:`AnalyticBackend` overrides
 :meth:`~ExecutionBackend.advance_all` with a **fused scalar kernel**:
 the same Equation-3 / phase-table math as the reference
 :meth:`~AnalyticBackend.advance`, with the per-model constants
@@ -65,7 +65,6 @@ from repro.engine.state import ExecOutcome
 from repro.engine.views import AppViewBatch
 
 if TYPE_CHECKING:
-    from repro.arbiter.base import AppView
     from repro.characterize.phase_model import AppModel
     from repro.cmp.migration import MigrationCostModel, MigrationEvent
     from repro.engine.phases import EngineContext
@@ -105,10 +104,10 @@ class ExecutionBackend(ABC):
     the shared language (backends keep substrate extras — instruction
     streams, core models — on their own side of the seam).
 
-    The pipeline prefers the batch entry points
-    (:meth:`views_batch` / :meth:`advance_all`); their defaults
-    delegate to the per-application :meth:`views` / :meth:`advance`,
-    so a backend only implements what it can accelerate.
+    The pipeline calls the batch entry points (:meth:`views_batch` /
+    :meth:`advance_all`); the default :meth:`advance_all` loops the
+    per-application :meth:`advance`, so a backend only implements
+    what it can accelerate.
     """
 
     #: Short identifier used in logs, docs and cache keys.
@@ -130,14 +129,6 @@ class ExecutionBackend(ABC):
         the historical view list from it.
         """
         return AppViewBatch.from_states(ctx.apps)
-
-    def views(self, ctx: "EngineContext") -> "list[AppView]":
-        """The per-application view list (reference surface).
-
-        Defined in terms of :meth:`views_batch`, so overriding the
-        batch is enough to change both.
-        """
-        return self.views_batch(ctx).views()
 
     @abstractmethod
     def migrate(self, ctx: "EngineContext", index: int, *,

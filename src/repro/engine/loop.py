@@ -44,8 +44,8 @@ class IntervalEngine:
         if backend is None:
             # Imported here: repro.cmp imports this module at package
             # import time, so the reverse import must stay lazy.
-            from repro.cmp.migration import make_cost_model
-            backend = AnalyticBackend(make_cost_model(config))
+            from repro.cmp.migration import MigrationCostModel
+            backend = AnalyticBackend(MigrationCostModel(config))
         self.config = config
         self.apps = apps
         self.phases = list(phases)
@@ -73,9 +73,7 @@ class IntervalEngine:
             backend=self.backend,
             ooo_share=[0] * len(self.apps),
         )
-        begin_run = getattr(self.backend, "begin_run", None)
-        if begin_run is not None:
-            begin_run(ctx)
+        self.backend.begin_run(ctx)
         profiler = self.telemetry.profiler
         psec = profiler.seconds
         pcalls = profiler.calls

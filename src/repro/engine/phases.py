@@ -4,10 +4,10 @@ Both simulator tiers run the same per-interval pipeline, each phase
 owning one concern of the Mirage mechanism and reporting through
 :mod:`repro.telemetry`:
 
-1. :class:`ArbitrationPhase` — build every application's
-   performance-counter view (through the backend, which defaults to
-   the shared Equation-3 builder) and ask the arbitrator who gets the
-   producer OoO(s), possibly nobody (power-gated).
+1. :class:`ArbitrationPhase` — hand the arbitrator the backend's
+   batched performance-counter view of every application
+   (:meth:`~repro.engine.backends.ExecutionBackend.views_batch`) and
+   ask who gets the producer OoO(s), possibly nobody (power-gated).
 2. :class:`MigrationPhase` — decide who physically moves and route
    the cost accounting (counters plus
    :class:`~repro.telemetry.events.MigrationRecord`) through
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from repro.engine.backends import ExecutionBackend, MigrationTicket
 from repro.engine.state import AppState, ExecOutcome
@@ -45,6 +45,7 @@ from repro.telemetry.events import (
 )
 
 if TYPE_CHECKING:
+    from repro.arbiter.base import Arbitrator
     from repro.cmp.config import ClusterConfig
     from repro.energy.model import CoreEnergyModel
 
@@ -123,7 +124,7 @@ class ArbitrationPhase(EnginePhase):
 
     name = "arbitration"
 
-    def __init__(self, arbitrator: Any):
+    def __init__(self, arbitrator: "Arbitrator | None"):
         self.arbitrator = arbitrator
 
     def run(self, ctx: EngineContext) -> None:
@@ -131,22 +132,10 @@ class ArbitrationPhase(EnginePhase):
         cfg = ctx.config
         ctx.chosen = []
         if cfg.n_producers > 0 and self.arbitrator is not None:
-            # Batch-first: arbitrators with a pick_batch fast path get
-            # the backend's AppViewBatch; everyone else (including
-            # duck-typed arbitrators or backends predating the batch
-            # protocol) goes through the historical view-list surface.
-            pick_batch = getattr(self.arbitrator, "pick_batch", None)
-            views_batch = getattr(ctx.backend, "views_batch", None)
-            if pick_batch is not None and views_batch is not None:
-                ctx.chosen = pick_batch(
-                    views_batch(ctx), interval_index=ctx.index,
-                    slots=cfg.n_producers,
-                )[: cfg.n_producers]
-            else:
-                ctx.chosen = self.arbitrator.pick(
-                    ctx.backend.views(ctx), interval_index=ctx.index,
-                    slots=cfg.n_producers,
-                )[: cfg.n_producers]
+            ctx.chosen = self.arbitrator.pick_batch(
+                ctx.backend.views_batch(ctx), interval_index=ctx.index,
+                slots=cfg.n_producers,
+            )[: cfg.n_producers]
         if ctx.chosen:
             ctx.ooo_active_intervals += 1
             apps = ctx.apps
@@ -204,19 +193,11 @@ class ExecutionPhase(EnginePhase):
     def run(self, ctx: EngineContext) -> None:
         """Advance each app one interval, filling ``ctx.outcomes``.
 
-        Backends with a batch kernel fill every outcome in one
-        :meth:`~repro.engine.backends.ExecutionBackend.advance_all`
-        call; the default loops the per-application ``advance``.
-        Telemetry is emitted afterwards either way — ``advance`` never
-        changes ``on_ooo``, so the records are identical.
+        One :meth:`~repro.engine.backends.ExecutionBackend.advance_all`
+        call fills every outcome; the telemetry records are emitted
+        afterwards (``advance`` never changes ``on_ooo``).
         """
-        backend = ctx.backend
-        advance_all = getattr(backend, "advance_all", None)
-        if advance_all is not None:
-            advance_all(ctx)
-        else:
-            for i in range(len(ctx.apps)):
-                ctx.outcomes[i] = backend.advance(ctx, i)
+        ctx.backend.advance_all(ctx)
         if ctx.telemetry.wants("interval"):
             for i, app in enumerate(ctx.apps):
                 outcome = ctx.outcomes[i]

@@ -6,12 +6,9 @@ names one :class:`~repro.engine.backends.ExecutionBackend` flavour and
 knows how to assemble a complete, runnable bundle of it — backend,
 apps, cluster config, migration cost model — from one declarative
 :class:`BackendSpec`.  Everything that selects a backend by name (the
-CLI's ``--backends``, the ``backend-matrix`` experiment,
-:class:`~repro.runner.cache.ResultCache` key material,
-:class:`~repro.cmp.detailed.DetailedMirageCluster`'s cycle-tier
-roster) resolves through :func:`get_backend`, so an unknown name is
-always a clear ``ValueError`` listing the roster, never a stray
-``KeyError``.
+CLI's ``--backends``, the ``backend-matrix`` experiment) resolves
+through :func:`get_backend`, so an unknown name is always a clear
+``ValueError`` listing the roster, never a stray ``KeyError``.
 
 Built-in roster:
 
@@ -57,9 +54,6 @@ class BackendSpec:
     slice_instructions: int = 8_000
     #: Schedule Cache capacity in bytes.
     sc_capacity: int = 8 * 1024
-    #: Migration warm-up pricing (see
-    #: :data:`repro.cmp.migration.MIGRATION_COST_MODELS`).
-    migration_cost_model: str = "l1-flush"
 
 
 @dataclass(slots=True)
@@ -149,7 +143,7 @@ def _analytic_factory(spec: BackendSpec) -> BackendBundle:
     """The interval tier: AnalyticBackend over phase models."""
     from repro.characterize import analytic_model
     from repro.cmp.config import ClusterConfig
-    from repro.cmp.migration import make_cost_model
+    from repro.cmp.migration import MigrationCostModel
     from repro.engine.backends import AnalyticBackend
     from repro.engine.state import AppState
 
@@ -158,9 +152,8 @@ def _analytic_factory(spec: BackendSpec) -> BackendBundle:
         n_producers=1,
         mirage=True,
         sc_capacity_bytes=spec.sc_capacity,
-        migration_cost_model=spec.migration_cost_model,
     )
-    migration = make_cost_model(config)
+    migration = MigrationCostModel(config)
     apps = [AppState(model=analytic_model(name))
             for name in spec.benchmarks]
     return BackendBundle(
@@ -187,7 +180,6 @@ def _cycle_factory(backend_name: str) -> Callable[
             n_producers=1,
             mirage=True,
             sc_capacity_bytes=spec.sc_capacity,
-            migration_cost_model=spec.migration_cost_model,
         )
         backend = CYCLE_BACKENDS[backend_name](
             benchmarks, config=config, sc_capacity=spec.sc_capacity,

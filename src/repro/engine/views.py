@@ -5,13 +5,13 @@ the arbitrator's performance-counter view by hand with subtly different
 ``util`` definitions; this module is now the single place the view —
 and in particular its Equation-3 utilization term — is defined.  Both
 backends mirror their counters into
-:class:`~repro.engine.state.AppState`, so the default
-:meth:`~repro.engine.backends.ExecutionBackend.views` is literally
-:func:`interval_tier_views` for everyone.
+:class:`~repro.engine.state.AppState`, so the view list an
+arbitrator materializes is literally :func:`interval_tier_views` for
+everyone.
 
-The batch-first arbitration path added with the
-:meth:`~repro.engine.backends.ExecutionBackend.views_batch` protocol
-method hands arbitrators an :class:`AppViewBatch` instead of a list of
+The arbitration path
+(:meth:`~repro.engine.backends.ExecutionBackend.views_batch`) hands
+arbitrators an :class:`AppViewBatch` instead of a list of
 freshly-built :class:`~repro.arbiter.base.AppView` objects.  A batch
 wraps the live ``AppState`` records: arbitrators with a ``pick_batch``
 fast path read the counters straight off them, and everyone else gets

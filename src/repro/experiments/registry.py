@@ -6,12 +6,9 @@ with a name, a human title, the paper figure it reproduces, and the
 one place the ``--quick`` knob is mapped to driver-specific sizes
 (:data:`QUICK_OVERRIDES`).  All drivers accept the same
 :class:`ExperimentParams`, which also carries the sweep-runner knobs
-(``jobs``, ``use_cache``, ``cache_dir``); parameters a driver does not
-understand are simply not forwarded.
-
-Back-compat: ``EXPERIMENTS[name].run(n_mixes=4)`` and
-``EXPERIMENTS[name].main(quick=True)`` keep working exactly as they
-did when the registry held bare modules.
+(``jobs``, ``cache``, ``trace``); parameters a driver does not
+understand are simply not forwarded.  Keyword overrides go straight to
+the driver: ``EXPERIMENTS[name].run(n_mixes=4)``.
 """
 
 from __future__ import annotations
@@ -20,7 +17,7 @@ import inspect
 from dataclasses import dataclass
 from pathlib import Path
 from types import ModuleType
-from typing import Any, Mapping
+from typing import Any
 
 from repro.config import CacheConfig
 from repro.runner import SweepRunner
@@ -67,13 +64,9 @@ class ExperimentParams:
             driver sweeps mixes (ignored elsewhere).
         seed: mix-selection seed, where the driver takes one.
         jobs: worker processes for sweep drivers; 1 = serial.
-        use_cache: consult/populate the on-disk result cache
-            (superseded by *cache* when that is set).
-        cache_dir: cache location (default ``~/.cache/mirage``;
-            superseded by *cache* when that is set).
         cache: a :class:`~repro.config.CacheConfig` selecting the
-            result cache — the CLI builds one; when set it wins over
-            the legacy ``use_cache``/``cache_dir`` pair.
+            result cache (the CLI builds one); ``None`` runs without
+            the result cache.
         trace: JSONL file the run's telemetry trace is appended to;
             runner-based drivers trace through the sweep runner,
             telemetry-aware drivers get a :class:`Telemetry` hub with
@@ -84,23 +77,14 @@ class ExperimentParams:
     n_mixes: int | None = None
     seed: int | None = None
     jobs: int = 1
-    use_cache: bool = False
-    cache_dir: str | Path | None = None
-    cache: "CacheConfig | None" = None
+    cache: CacheConfig | None = None
     trace: str | Path | None = None
-
-    def cache_config(self) -> "CacheConfig":
-        """The effective cache configuration (legacy fields folded
-        in when no explicit :class:`CacheConfig` was provided)."""
-        if self.cache is not None:
-            return self.cache
-        return CacheConfig(cache_dir=self.cache_dir,
-                           use_result_cache=self.use_cache)
 
     def make_runner(self, experiment: str) -> SweepRunner:
         """A SweepRunner wired to these params' jobs/cache/trace."""
-        return SweepRunner(jobs=self.jobs,
-                           cache=self.cache_config().result_cache(),
+        cache = (self.cache.result_cache() if self.cache is not None
+                 else None)
+        return SweepRunner(jobs=self.jobs, cache=cache,
                            experiment=experiment, trace=self.trace)
 
 
@@ -108,15 +92,12 @@ class Experiment:
     """One paper table/figure: metadata plus run/print entry points."""
 
     def __init__(self, name: str, title: str, figure: str,
-                 module: ModuleType,
-                 quick_overrides: Mapping[str, Any] | None = None):
+                 module: ModuleType):
         self.name = name
         self.title = title
         self.figure = figure
         self.module = module
-        self.quick_overrides = dict(
-            QUICK_OVERRIDES.get(name, {}) if quick_overrides is None
-            else quick_overrides)
+        self.quick_overrides = dict(QUICK_OVERRIDES.get(name, {}))
         #: The runner built for the most recent :meth:`run`, for
         #: callers that want its cache/timing stats (the CLI does).
         self.last_runner: SweepRunner | None = None
@@ -170,10 +151,3 @@ class Experiment:
     def print_table(self, result: dict) -> None:
         """Render *result* the way the figure is shown in the paper."""
         self.module.print_table(result)
-
-    def main(self, quick: bool = False,
-             params: ExperimentParams | None = None) -> None:
-        """Run and print in one call (the pre-registry driver API)."""
-        if params is None:
-            params = ExperimentParams(quick=quick)
-        self.print_table(self.run(params))

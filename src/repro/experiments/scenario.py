@@ -20,7 +20,11 @@ and runs inline.
 
 from __future__ import annotations
 
-from repro.cluster.dynamic import cluster_specs, summarize_scenario
+from repro.cluster.dynamic import (
+    UNIT_TARGET,
+    cluster_specs,
+    summarize_scenario,
+)
 from repro.cluster.scheduler import POLICIES, place_scenario
 from repro.experiments.common import format_table
 from repro.runner import SweepRunner, call_unit
@@ -28,9 +32,6 @@ from repro.workloads import make_scenario
 
 #: Placement policies the table compares, in print order.
 POLICY_NAMES = tuple(POLICIES)
-
-#: The run_scenario_unit dotted path the call units execute.
-UNIT_TARGET = "repro.cluster.dynamic:run_scenario_unit"
 
 
 def run(*, shape: str = "bursty", n_apps: int = 24,

@@ -1,16 +1,13 @@
-"""Reporting utilities: export experiment results and render timelines.
+"""Reporting utilities: export experiment results.
 
-The experiment drivers return plain dicts/lists; these helpers turn
-them into CSV/JSON files for downstream plotting and render the
-paper's timeline figures (5 and 10) as ASCII charts for terminal use.
+The experiment drivers return plain dicts/lists; :func:`to_json` writes
+one as a JSON file for downstream plotting (``mirage --export DIR``).
 """
 
 from __future__ import annotations
 
-import csv
 import json
-import io
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from pathlib import Path
 
 
@@ -25,75 +22,3 @@ def _coerce(value):
     if hasattr(value, "__dict__"):
         return vars(value)
     return str(value)
-
-
-def rows_to_csv(rows: Sequence[Mapping], path: str | Path) -> Path:
-    """Write a list of flat dicts (an experiment's ``rows``) as CSV."""
-    path = Path(path)
-    rows = list(rows)
-    if not rows:
-        path.write_text("")
-        return path
-    fieldnames = list(rows[0].keys())
-    with path.open("w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=fieldnames,
-                                extrasaction="ignore")
-        writer.writeheader()
-        writer.writerows(rows)
-    return path
-
-
-def ascii_timeline(
-    series: Sequence[Mapping],
-    *,
-    value_key: str = "ipc",
-    mark_key: str = "on_ooo",
-    width: int = 72,
-    height: int = 12,
-    title: str = "",
-) -> str:
-    """Render a per-interval series as an ASCII scatter (Figures 5/10).
-
-    Points where ``mark_key`` is truthy render as ``o`` (on the OoO,
-    the figures' blue points); the rest as ``.`` (on the InO, red).
-    """
-    if not series:
-        return "(empty timeline)"
-    values = [float(s[value_key]) for s in series]
-    lo, hi = min(values), max(values)
-    span = (hi - lo) or 1.0
-    # Downsample to the requested width.
-    step = max(1, len(series) // width)
-    sampled = series[::step][:width]
-    grid = [[" "] * len(sampled) for _ in range(height)]
-    for x, point in enumerate(sampled):
-        frac = (float(point[value_key]) - lo) / span
-        y = height - 1 - int(frac * (height - 1))
-        grid[y][x] = "o" if point.get(mark_key) else "."
-    lines = []
-    if title:
-        lines.append(title)
-    lines.append(f"{hi:8.2f} +" + "-" * len(sampled))
-    for row in grid:
-        lines.append(" " * 9 + "|" + "".join(row))
-    lines.append(f"{lo:8.2f} +" + "-" * len(sampled))
-    lines.append(" " * 10 + f"intervals 0..{series[-1].get('interval', len(series))}"
-                 f"   (o = on OoO, . = on InO)")
-    return "\n".join(lines)
-
-
-def summary_table(result: Mapping, *, float_fmt: str = "{:.3f}") -> str:
-    """Render a flat mapping of scalars as an aligned two-column table."""
-    out = io.StringIO()
-    scalars = {
-        k: v for k, v in result.items()
-        if isinstance(v, (int, float, str, bool))
-    }
-    if not scalars:
-        return "(no scalar fields)"
-    width = max(len(str(k)) for k in scalars)
-    for key, value in scalars.items():
-        if isinstance(value, float):
-            value = float_fmt.format(value)
-        out.write(f"{str(key):<{width}}  {value}\n")
-    return out.getvalue().rstrip("\n")

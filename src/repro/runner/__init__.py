@@ -15,12 +15,7 @@ bit-identical results because the simulator is deterministic per seed.
 >>> runner.stats.summary()
 """
 
-from repro.runner.cache import (
-    MISS,
-    ResultCache,
-    default_cache_dir,
-    unit_digest,
-)
+from repro.runner.cache import MISS, ResultCache, unit_digest
 from repro.runner.executor import RunnerStats, SweepRunner, run_units
 from repro.runner.pool import (
     PoolTaskError,
@@ -52,7 +47,6 @@ __all__ = [
     "WorkUnit",
     "call_unit",
     "cmp_unit",
-    "default_cache_dir",
     "execute_unit",
     "homo_unit",
     "lpt_order",

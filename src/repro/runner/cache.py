@@ -45,9 +45,7 @@ from typing import Any
 
 import repro
 from repro.cmp.system import CMPResult
-# Canonical home is repro.config (the service directory roots there
-# too); re-exported here because this was its historical address.
-from repro.config import SERVICE_CACHE_TAG, default_cache_dir  # noqa: F401
+from repro.config import SERVICE_CACHE_TAG, default_cache_dir
 from repro.engine.backends import ENGINE_CACHE_TAG
 from repro.runner.units import WorkUnit
 from repro.telemetry.events import IntervalRecord
@@ -103,28 +101,16 @@ def decode_payload(envelope: dict) -> Any:
 class ResultCache:
     """Maps a :class:`WorkUnit` to its stored result, by content."""
 
-    def __init__(self, cache_dir: str | Path | None = None, *,
-                 version: str | None = None,
-                 backend: str | None = None,
-                 core_backend: str | None = None,
-                 cost_model: str | None = None):
+    def __init__(self, cache_dir: str | Path | None = None):
         self.root = Path(cache_dir) if cache_dir else default_cache_dir()
-        self.version = version or repro.__version__
-        self.backend = backend or ENGINE_CACHE_TAG
-        # The selected registry backend and migration cost model are
-        # part of what a result *means*: entries produced under
-        # different selections can never collide.  None = the process
-        # defaults ("analytic+detailed" pair, flat L1-flush pricing).
-        self.core_backend = core_backend or "default"
-        self.cost_model = cost_model or "l1-flush"
+        self.version = repro.__version__
+        self.backend = ENGINE_CACHE_TAG
 
     # -- keying --------------------------------------------------------
     def key_material(self, unit: WorkUnit) -> str:
         """The canonical JSON string the cache key digests."""
         return _canonical({
             "backend": self.backend,
-            "core_backend": self.core_backend,
-            "cost_model": self.cost_model,
             # Scenario schedules and their placement semantics are
             # part of what a cached result means: bumping the
             # scenario-layer tag invalidates dynamic-run entries

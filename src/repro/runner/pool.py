@@ -1,10 +1,10 @@
 """Warm worker pools: persistent processes, pickled batches, LPT.
 
-Every parallel path in the repo runs on a :class:`WarmPool`:
-:class:`~repro.runner.executor.SweepRunner` sweeps and
-:func:`repro.cmp.sharded.fan_out` fan-outs share the process-global
-pool (:meth:`WarmPool.shared`), and ``mirage serve`` owns a private
-one.  Workers start once, preloaded with :mod:`repro` (inherited under
+Every parallel path in the repo runs on a :class:`WarmPool`, and there
+are two: :class:`~repro.runner.executor.SweepRunner` sweeps (every
+experiment driver, and :func:`repro.cluster.run_scenario`) share the
+process-global pool (:meth:`WarmPool.shared`), and ``mirage serve``
+owns a private one.  Workers start once, preloaded with :mod:`repro` (inherited under
 ``fork``, imported at startup under ``spawn``), are reused across
 calls, and are respawned on crash with the in-flight batch requeued.
 

@@ -139,15 +139,6 @@ class ServiceClient:
         bool}``."""
         return self._request("POST", "/jobs", request_to_dict(request))
 
-    def submit_experiments(self, *names: str, quick: bool = False,
-                           n_mixes: int | None = None,
-                           seed: int | None = None,
-                           priority: int = 0) -> dict:
-        """Convenience wrapper building the :class:`SubmitRequest`."""
-        return self.submit(SubmitRequest(
-            experiments=tuple(names), quick=quick, n_mixes=n_mixes,
-            seed=seed, priority=priority))
-
     def shutdown(self, drain: bool = True) -> dict:
         """Ask the server to stop (draining accepted work first)."""
         return self._request("POST", "/shutdown", {"drain": drain})

@@ -155,7 +155,7 @@ def run_experiment_unit(name: str, *, quick: bool = False,
     from repro.experiments import EXPERIMENTS, ExperimentParams
 
     params = ExperimentParams(quick=quick, n_mixes=n_mixes, seed=seed,
-                              jobs=1, use_cache=False)
+                              jobs=1)
     return EXPERIMENTS[name].run(params)
 
 

@@ -10,8 +10,8 @@ than ad-hoc.
 Record kinds:
 
 * ``"interval"`` — one application's outcome for one arbitration
-  interval (or one detailed-tier slice).  Supersedes the old
-  ``IntervalSample`` history rows behind Figures 5 and 10.
+  interval (or one detailed-tier slice); also the history rows behind
+  Figures 5 and 10.
 * ``"arbitration"`` — which applications were granted the producer
   OoO(s) at an interval boundary.
 * ``"migration"`` — the cost breakdown of one core migration, with

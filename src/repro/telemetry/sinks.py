@@ -89,11 +89,20 @@ def dump_record(event: TelemetryEvent) -> str:
 
 
 def read_trace(path) -> list[TelemetryEvent]:
-    """Load a JSONL trace file back into typed events."""
+    """Load a JSONL trace file back into typed events.
+
+    A line that is not one whole record of a known kind — a trace cut
+    short by an interrupted run, a foreign or hand-edited line — raises
+    ``ValueError("<path>:<line>: <reason>")``.
+    """
     events = []
     with Path(path).open() as handle:
-        for line in handle:
+        for number, line in enumerate(handle, 1):
             line = line.strip()
-            if line:
+            if not line:
+                continue
+            try:
                 events.append(from_record(json.loads(line)))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}:{number}: {exc}") from None
     return events

@@ -4,8 +4,7 @@
 must resolve, and :func:`repro.api.run_experiment` must behave like
 the CLI.  :class:`repro.config.CacheConfig` is a plain value selecting
 the result cache — the tests pin that passing one changes nothing in
-the process and that the legacy ``use_cache``/``cache_dir`` fields
-still work.
+the process.
 """
 
 import os
@@ -14,7 +13,6 @@ import pytest
 
 from repro import api
 from repro.config import CacheConfig, default_cache_dir
-from repro.experiments import ExperimentParams
 
 
 @pytest.fixture(autouse=True)
@@ -63,12 +61,3 @@ class TestCacheConfig:
         cache = CacheConfig(cache_dir=tmp_path).result_cache()
         assert cache is not None
         assert cache.root == tmp_path
-
-    def test_experiment_params_fold_legacy_fields(self, tmp_path):
-        legacy = ExperimentParams(use_cache=True, cache_dir=tmp_path)
-        cfg = legacy.cache_config()
-        assert cfg.use_result_cache is True
-        assert cfg.cache_dir == tmp_path
-        explicit = ExperimentParams(
-            use_cache=False, cache=CacheConfig(use_result_cache=True))
-        assert explicit.cache_config().use_result_cache is True

@@ -118,10 +118,10 @@ class TestBackendConformance:
     def test_views_contract(self, name):
         bundle, engine = build_engine(name)
         ctx = engine.run(max_intervals=2)
-        views = bundle.backend.views(ctx)
         batch = bundle.backend.views_batch(ctx)
+        views = batch.views()
+        assert len(batch) == len(bundle.apps)
         assert len(views) == len(bundle.apps)
-        assert len(batch.views()) == len(bundle.apps)
         for view, app in zip(views, bundle.apps):
             assert view.name == app.model.name
 
@@ -267,75 +267,3 @@ class TestLoadDelayTracking:
             make_benchmark("bzip2", seed=3).stream(), n)
         assert a.cycles == b.cycles
         assert a.energy_events == b.energy_events
-
-
-class TestMigrationCostModels:
-    def test_roster_and_unknown_name(self):
-        from repro.cmp.migration import (
-            MIGRATION_COST_MODELS,
-            make_cost_model,
-        )
-        from repro.cmp import ClusterConfig
-
-        assert set(MIGRATION_COST_MODELS) == {"l1-flush",
-                                              "state-transfer"}
-        config = ClusterConfig(n_consumers=2, n_producers=1,
-                               migration_cost_model="bogus")
-        with pytest.raises(ValueError, match="l1-flush"):
-            make_cost_model(config)
-
-    def test_state_transfer_scales_with_sc_bytes(self):
-        from repro.cmp import ClusterConfig
-        from repro.cmp.migration import make_cost_model
-
-        config = ClusterConfig(
-            n_consumers=2, n_producers=1,
-            migration_cost_model="state-transfer")
-        model = make_cost_model(config)
-        small = model.migrate("bzip2", now_cycles=0, interval_index=0,
-                              to_ooo=True, sc_bytes=0)
-        large = model.migrate("bzip2", now_cycles=10_000,
-                              interval_index=1, to_ooo=False,
-                              sc_bytes=64 * 1024)
-        assert small.l1_warmup_cycles < large.l1_warmup_cycles
-        # Saturates at the flat L1-flush price, never exceeds it.
-        flat = ClusterConfig(n_consumers=2, n_producers=1)
-        flat_model = make_cost_model(flat)
-        flat_event = flat_model.migrate(
-            "bzip2", now_cycles=0, interval_index=0, to_ooo=True,
-            sc_bytes=64 * 1024)
-        assert large.l1_warmup_cycles <= flat_event.l1_warmup_cycles
-
-    def test_spec_threads_cost_model_into_bundle(self):
-        from repro.cmp.migration import StateTransferMigrationModel
-
-        spec = BackendSpec(benchmarks=("bzip2", "astar"),
-                           slice_instructions=1_000,
-                           migration_cost_model="state-transfer")
-        bundle = get_backend("detailed").build(spec)
-        assert isinstance(bundle.migration, StateTransferMigrationModel)
-
-
-class TestCacheKeying:
-    def test_backend_selection_in_key_material(self):
-        from repro.runner import ResultCache, call_unit
-
-        unit = call_unit("x:y", 1)
-        base = ResultCache("/tmp/nonexistent-cache")
-        keyed = ResultCache("/tmp/nonexistent-cache",
-                            core_backend="cgooo",
-                            cost_model="state-transfer")
-        assert base.key_material(unit) != keyed.key_material(unit)
-        assert '"core_backend":"cgooo"' in keyed.key_material(unit)
-        assert '"cost_model":"state-transfer"' in keyed.key_material(unit)
-
-    def test_cache_config_validates_backend(self):
-        from repro.config import CacheConfig
-
-        with pytest.raises(ValueError, match="unknown backend"):
-            CacheConfig(backend="typo").result_cache()
-        cache = CacheConfig(backend="cgooo",
-                            migration_cost_model="state-transfer",
-                            ).result_cache()
-        assert cache.core_backend == "cgooo"
-        assert cache.cost_model == "state-transfer"

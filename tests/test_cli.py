@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import main
+from repro.config import CacheConfig
 from repro.experiments import EXPERIMENTS, ExperimentParams
 
 
@@ -120,8 +121,8 @@ class TestTraceOption:
         # serially, replayed from cache, or fanned out over processes.
         def run_headline(jobs, cache_dir, trace_file):
             params = ExperimentParams(
-                quick=True, n_mixes=2, jobs=jobs, use_cache=True,
-                cache_dir=cache_dir, trace=trace_file)
+                quick=True, n_mixes=2, jobs=jobs,
+                cache=CacheConfig(cache_dir=cache_dir), trace=trace_file)
             return EXPERIMENTS["headline"].run(params)
 
         cache = tmp_path / "cache"
@@ -207,6 +208,33 @@ class TestTraceCommand:
     def test_missing_file_fails(self, tmp_path, capsys):
         assert main(["trace", str(tmp_path / "nope.jsonl")]) == 1
         assert "no such file" in capsys.readouterr().err
+
+    #: How each damaged trace is made, and what its error must say.
+    DAMAGE = {
+        "truncated": (None, "(char "),
+        "unknown-kind": (b'{"kind": "bogus"}\n',
+                         "unknown telemetry record kind 'bogus'"),
+        "missing-fields": (b'{"kind": "interval", "interval": 0}\n',
+                           "missing"),
+    }
+
+    @pytest.mark.parametrize("damage", sorted(DAMAGE))
+    def test_damaged_file_fails_with_its_line(self, trace_file, capsys,
+                                              damage):
+        # An interrupted run leaves a cut-off last line; foreign and
+        # incomplete records are damage too.  Each one is a one-line
+        # error naming the file and line, never a traceback.
+        extra, reason = self.DAMAGE[damage]
+        data = trace_file.read_bytes()
+        data = data[:-40] if extra is None else data + extra
+        trace_file.write_bytes(data)
+        last_line = data.rstrip(b"\n").count(b"\n") + 1
+        assert main(["trace", str(trace_file)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"mirage trace: {trace_file}:{last_line}: ")
+        assert reason in err
+        assert "Traceback" not in err
 
     def test_trace_needs_a_path(self):
         with pytest.raises(SystemExit):

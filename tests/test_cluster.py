@@ -21,6 +21,7 @@ from repro.cluster import (
     run_scenario_unit,
 )
 from repro.cluster.dynamic import cluster_specs, summarize_scenario
+from repro.config import CacheConfig
 from repro.experiments import EXPERIMENTS, ExperimentParams
 from repro.workloads.scenario import AppArrival, Scenario, make_scenario
 
@@ -220,10 +221,11 @@ class TestScenarioExperiment:
     def test_serial_parallel_cached_bit_identical(self, tmp_path):
         exp = EXPERIMENTS["scenario"]
 
-        def run(jobs, use_cache):
+        def run(jobs, cached):
             params = ExperimentParams(
-                quick=True, jobs=jobs, use_cache=use_cache,
-                cache_dir=tmp_path / "cache")
+                quick=True, jobs=jobs,
+                cache=CacheConfig(cache_dir=tmp_path / "cache",
+                                  use_result_cache=cached))
             return json.dumps(exp.run(params), sort_keys=True)
 
         serial = run(1, False)

@@ -8,6 +8,7 @@ from repro.characterize import analytic_model
 from repro.characterize.phase_model import AppModel, PhaseProfile
 from repro.cmp import ClusterConfig, PAPER_SCALE
 from repro.cmp.system import CMPSystem
+from repro.engine import interval_tier_views
 
 
 class PinnedArbitrator(Arbitrator):
@@ -109,7 +110,7 @@ class TestCounters:
         system.run(max_intervals=10)
         app = system.apps[0]
         assert app.t_memoized > 0
-        views = system._views()
+        views = interval_tier_views(system.apps)
         assert views[0].util > views[1].util * 0.5
 
     def test_intervals_since_ooo_resets(self):

@@ -3,12 +3,17 @@
 Keeps the deliverables honest: every promised doc exists, every bench
 target DESIGN.md names is a real file, every public module carries a
 docstring, public surfaces of the bench/engine/telemetry subsystems
-are fully documented, and the package version matches pyproject.
+are fully documented, the package version matches pyproject, the
+package runs on the standard library alone, and the committed bench
+baseline covers exactly the registered probes.
 """
 
+import ast
 import importlib
 import inspect
+import json
 import pkgutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -34,7 +39,6 @@ DOCUMENTED_SURFACES = [
     "repro.telemetry.events",
     "repro.api",
     "repro.config",
-    "repro.cmp.sharded",
     "repro.workloads.scenario",
     "repro.engine.lifecycle",
     "repro.cluster",
@@ -99,6 +103,32 @@ class TestPackaging:
     def test_version_matches_pyproject(self):
         pyproject = (REPO / "pyproject.toml").read_text()
         assert f'version = "{repro.__version__}"' in pyproject
+
+    def test_runs_on_the_standard_library_alone(self):
+        """No declared runtime dependency, and no import outside the
+        standard library and ``repro`` itself."""
+        allowed = set(sys.stdlib_module_names) | {"repro"}
+        foreign = []
+        for path in sorted((REPO / "src" / "repro").rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    names = [node.module]
+                else:
+                    continue
+                foreign += [f"{path.relative_to(REPO)}: {name}"
+                            for name in names
+                            if name.split(".")[0] not in allowed]
+        assert not foreign, foreign
+        pyproject = (REPO / "pyproject.toml").read_text()
+        assert "\ndependencies = []\n" in pyproject
+
+    def test_bench_baseline_covers_exactly_the_registered_probes(self):
+        from repro.bench import BENCHMARKS
+
+        baseline = json.loads((REPO / "BENCH_baseline.json").read_text())
+        assert set(baseline["benchmarks"]) == set(BENCHMARKS)
 
     def test_public_exports_resolve(self):
         for name in repro.__all__:

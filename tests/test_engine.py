@@ -13,7 +13,7 @@ from repro.engine import (
     interval_tier_views,
 )
 from repro.experiments.common import make_system
-from repro.telemetry import IntervalRecord, MemorySink, Telemetry
+from repro.telemetry import MemorySink, Telemetry
 from repro.workloads import WorkloadMix
 
 MIX = WorkloadMix(name="engine", category="Random",
@@ -31,13 +31,6 @@ class TestPipelineAssembly:
         with pytest.raises(ValueError, match="duplicate"):
             IntervalEngine(system.config, system.apps,
                            [ExecutionPhase(), ExecutionPhase()])
-
-    def test_interval_sample_alias(self):
-        # The old history row type is the telemetry record now; the
-        # deep-import spelling still resolves, but deprecated.
-        with pytest.warns(DeprecationWarning, match="IntervalSample"):
-            from repro.cmp.system import IntervalSample
-        assert IntervalSample is IntervalRecord
 
 
 class TestCustomPhase:
@@ -111,14 +104,16 @@ class TestProfiler:
 
 class TestViews:
     def test_views_match_shared_builder(self):
+        # What the arbitrator is handed is the shared Equation-3 view.
         system = make_system(MIX, "SC-MPKI")
-        system.run(max_intervals=40)
-        assert system._views() == interval_tier_views(system.apps)
+        ctx = system.engine.run(max_intervals=40)
+        assert (system.backend.views_batch(ctx).views()
+                == interval_tier_views(system.apps))
 
     def test_views_reflect_state(self):
         system = make_system(MIX, "SC-MPKI")
         system.run(max_intervals=40)
-        views = system._views()
+        views = interval_tier_views(system.apps)
         assert [v.name for v in views] == list(MIX)
         assert sum(v.on_ooo for v in views) <= system.config.n_producers
         assert all(0.0 <= v.util <= 1.0 for v in views)

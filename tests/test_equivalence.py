@@ -12,8 +12,9 @@ an all-hit replay match the run without a memo.  The detailed-core
 measurements (``table1``, ``fig1``, ``fig2``) generate one instruction
 window and hand it to every core; they must match giving each core its
 own freshly generated stream.  The warm worker pool must be a pure
-transport: random work-unit batches and random scenario fan-outs give
-the same results pooled as serially.  These tests run whole
+transport: random work-unit batches (interval-tier runs, cycle-tier
+measurements, plain call units) and random multi-cluster scenarios
+give the same results pooled as serially.  These tests run whole
 simulations both ways and compare every field of the results exactly
 — no tolerances.
 """
@@ -244,7 +245,7 @@ def test_shared_window_matches_fresh_streams(name, seed, instructions):
     assert fig2.measure(name, **kwargs) == reference_fig2(name, **kwargs)
 
 
-# -- the warm pool: pooled maps and fan-outs match serial execution ------
+# -- the warm pool: pooled maps and scenarios match serial execution ----
 @pytest.fixture(scope="module")
 def pool():
     warm = WarmPool(2)
@@ -252,7 +253,12 @@ def pool():
     warm.shutdown()
 
 
-#: Short arbitrated cluster runs and JSON-pure call units.
+#: Cycle-tier measurements: detailed cores, memory and Schedule Cache.
+CYCLE_TARGETS = ("repro.experiments.table1:measure_ratio",
+                 "repro.experiments.fig2_memoization:measure")
+
+#: Short arbitrated cluster runs, short cycle-tier measurements and
+#: JSON-pure call units.
 UNITS = st.one_of(
     st.builds(
         lambda names, policy, intervals, history: cmp_unit(
@@ -262,6 +268,13 @@ UNITS = st.one_of(
         st.sampled_from(sorted(ARBITRATORS)),
         st.integers(5, 40),
         st.booleans()),
+    st.builds(
+        lambda target, name, instructions, seed: call_unit(
+            target, name, instructions=instructions, seed=seed),
+        st.sampled_from(CYCLE_TARGETS),
+        st.sampled_from(ALL_BENCHMARKS),
+        st.integers(500, 3_000),
+        st.integers(0, 2**16)),
     st.builds(
         lambda value, tag: call_unit("repro.service.protocol:echo_unit",
                                      value=value, tag=tag),

@@ -34,7 +34,6 @@ class TestRegistry:
         assert len(EXPERIMENTS) == 21
         for exp in EXPERIMENTS.values():
             assert hasattr(exp, "run")
-            assert hasattr(exp, "main")
             assert hasattr(exp, "print_table")
 
     def test_quick_mapping_is_centralised(self):

@@ -88,13 +88,6 @@ def _nested_sweep(_):
     return runner.map(NESTED_UNITS), runner.stats.mode
 
 
-def _nested_fan_out(_):
-    """A two-item fan-out started from inside a pool worker."""
-    from repro.cmp.sharded import fan_out
-
-    return fan_out(len, [[1], [1, 2]], 2)
-
-
 @pytest.fixture
 def pool():
     p = WarmPool(2)
@@ -224,9 +217,6 @@ class TestNesting:
     def test_nested_sweep_runs_serially(self, pool):
         serial = SweepRunner(jobs=1).map(NESTED_UNITS)
         assert pool.map(_nested_sweep, [0]) == [(serial, "serial")]
-
-    def test_nested_fan_out_runs_serially(self, pool):
-        assert pool.map(_nested_fan_out, [0]) == [[1, 2]]
 
 
 class TestCacheKeying:

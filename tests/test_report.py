@@ -1,11 +1,10 @@
 """Tests for the reporting/export utilities."""
 
-import csv
 import json
 
 
-from repro.experiments import fig5_bzip2_timeline, fig6_area
-from repro.report import ascii_timeline, rows_to_csv, summary_table, to_json
+from repro.experiments import fig6_area
+from repro.report import to_json
 
 
 class TestExport:
@@ -14,52 +13,3 @@ class TestExport:
         path = to_json(result, tmp_path / "fig6.json")
         loaded = json.loads(path.read_text())
         assert loaded["rows"][0]["n"] == 4
-
-    def test_csv_rows(self, tmp_path):
-        result = fig6_area.run()
-        path = rows_to_csv(result["rows"], tmp_path / "fig6.csv")
-        with path.open() as handle:
-            rows = list(csv.DictReader(handle))
-        assert len(rows) == 4
-        assert set(rows[0]) == {"n", "homo_ino", "mirage", "traditional"}
-
-    def test_csv_empty(self, tmp_path):
-        path = rows_to_csv([], tmp_path / "empty.csv")
-        assert path.read_text() == ""
-
-
-class TestAsciiTimeline:
-    def test_renders_fig5_series(self):
-        result = fig5_bzip2_timeline.run(intervals=120)
-        chart = ascii_timeline(result["series"], title="bzip2")
-        assert "bzip2" in chart
-        assert "o" in chart or "." in chart
-        # Height: title + top axis + 12 rows + bottom axis + legend.
-        assert len(chart.splitlines()) == 16
-
-    def test_marks_ooo_points(self):
-        series = [
-            {"interval": 0, "ipc": 1.0, "on_ooo": True},
-            {"interval": 1, "ipc": 0.5, "on_ooo": False},
-        ]
-        chart = ascii_timeline(series)
-        assert "o" in chart and "." in chart
-
-    def test_empty_series(self):
-        assert "empty" in ascii_timeline([])
-
-    def test_flat_series_does_not_crash(self):
-        series = [{"interval": i, "ipc": 1.0, "on_ooo": False}
-                  for i in range(5)]
-        assert "." in ascii_timeline(series)
-
-
-class TestSummaryTable:
-    def test_scalars_only(self):
-        table = summary_table({"stp": 0.84, "name": "mirage",
-                               "rows": [1, 2]})
-        assert "stp" in table and "0.840" in table
-        assert "rows" not in table
-
-    def test_no_scalars(self):
-        assert "(no scalar fields)" in summary_table({"rows": []})

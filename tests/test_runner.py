@@ -11,6 +11,8 @@ import json
 
 import pytest
 
+import repro
+from repro.config import CacheConfig
 from repro.experiments import EXPERIMENTS, ExperimentParams
 from repro.experiments import fig7_throughput
 from repro.runner import (
@@ -67,14 +69,16 @@ class TestCache:
         assert cache.get(cmp_unit(MIX, "SC-MPKI")) is MISS
 
     def test_key_changes_with_params_and_version_not_experiment(
-            self, tmp_path):
+            self, tmp_path, monkeypatch):
         base = ResultCache(tmp_path)
         unit = cmp_unit(MIX, "SC-MPKI")
+        monkeypatch.setattr(repro, "__version__", "9.9.9")
+        bumped = ResultCache(tmp_path)
         paths = {
             base.path_for(unit),
             base.path_for(cmp_unit(MIX, "maxSTP")),
             base.path_for(cmp_unit(MIX, "SC-MPKI", n_producers=2)),
-            ResultCache(tmp_path, version="9.9.9").path_for(unit),
+            bumped.path_for(unit),
         }
         assert len(paths) == 4
         # Content-addressed: no experiment name enters the key, so an
@@ -85,17 +89,19 @@ class TestCache:
         assert base.path_for(unit) == (
             tmp_path / f"v{base.version}" / digest[:2] / f"{digest}.json")
 
-    def test_key_changes_with_backend_tag(self, tmp_path):
+    def test_key_changes_with_backend_tag(self, tmp_path, monkeypatch):
         # Results from a different engine/backend generation (e.g. the
         # pre-unification bespoke loops) can never be served back.
         from repro.engine.backends import ENGINE_CACHE_TAG
+        from repro.runner import cache as cache_mod
 
         base = ResultCache(tmp_path)
         assert base.backend == ENGINE_CACHE_TAG
         assert ENGINE_CACHE_TAG in base.key_material(
             cmp_unit(MIX, "SC-MPKI"))
         unit = cmp_unit(MIX, "SC-MPKI")
-        other = ResultCache(tmp_path, backend="bespoke-loops-v0")
+        monkeypatch.setattr(cache_mod, "ENGINE_CACHE_TAG", "bespoke-loops-v0")
+        other = ResultCache(tmp_path)
         assert base.path_for(unit) != other.path_for(unit)
 
     @pytest.mark.parametrize("text", [
@@ -231,7 +237,6 @@ class TestExperimentAPI:
             assert exp.name and exp.title and exp.figure
             assert callable(exp.run)
             assert callable(exp.print_table)
-            assert callable(exp.main)
 
     def test_quick_params_route_through_registry(self):
         exp = EXPERIMENTS["fig7"]
@@ -252,8 +257,8 @@ class TestExperimentAPI:
 
     def test_params_build_runner_with_cache(self, tmp_path):
         exp = EXPERIMENTS["fig12"]
-        params = ExperimentParams(jobs=1, use_cache=True,
-                                  cache_dir=tmp_path)
+        params = ExperimentParams(jobs=1,
+                                  cache=CacheConfig(cache_dir=tmp_path))
         first = exp.run(params)
         assert exp.last_runner.stats.cache_misses > 0
         second = exp.run(params)
