@@ -16,6 +16,11 @@ def test_fig7_throughput(once):
     # At 8:1 the paper reports ~84 % of Homo-OoO for SC-MPKI and a
     # large gain over Homo-InO; require the gain to be substantial.
     assert by_n[8]["SC-MPKI"] - by_n[8]["Homo-InO"] > 0.10
+    # EXPERIMENTS.md documents 0.77 at 8:1 (our InO:OoO ratios sit
+    # ~0.2 below the paper's); this model measures 0.774.  A few
+    # points either side, so a model change fails here: OinO replay
+    # efficiency 0.92 -> 0.80 reads 0.710.
+    assert 0.75 <= by_n[8]["SC-MPKI"] <= 0.80
     # Gains taper as the lone OoO saturates.
     gains = [by_n[n]["SC-MPKI"] - by_n[n]["Homo-InO"]
              for n in (4, 8, 12, 16)]

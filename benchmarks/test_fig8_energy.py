@@ -11,7 +11,9 @@ def test_fig8_energy(once):
         assert energy["SC-MPKI"] < 0.75
         assert energy["Homo-InO"] < energy["SC-MPKI"]
     # 8:1 SC-MPKI: the paper's ~54 % saving (46 % relative energy).
-    assert 0.30 < by_n[8]["SC-MPKI"] < 0.60
+    # EXPERIMENTS.md documents 0.43 and this model measures 0.452;
+    # the band is a few points either side of it.
+    assert 0.42 <= by_n[8]["SC-MPKI"] <= 0.48
     # Relative energy falls as one OoO is amortized over more InOs.
     series = [by_n[n]["SC-MPKI"] for n in (4, 8, 12, 16)]
     assert series[-1] < series[0]

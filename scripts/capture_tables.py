@@ -3,9 +3,13 @@
 
 Runs the experiments whose output refactors and perf changes must
 never change (:data:`EXPERIMENTS`) in ``--quick --no-cache`` mode,
-strips the wall-clock-dependent runner chatter (``[runner] ...``
-stats and ``--- <name> done in X.Xs ---`` footers), and writes one
-``<experiment>.txt`` per experiment.
+strips the run-dependent chatter (``[runner] ...`` stats,
+``--- <name> done in X.Xs ---`` footers and the ``[exported ...]``
+line, which names a temporary directory), and writes one
+``<experiment>.txt`` per experiment.  Beside each table it writes the
+experiment's ``--export`` result as ``<experiment>.json``: the tables
+round to three decimals or whole percents, the JSON holds every float
+at full precision.
 
 CI runs this script twice (PR tree vs base tree) and fails the
 tier-identity gate on any byte difference::
@@ -16,10 +20,10 @@ tier-identity gate on any byte difference::
 
 ``--backend-smoke`` runs ``backend-matrix --quick`` twice on one
 tree: every registered backend must appear as a leg row and the two
-runs must print byte-identical tables (determinism across the whole
-roster).  Perf layers are held to their references by
-``tests/test_equivalence.py`` instead: the slice memo against its
-memo-less run, and the warm pool against serial execution.
+runs must print byte-identical tables and export byte-identical JSON
+(determinism across the whole roster).  Perf layers are held to their
+references by ``tests/test_equivalence.py`` instead: the slice memo
+against its memo-less run, and the warm pool against serial execution.
 """
 
 from __future__ import annotations
@@ -28,39 +32,52 @@ import argparse
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
-#: The experiments whose printed tables must stay bit-identical: the
+#: The experiments whose results must stay bit-identical: the
 #: detailed-core measurements (table1, fig1, fig2, fig9's breakdown,
 #: backend-matrix's energy table), both tiers of one cluster
 #: (tier-validation, every backend-matrix leg), and the interval tier
-#: (fig7, fig9's utilization).
-EXPERIMENTS = ("table1", "fig1", "fig2", "fig7", "fig9",
-               "tier-validation", "backend-matrix")
+#: (fig7, fig9's utilization; fig12's maxSTP, Fair and SC-MPKI-fair
+#: arbitrators; fig15's migration cost summary; the headline).
+EXPERIMENTS = ("table1", "fig1", "fig2", "fig7", "fig9", "fig12",
+               "fig15", "headline", "tier-validation", "backend-matrix")
 
 
 def is_volatile(line: str) -> bool:
-    """True for timing lines that legitimately vary run to run."""
-    if line.startswith("[runner] "):
+    """True for lines that legitimately vary run to run."""
+    if line.startswith(("[runner] ", "[exported ")):
         return True
     return line.startswith("--- ") and " done in " in line
 
 
-def capture(experiment: str, src: Path) -> str:
-    """One experiment's table, with volatile timing lines stripped."""
+def capture(experiment: str, src: Path) -> tuple[str, str]:
+    """One experiment's ``(table, exported JSON)``, with volatile
+    lines stripped from the table."""
     env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run(
-        [sys.executable, "-m", "repro", experiment,
-         "--quick", "--no-cache"],
-        env=env, capture_output=True, text=True,
-    )
-    if proc.returncode != 0:
-        sys.stderr.write(proc.stderr)
-        raise SystemExit(
-            f"capture_tables: {experiment} exited {proc.returncode}")
+    with tempfile.TemporaryDirectory() as export:
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", experiment,
+             "--quick", "--no-cache", "--export", export],
+            env=env, capture_output=True, text=True,
+        )
+        if proc.returncode != 0:
+            sys.stderr.write(proc.stderr)
+            raise SystemExit(
+                f"capture_tables: {experiment} exited {proc.returncode}")
+        exported = (Path(export) / f"{experiment}.json").read_text()
     lines = [line for line in proc.stdout.splitlines()
              if not is_volatile(line)]
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n", exported
+
+
+def write_capture(out: Path, stem: str,
+                  captured: tuple[str, str]) -> None:
+    """Write one capture as ``<stem>.txt`` and ``<stem>.json``."""
+    text, exported = captured
+    (out / f"{stem}.txt").write_text(text)
+    (out / f"{stem}.json").write_text(exported)
 
 
 #: Backend names whose leg rows ``--backend-smoke`` requires in the
@@ -70,7 +87,7 @@ BACKEND_ROSTER = ("analytic", "detailed", "cgooo", "ldt")
 
 def backend_smoke(src: Path, out: Path) -> None:
     """Run ``backend-matrix --quick`` twice; require the full roster
-    in the output and byte-identical tables between the runs.
+    in the output and byte-identical tables and JSON between the runs.
 
     One mode covers two promises at once: every built-in backend
     still registers and runs under the unchanged engine, and the
@@ -78,9 +95,10 @@ def backend_smoke(src: Path, out: Path) -> None:
     """
     first = capture("backend-matrix", src)
     second = capture("backend-matrix", src)
-    (out / "backend-matrix.first.txt").write_text(first)
-    (out / "backend-matrix.second.txt").write_text(second)
-    missing = [name for name in BACKEND_ROSTER if name not in first]
+    write_capture(out, "backend-matrix.first", first)
+    write_capture(out, "backend-matrix.second", second)
+    table = first[0]
+    missing = [name for name in BACKEND_ROSTER if name not in table]
     if missing:
         raise SystemExit(
             f"capture_tables: backend-matrix output is missing leg "
@@ -88,11 +106,12 @@ def backend_smoke(src: Path, out: Path) -> None:
     if first != second:
         raise SystemExit(
             "capture_tables: backend-matrix printed different tables "
-            f"on two identical runs — a backend is nondeterministic "
-            f"(see {out})")
+            f"or exported different JSON on two identical runs — a "
+            f"backend is nondeterministic (see {out})")
     print(f"[backend-smoke] backend-matrix: {len(BACKEND_ROSTER)} "
           f"backends present, two runs byte-identical "
-          f"({len(first.splitlines())} lines)")
+          f"({len(table.splitlines())} lines, "
+          f"{len(first[1])} JSON bytes)")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -103,7 +122,7 @@ def main(argv: list[str] | None = None) -> int:
         help="the src/ tree to put on PYTHONPATH (default: src)")
     parser.add_argument(
         "--out", required=True,
-        help="directory to write <experiment>.txt files into")
+        help="directory to write <experiment>.txt and .json files into")
     parser.add_argument(
         "--experiments", nargs="*", default=list(EXPERIMENTS),
         help=f"experiments to capture (default: {' '.join(EXPERIMENTS)})")
@@ -121,11 +140,11 @@ def main(argv: list[str] | None = None) -> int:
         backend_smoke(src, out)
         return 0
     for experiment in args.experiments:
-        text = capture(experiment, src)
-        path = out / f"{experiment}.txt"
-        path.write_text(text)
-        print(f"[capture] {experiment}: {len(text.splitlines())} lines "
-              f"-> {path}")
+        captured = capture(experiment, src)
+        write_capture(out, experiment, captured)
+        print(f"[capture] {experiment}: "
+              f"{len(captured[0].splitlines())} lines, "
+              f"{len(captured[1])} JSON bytes -> {out / experiment}.*")
     return 0
 
 

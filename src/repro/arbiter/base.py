@@ -44,6 +44,22 @@ class AppView:
         return delta_sc_mpki(self.sc_mpki_ino, self.sc_mpki_ooo)
 
 
+def fill_slots(order: list[int], slots: int) -> list[int]:
+    """The first *slots* distinct indices of *order*.
+
+    The selection loop every ``pick`` runs over its ranked views,
+    spelled over bare indices for the ``pick_batch`` fast paths (same
+    loop, so the same result for any *slots*, including < 1).
+    """
+    picked: list[int] = []
+    for i in order:
+        if i not in picked:
+            picked.append(i)
+        if len(picked) >= slots:
+            break
+    return picked
+
+
 class Arbitrator(ABC):
     """Decides OoO occupancy for the next interval."""
 
@@ -65,8 +81,11 @@ class Arbitrator(ABC):
 
         The default materializes the historical view list from the
         batch and defers to :meth:`pick`, so subclassing ``pick``
-        alone is enough; arbitrators with a batch fast path override
-        this and must return the identical indices.
+        alone is enough.  SC-MPKI, maxSTP and SC-MPKI+maxSTP override
+        this with a fast path that reads the live ``AppState`` records
+        in ``batch.apps``; an override must return the indices
+        :meth:`pick` would, and must fall back to :meth:`pick` when a
+        subclass overrides it.
         """
         return self.pick(batch.views(), interval_index=interval_index,
                          slots=slots)

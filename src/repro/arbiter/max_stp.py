@@ -3,7 +3,15 @@
 
 from __future__ import annotations
 
-from repro.arbiter.base import AppView, Arbitrator
+from operator import itemgetter
+from typing import TYPE_CHECKING
+
+from repro.arbiter.base import AppView, Arbitrator, fill_slots
+
+if TYPE_CHECKING:
+    from repro.engine.views import AppViewBatch
+
+_key = itemgetter(0)
 
 
 class MaxSTPArbitrator(Arbitrator):
@@ -37,3 +45,36 @@ class MaxSTPArbitrator(Arbitrator):
             if len(picked) >= slots:
                 break
         return picked
+
+    def pick_batch(self, batch: "AppViewBatch", *, interval_index: int,
+                   slots: int = 1) -> list[int]:
+        """Fast path over the batch, identical to :meth:`pick`.
+
+        Reads the three counters maxSTP ranks by straight off the live
+        ``AppState`` records instead of building an ``AppView`` (and
+        its Equation-3 term, which maxSTP never reads) per app.  Both
+        rankings sort ``(key, index)`` pairs on the key alone, so ties
+        keep application order exactly as ``sorted`` over the views
+        does.  Subclasses that override :meth:`pick` fall back to it.
+        """
+        if type(self).pick is not MaxSTPArbitrator.pick:
+            return self.pick(batch.views(), interval_index=interval_index,
+                             slots=slots)
+        sample_every = self.sample_every
+        stale: list[tuple[int, int]] = []
+        speedups: list[tuple[float, int]] = []
+        for i, app in enumerate(batch.apps):
+            ooo = app.ipc_ooo_last
+            iso = app.intervals_since_ooo
+            if ooo is None:
+                # AppView.speedup: never sampled is maximal slowdown.
+                speedups.append((0.0, i))
+                stale.append((-iso, i))
+                continue
+            # metrics.speedup, inlined: a non-positive OoO IPC reads 1.
+            speedups.append((1.0 if ooo <= 0 else app.ipc_last / ooo, i))
+            if iso >= sample_every:
+                stale.append((-iso, i))
+        stale.sort(key=_key)
+        speedups.sort(key=_key)
+        return fill_slots([i for _, i in stale + speedups], slots)

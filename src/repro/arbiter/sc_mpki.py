@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
-from repro.arbiter.base import AppView, Arbitrator
+from repro.arbiter.base import AppView, Arbitrator, fill_slots
 
 if TYPE_CHECKING:
     from repro.engine.views import AppViewBatch
 
 _INF = float("inf")
+_key = itemgetter(0)
 
 
 class SCMPKIArbitrator(Arbitrator):
@@ -104,14 +106,8 @@ class SCMPKIArbitrator(Arbitrator):
                     score = delta / (1.0 + ds / (iso if iso > 1 else 1))
             if score > threshold:
                 ordered.append((score, i))
-        ordered.sort(key=lambda pair: pair[0], reverse=True)
-        picked: list[int] = []
-        for i in starving + [i for _, i in ordered]:
-            if i not in picked:
-                picked.append(i)
-            if len(picked) >= slots:
-                break
-        return picked
+        ordered.sort(key=_key, reverse=True)
+        return fill_slots(starving + [i for _, i in ordered], slots)
 
 
 class SCMPKIMaxSTPArbitrator(Arbitrator):
@@ -150,3 +146,53 @@ class SCMPKIMaxSTPArbitrator(Arbitrator):
             if len(picked) >= slots:
                 break
         return picked
+
+    def pick_batch(self, batch: "AppViewBatch", *, interval_index: int,
+                   slots: int = 1) -> list[int]:
+        """Fast path over the batch, identical to :meth:`pick`.
+
+        Speedup, ΔSC-MPKI and the memoization gain read the four
+        counters they need straight off the live ``AppState`` records
+        instead of building an ``AppView`` per app.  Both rankings
+        sort ``(key, index)`` pairs on the key alone (the gain ranking
+        with ``reverse=True``), so ties keep application order exactly
+        as ``sorted`` over the views does.  Subclasses that override
+        :meth:`pick` fall back to it.
+        """
+        if type(self).pick is not SCMPKIMaxSTPArbitrator.pick:
+            return self.pick(batch.views(), interval_index=interval_index,
+                             slots=slots)
+        threshold = self.threshold
+        memoizable: list[tuple[float, int]] = []
+        speedups: list[tuple[float, int]] = []
+        for i, app in enumerate(batch.apps):
+            # AppView.speedup: never sampled reads 0, and
+            # metrics.speedup reads 1 for a non-positive OoO IPC.
+            ipc_ooo = app.ipc_ooo_last
+            if ipc_ooo is None:
+                speedup = 0.0
+            elif ipc_ooo <= 0:
+                speedup = 1.0
+            else:
+                speedup = app.ipc_last / ipc_ooo
+            speedups.append((speedup, i))
+            # AppView.delta_sc_mpki (Equation 1, floor 0.1).
+            ooo = app.sc_mpki_ooo_last
+            if ooo is None:
+                delta = _INF if app.sc_mpki_ino_last > 0 else 0.0
+            else:
+                delta = (app.sc_mpki_ino_last - ooo) / (
+                    ooo if ooo > 0.1 else 0.1)
+            if delta > threshold:
+                if delta == _INF:
+                    gain = _INF
+                else:
+                    # delta * max(1 - min(1, speedup), 0.05), as
+                    # conditionals: identical values.
+                    slowdown = 1.0 - (speedup if speedup < 1.0 else 1.0)
+                    gain = delta * (slowdown if slowdown >= 0.05
+                                    else 0.05)
+                memoizable.append((gain, i))
+        memoizable.sort(key=_key, reverse=True)
+        speedups.sort(key=_key)
+        return fill_slots([i for _, i in memoizable + speedups], slots)

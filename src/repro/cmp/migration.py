@@ -45,14 +45,29 @@ class MigrationEvent:
 
 
 class MigrationCostModel:
-    """Computes migration costs and accounts bus traffic."""
+    """Computes migration costs and accounts bus traffic.
+
+    Keeps a count and running totals, never a record per move, so its
+    memory does not grow with the run: one interval-tier sweep prices
+    over 100,000 moves.  Each move's :class:`MigrationEvent` goes back
+    to the caller, and reaches a trace as a
+    :class:`~repro.telemetry.events.MigrationRecord`.
+    """
 
     def __init__(self, config: ClusterConfig, bus: SharedBus | None = None):
         self.config = config
         self.bus = bus or SharedBus()
-        self.events: list[MigrationEvent] = []
-        # Running per-component totals, kept in lockstep with `events`
-        # so cost_summary() stays O(1) on hot sweep paths.
+        # ClusterConfig and TimeScale are frozen: read the constants
+        # every move needs once.
+        scale = config.scale
+        self._mirage = config.mirage
+        self._sc_capacity = config.sc_capacity_bytes
+        self._sc_transfer = scale.sc_transfer_cycles
+        self._drain = scale.drain_cycles
+        self._l1_warmup = scale.l1_warmup_cycles
+        self._count = 0
+        # Running per-component totals, so cost_summary() stays O(1)
+        # on hot sweep paths.
         self._totals = {
             "drain": 0.0, "l1_warmup": 0.0,
             "sc_transfer": 0.0, "bus_contention": 0.0,
@@ -61,54 +76,46 @@ class MigrationCostModel:
     def migrate(
         self,
         app: str,
-        *,
         now_cycles: int,
         interval_index: int,
         to_ooo: bool,
         sc_bytes: int,
     ) -> MigrationEvent:
-        """Record a migration; returns its cost breakdown.
+        """Price one migration; returns its cost breakdown.
 
         ``sc_bytes`` is how much Schedule Cache content actually moves:
         zero for traditional Het-CMPs, up to the SC capacity for
         Mirage.  Consumer->producer transfers also ship the SC so the
         producer knows what is already memoized.
         """
-        scale = self.config.scale
+        bus = self.bus
         sc_cycles = 0
         contention = 0
-        if self.config.mirage and sc_bytes > 0:
+        if self._mirage and sc_bytes > 0:
             # The paper approximates 1000 cycles for the full 8 KB;
             # partial contents scale proportionally.
-            full = self.config.sc_capacity_bytes
-            sc_cycles = max(1, int(
-                scale.sc_transfer_cycles * min(1.0, sc_bytes / full)))
-            start, _finish = self.bus.transfer(now_cycles, sc_bytes)
+            sc_cycles = max(1, int(self._sc_transfer * min(
+                1.0, sc_bytes / self._sc_capacity)))
+            start, _finish = bus.transfer(now_cycles, sc_bytes)
             contention = start - now_cycles
         # Architectural state + dirty L1 lines also cross the bus.
-        self.bus.transfer(now_cycles, 2048)
-        event = MigrationEvent(
-            app=app,
-            interval_index=interval_index,
-            to_ooo=to_ooo,
-            drain_cycles=scale.drain_cycles,
-            l1_warmup_cycles=scale.l1_warmup_cycles,
-            sc_transfer_cycles=sc_cycles,
-            bus_contention_cycles=contention,
-        )
-        self.events.append(event)
+        bus.transfer(now_cycles, 2048)
+        drain = self._drain
+        l1_warmup = self._l1_warmup
+        self._count += 1
         totals = self._totals
-        totals["drain"] += event.drain_cycles
-        totals["l1_warmup"] += event.l1_warmup_cycles
+        totals["drain"] += drain
+        totals["l1_warmup"] += l1_warmup
         totals["sc_transfer"] += sc_cycles
         totals["bus_contention"] += contention
-        return event
+        return MigrationEvent(app, interval_index, to_ooo, drain,
+                              l1_warmup, sc_cycles, contention)
 
     # ------------------------------------------------------------------
     @property
     def total_migrations(self) -> int:
         """How many moves this model has priced so far."""
-        return len(self.events)
+        return self._count
 
     def cost_summary(self) -> dict[str, float]:
         """Aggregate cycles by component (Figure 15's stacking)."""

@@ -40,7 +40,10 @@ The pipeline drives backends through batch entry points only —
 :meth:`ExecutionBackend.advance_all` executes every application for
 the interval — with the per-application
 :meth:`~ExecutionBackend.advance` kept as the reference surface the
-default ``advance_all`` loops over.  :class:`AnalyticBackend` overrides
+default ``advance_all`` loops over.  On the arbitrator side, SC-MPKI,
+maxSTP and SC-MPKI+maxSTP read the batch's ``AppState`` records
+through their own ``pick_batch``; Fair and SC-MPKI-fair go through
+``pick`` over the materialized views.  :class:`AnalyticBackend` overrides
 :meth:`~ExecutionBackend.advance_all` with a **fused scalar kernel**:
 the same Equation-3 / phase-table math as the reference
 :meth:`~AnalyticBackend.advance`, with the per-model constants
@@ -53,7 +56,7 @@ bit-identical to the reference ``advance``.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
@@ -92,8 +95,9 @@ class MigrationTicket:
     charged: float               #: cycles actually billed to the app
     l1_flush_dirty: int = 0      #: detailed tier: dirty lines written back
     l1_flush_lines: int = 0      #: detailed tier: total lines dropped
-    #: Extra substrate counters to bump alongside the standard ones.
-    counters: dict = field(default_factory=dict)
+    #: Extra substrate counters to bump alongside the standard ones
+    #: (``None`` for none: no dict is built per analytic-tier move).
+    counters: dict | None = None
 
 
 class ExecutionBackend(ABC):
@@ -124,9 +128,10 @@ class ExecutionBackend(ABC):
         """The arbitrator's batched counter view of every app.
 
         Both tiers mirror their counters into ``AppState``, so the
-        state-backed batch is the default for everyone; fast-path
-        arbitrators read the records directly, the rest materialize
-        the historical view list from it.
+        state-backed batch is the default for everyone; the fast-path
+        arbitrators (SC-MPKI, maxSTP, SC-MPKI+maxSTP) read the records
+        directly, the rest (Fair, SC-MPKI-fair) materialize the
+        historical view list from it.
         """
         return AppViewBatch.from_states(ctx.apps)
 
@@ -299,8 +304,10 @@ class AnalyticBackend(ExecutionBackend):
     Execution advances every application by the interval's effective
     cycles at the IPC its current core and Schedule-Cache state
     deliver; migrations are priced by the
-    :class:`~repro.cmp.migration.MigrationCostModel` and charged
-    against the interval (capped at 90 % of it).
+    :class:`~repro.cmp.migration.MigrationCostModel` (shared with the
+    detailed tier and the multithreaded broadcast, so the pricing
+    lives there, not here) and charged against the interval (capped
+    at 90 % of it).
 
     :meth:`advance` is the reference implementation; the fused
     :meth:`advance_all` kernel is bit-identical to it.
@@ -342,10 +349,7 @@ class AnalyticBackend(ExecutionBackend):
         if cfg.mirage:
             sc_bytes = int(app.sc_coverage * cfg.sc_capacity_bytes)
         event = self.migration.migrate(
-            app.model.name, now_cycles=ctx.now,
-            interval_index=ctx.index, to_ooo=to_ooo,
-            sc_bytes=sc_bytes,
-        )
+            app.model.name, ctx.now, ctx.index, to_ooo, sc_bytes)
         # Inlined event.total_cycles (a property summing these four),
         # and min() spelled as a conditional: identical charge.
         total = (event.drain_cycles + event.l1_warmup_cycles

@@ -100,8 +100,9 @@ def account_migration(ctx: EngineContext, app_name: str,
     counters["migration.count"] = counters.get("migration.count", 0) + 1
     counters["migration.sc_bytes"] = (
         counters.get("migration.sc_bytes", 0) + ticket.sc_bytes)
-    for name, value in ticket.counters.items():
-        counters.bump(name, value)
+    if ticket.counters:
+        for name, value in ticket.counters.items():
+            counters.bump(name, value)
     if telemetry.wants("migration"):
         event = ticket.event
         telemetry.emit(MigrationRecord(

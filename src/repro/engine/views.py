@@ -13,10 +13,13 @@ The arbitration path
 (:meth:`~repro.engine.backends.ExecutionBackend.views_batch`) hands
 arbitrators an :class:`AppViewBatch` instead of a list of
 freshly-built :class:`~repro.arbiter.base.AppView` objects.  A batch
-wraps the live ``AppState`` records: arbitrators with a ``pick_batch``
-fast path read the counters straight off them, and everyone else gets
-the exact historical view list from :meth:`AppViewBatch.views` — built
-by the same code, bit for bit.
+wraps the live ``AppState`` records: SC-MPKI, maxSTP and
+SC-MPKI+maxSTP have ``pick_batch`` fast paths that read the counters
+they rank by straight off them (none reads the Equation-3 ``util``
+term), and everyone else — Fair, SC-MPKI-fair, plug-ins — gets the
+exact historical view list from :meth:`AppViewBatch.views`, built by
+the same code, bit for bit.  This module stays the one place
+Equation 3 is computed.
 
 Equation 3 (paper section 3.2)::
 
@@ -110,8 +113,9 @@ class AppViewBatch:
     """Every application's counters, handed to the arbitrator at once.
 
     ``apps`` holds the live :class:`~repro.engine.state.AppState`
-    records; fast-path arbitrators iterate them directly with plain
-    attribute reads and pay nothing for the counters they ignore.
+    records; fast-path arbitrators (SC-MPKI, maxSTP, SC-MPKI+maxSTP)
+    iterate them directly with plain attribute reads and pay nothing
+    for the counters they ignore.
     :meth:`views` materializes the historical list of :class:`AppView`
     objects through :func:`build_app_view`, so arbitrators without a
     batch fast path observe bit-identical inputs.

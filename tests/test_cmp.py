@@ -1,5 +1,7 @@
 """Unit and integration tests for the interval-level CMP simulator."""
 
+import tracemalloc
+
 import pytest
 
 from repro.arbiter import (
@@ -90,6 +92,23 @@ class TestMigrationModel:
         summary = model.cost_summary()
         assert model.total_migrations == 3
         assert summary["l1_warmup"] == 3 * SIM_SCALE.l1_warmup_cycles
+
+    def test_pricing_retains_no_per_move_state(self):
+        # Sweeps price hundreds of thousands of moves: the model keeps
+        # a count and running totals, so what it holds on to must not
+        # grow with the number of moves priced.
+        model = MigrationCostModel(mirage_config())
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for k in range(10_000):
+                model.migrate("app", now_cycles=k * 1_000, interval_index=k,
+                              to_ooo=bool(k % 2), sc_bytes=4096)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert model.total_migrations == 10_000
+        assert retained < 4 * 1024
 
 
 class TestCMPSystem:

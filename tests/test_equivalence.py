@@ -1,12 +1,16 @@
 """Randomized equivalence of the simulator's fast paths.
 
 :class:`~repro.engine.backends.AnalyticBackend` advances every
-interval through a fused ``advance_all`` kernel, and SC-MPKI
-arbitrates through its ``pick_batch`` fast path.  Both must be
-*bit-identical* to the reference surfaces they accelerate: the
-per-application ``advance`` loop of
+interval through a fused ``advance_all`` kernel, and SC-MPKI, maxSTP
+and SC-MPKI+maxSTP arbitrate through ``pick_batch`` fast paths that
+read the live ``AppState`` records.  All must be *bit-identical* to
+the reference surfaces they accelerate: the per-application
+``advance`` loop of
 :meth:`~repro.engine.backends.ExecutionBackend.advance_all`, and
-``pick`` over the materialized view list.  On the detailed tier, the
+``pick`` over the materialized view list — whole runs against a
+reference side that bypasses every fast path, and single picks over
+random counter states with forced ties and threshold values.  On the
+detailed tier, the
 slice memo (:mod:`repro.simcache`) must be invisible: a cold run and
 an all-hit replay match the run without a memo.  The detailed-core
 measurements (``table1``, ``fig1``, ``fig2``) generate one instruction
@@ -21,6 +25,7 @@ simulations both ways and compare every field of the results exactly
 
 import dataclasses
 import random
+from types import MethodType
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,7 +40,8 @@ from repro.cmp.detailed import CYCLE_BACKENDS, DetailedMirageCluster
 from repro.cmp.system import CMPSystem
 from repro.cores import InOrderCore, OinOCore, OutOfOrderCore
 from repro.energy import CoreEnergyModel, core_area
-from repro.engine import AnalyticBackend, ExecutionBackend
+from repro.engine import AnalyticBackend, AppState, ExecutionBackend
+from repro.engine.views import AppViewBatch, interval_tier_views
 from repro.experiments import fig1_core_characteristics as fig1
 from repro.experiments import fig2_memoization as fig2
 from repro.experiments import table1
@@ -55,18 +61,20 @@ class ReferenceBackend(AnalyticBackend):
     advance_all = ExecutionBackend.advance_all
 
 
-class ReferenceSCMPKI(SCMPKIArbitrator):
-    """SC-MPKI picking through ``pick(views)``, not its fast path."""
-
-    pick_batch = Arbitrator.pick_batch
-
-
 #: Every arbitrator family, the software wrapper included.
 POLICIES = {
     **ARBITRATORS,
     "software": lambda: SoftwareArbitrator(SCMPKIArbitrator(),
                                            reaction_intervals=4),
 }
+
+
+def reference_arbitrator(policy):
+    """*policy*'s arbitrator picking through ``pick(views)``: its
+    ``pick_batch`` is the base class's, so no fast path runs."""
+    arbitrator = POLICIES[policy]()
+    arbitrator.pick_batch = MethodType(Arbitrator.pick_batch, arbitrator)
+    return arbitrator
 
 
 def run_pair(names, *, policy="SC-MPKI", n_producers=1, mirage=True,
@@ -76,9 +84,7 @@ def run_pair(names, *, policy="SC-MPKI", n_producers=1, mirage=True,
     config = ClusterConfig(n_consumers=len(names),
                            n_producers=n_producers, mirage=mirage)
     shipped = CMPSystem(config, models, POLICIES[policy]())
-    arbitrator = (ReferenceSCMPKI() if policy == "SC-MPKI"
-                  else POLICIES[policy]())
-    reference = CMPSystem(config, models, arbitrator)
+    reference = CMPSystem(config, models, reference_arbitrator(policy))
     reference.backend = reference.engine.backend = ReferenceBackend(
         reference.migration)
     return (dataclasses.asdict(shipped.run(max_intervals=max_intervals)),
@@ -100,6 +106,46 @@ def test_shipped_paths_match_reference(names, n_producers, policy,
         names, policy=policy, n_producers=n_producers, mirage=mirage,
         max_intervals=max_intervals)
     assert shipped == reference
+
+
+# -- arbitration: every pick_batch fast path against pick(views) -------
+#: The arbitrators with their own ``pick_batch``.
+FAST_PATHS = ("SC-MPKI", "maxSTP", "SC-MPKI+maxSTP")
+
+#: Counter values drawn from a small pool (forcing ties) or at random.
+COUNTER = (st.sampled_from([0.0, 0.05, 0.1, 0.5, 1.0, 2.0])
+           | st.floats(0.0, 8.0))
+
+APP_STATES = st.builds(
+    AppState,
+    model=st.just(analytic_model("bzip2")),
+    on_ooo=st.booleans(),
+    ipc_last=COUNTER,
+    ipc_ooo_last=st.none() | st.just(0.0) | COUNTER,
+    sc_mpki_ino_last=st.just(0.0) | COUNTER,
+    sc_mpki_ooo_last=st.none() | COUNTER,
+    # Either side of maxSTP's sample period (50) and SC-MPKI's
+    # starvation limit (200), the never-sampled default, or random.
+    intervals_since_ooo=st.sampled_from(
+        [0, 1, 49, 50, 51, 199, 200, 201, 10**9]) | st.integers(0, 300),
+    t_ooo=COUNTER,
+    t_memoized=COUNTER,
+    t_total=COUNTER,
+)
+
+
+@settings(max_examples=600, deadline=None)
+@given(
+    policy=st.sampled_from(FAST_PATHS),
+    states=st.lists(APP_STATES, min_size=1, max_size=16),
+    slots=st.integers(1, 3),
+)
+def test_pick_batch_matches_pick(policy, states, slots):
+    arbitrator = ARBITRATORS[policy]()
+    assert (arbitrator.pick_batch(AppViewBatch(states), interval_index=0,
+                                  slots=slots)
+            == arbitrator.pick(interval_tier_views(states),
+                               interval_index=0, slots=slots))
 
 
 class TestRandomizedEquivalence:

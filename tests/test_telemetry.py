@@ -29,6 +29,35 @@ from repro.workloads import WorkloadMix, make_benchmark
 MIX = WorkloadMix(name="tele", category="Random",
                   benchmarks=("bzip2", "astar", "hmmer", "gamess"))
 
+#: ``MigrationCostModel.cost_summary()`` key -> ``MigrationRecord`` field.
+COMPONENTS = {
+    "drain": "drain_cycles",
+    "l1_warmup": "l1_warmup_cycles",
+    "sc_transfer": "sc_transfer_cycles",
+    "bus_contention": "bus_contention_cycles",
+}
+
+
+def record_total(record):
+    """One migration record's four cost components, summed."""
+    return sum(getattr(record, field) for field in COMPONENTS.values())
+
+
+def component_sums(records):
+    """Per-component totals over *records*, added in record order from
+    0.0 as the cost model adds them, so the floats compare exactly."""
+    return {key: sum((getattr(r, field) for r in records), 0.0)
+            for key, field in COMPONENTS.items()}
+
+
+def assert_moves_alternate(records):
+    """Every application starts on a consumer, so its moves alternate
+    producer-bound, consumer-bound, ..."""
+    last: dict[str, bool] = {}
+    for record in records:
+        assert record.to_ooo != last.get(record.app, False)
+        last[record.app] = record.to_ooo
+
 EXAMPLES = [
     IntervalRecord(interval=3, app="bzip2", on_ooo=True, ipc=1.25,
                    speedup=0.97, sc_mpki_ino=4.5, delta_sc_mpki=0.1,
@@ -152,27 +181,23 @@ class TestIntervalTierTelemetry:
         assert len(system.history) == 60 * len(MIX)
 
     def test_migration_records_match_cost_model(self):
-        # Satellite: the SC bus-transfer bytes and cycle charges in the
-        # telemetry must be exactly what MigrationCostModel computed.
+        # The SC bus-transfer bytes and cycle charges in the telemetry
+        # must be exactly what MigrationCostModel priced: one record
+        # per priced move, components summing to its totals, and each
+        # charge the interval tier's rule (capped at 90 % of an
+        # interval) applied to the record's own components.
         telemetry, trace = Telemetry.recording(kinds={"migration"})
         system = make_system(MIX, "SC-MPKI", telemetry=telemetry)
         system.run(max_intervals=120)
         records = trace.records("migration")
-        events = system.migration.events
-        assert len(records) == len(events) > 0
+        assert len(records) == system.migration.total_migrations > 0
+        assert component_sums(records) == system.migration.cost_summary()
+        assert_moves_alternate(records)
         interval = system.config.scale.interval_cycles
-        for record, event in zip(records, events):
-            assert record.app == event.app
-            assert record.interval == event.interval_index
-            assert record.to_ooo == event.to_ooo
-            assert record.drain_cycles == event.drain_cycles
-            assert record.l1_warmup_cycles == event.l1_warmup_cycles
-            assert record.sc_transfer_cycles == event.sc_transfer_cycles
-            assert (record.bus_contention_cycles
-                    == event.bus_contention_cycles)
+        for record in records:
             assert record.charged_cycles == min(
-                interval * 0.9, event.total_cycles)
-        assert telemetry.counters["migration.count"] == len(events)
+                interval * 0.9, record_total(record))
+        assert telemetry.counters["migration.count"] == len(records)
         assert telemetry.counters["migration.sc_bytes"] == sum(
             r.sc_bytes for r in records)
 
@@ -210,20 +235,17 @@ class TestDetailedTierTelemetry:
         return cluster, trace, result
 
     def test_migration_records_match_cost_model(self, cluster_and_trace):
-        # Satellite: same exactness requirement as the interval tier.
+        # Same exactness requirement as the interval tier; the
+        # detailed tier bills the whole price.
         cluster, trace, result = cluster_and_trace
         records = trace.records("migration")
-        events = cluster.migration.events
-        assert len(records) == len(events) == result.migrations > 0
-        for record, event in zip(records, events):
-            assert record.app == event.app
-            assert record.to_ooo == event.to_ooo
-            assert record.drain_cycles == event.drain_cycles
-            assert record.l1_warmup_cycles == event.l1_warmup_cycles
-            assert record.sc_transfer_cycles == event.sc_transfer_cycles
-            assert (record.bus_contention_cycles
-                    == event.bus_contention_cycles)
-            assert record.charged_cycles == float(event.total_cycles)
+        assert (len(records) == cluster.migration.total_migrations
+                == result.migrations > 0)
+        assert (component_sums(records)
+                == cluster.migration.cost_summary())
+        assert_moves_alternate(records)
+        for record in records:
+            assert record.charged_cycles == float(record_total(record))
 
     def test_sc_bytes_sum_matches_cluster_total(self, cluster_and_trace):
         cluster, trace, _result = cluster_and_trace
