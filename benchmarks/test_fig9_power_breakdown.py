@@ -26,5 +26,20 @@ def test_fig9_power_breakdown(once):
     # the throughput arbitrators never gate.
     util = {r["n"]: r["active"] for r in result["utilization"]}
     assert util[4]["SC-MPKI"] < util[16]["SC-MPKI"]
-    assert util[16]["SC-MPKI"] > 0.9
-    assert util[8]["maxSTP"] > 0.99
+    # Bands sit a few points around the values these arguments measure
+    # (0.336 / 0.664 / 0.914 / 0.998; EXPERIMENTS.md's Figure 9b table
+    # is the 6-mix run), so a change to SC-MPKI's threshold or decay
+    # moves at least one of them out.
+    # 4:1: few consumers produce stale schedules, so the OoO rests
+    # about two thirds of the time.
+    assert 0.30 <= util[4]["SC-MPKI"] <= 0.37
+    # 8:1: the paper reports ~60 % utilization at the evaluated size.
+    assert 0.62 <= util[8]["SC-MPKI"] <= 0.70
+    # 12:1: close to saturation ("saturating past 12:1").
+    assert 0.88 <= util[12]["SC-MPKI"] <= 0.95
+    # 16:1: saturated; some consumer always needs a schedule.
+    assert util[16]["SC-MPKI"] >= 0.98
+    # maxSTP and SC-MPKI+maxSTP never power the OoO down, at any n.
+    for n in (4, 8, 12, 16):
+        assert util[n]["maxSTP"] > 0.99
+        assert util[n]["SC-MPKI+maxSTP"] > 0.99

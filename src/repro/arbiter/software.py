@@ -11,7 +11,12 @@ memoizability decays sharply at coarser reaction times (Figure 3b);
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.arbiter.base import AppView, Arbitrator
+
+if TYPE_CHECKING:
+    from repro.engine.views import AppViewBatch
 
 #: 10 ms OS timeslice over the paper's 1 M-cycle hardware interval.
 OS_TIMESLICE_INTERVALS = 20
@@ -30,15 +35,36 @@ class SoftwareArbitrator(Arbitrator):
         self._held: list[int] = []
         self._decided_at: int | None = None
 
-    def pick(self, views: list[AppView], *, interval_index: int,
-             slots: int = 1) -> list[int]:
-        due = (
+    def _due(self, interval_index: int) -> bool:
+        """True when a timeslice has passed since the last decision."""
+        return (
             self._decided_at is None
             or interval_index - self._decided_at >= self.reaction_intervals
         )
-        if due:
+
+    def pick(self, views: list[AppView], *, interval_index: int,
+             slots: int = 1) -> list[int]:
+        if self._due(interval_index):
             self._held = self.inner.pick(
                 views, interval_index=interval_index, slots=slots)
+            self._decided_at = interval_index
+        return list(self._held)
+
+    def pick_batch(self, batch: "AppViewBatch", *, interval_index: int,
+                   slots: int = 1) -> list[int]:
+        """:meth:`pick` that polls the counters only when it decides.
+
+        A due interval decides through the inner policy's own
+        ``pick_batch`` (equal to its ``pick`` by contract); the
+        intervals in between return the held decision and build no
+        views.  Subclasses that override :meth:`pick` fall back to it.
+        """
+        if type(self).pick is not SoftwareArbitrator.pick:
+            return self.pick(batch.views(), interval_index=interval_index,
+                             slots=slots)
+        if self._due(interval_index):
+            self._held = self.inner.pick_batch(
+                batch, interval_index=interval_index, slots=slots)
             self._decided_at = interval_index
         return list(self._held)
 

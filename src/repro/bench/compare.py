@@ -25,6 +25,13 @@ threshold* are surfaced as ``slower (significant)`` /
 reproducible 10 % slip is exactly the early warning a perf-focused
 repo wants.  Resampled identical runs produce ``p ≈ 1`` and stay
 silent.
+
+Counter totals are held exactly: every probe's counters are
+deterministic, so any total that differs between the two reports is a
+behaviour change, not noise, and is listed in
+:attr:`Comparison.counter_mismatches` (``docs/performance.md``
+baseline rule 1).  The CLI fails on one even under ``--warn-only``,
+which relaxes the timing gate only.
 """
 
 from __future__ import annotations
@@ -230,6 +237,16 @@ class BenchDelta:
                 and self.significant)
 
 
+@dataclass(frozen=True)
+class CounterMismatch:
+    """One counter whose total differs between the two reports."""
+
+    probe: str
+    counter: str
+    old: float | None   #: ``None`` when only the new report has it
+    new: float | None   #: ``None`` when only the old report has it
+
+
 @dataclass
 class Comparison:
     """The full old-vs-new verdict ``compare_reports`` produces."""
@@ -240,6 +257,8 @@ class Comparison:
     deltas: list[BenchDelta]
     only_old: list[str]
     only_new: list[str]
+    #: Counter totals that differ, for every probe in both reports.
+    counter_mismatches: list[CounterMismatch]
 
     @property
     def regressions(self) -> list[BenchDelta]:
@@ -290,6 +309,9 @@ class Comparison:
                     f"{d.old_mean:8.4f}s±{d.old_std:.4f} -> "
                     f"{d.new_mean:8.4f}s±{d.new_std:.4f}  "
                     f"x{d.speedup:5.2f}  p={d.p_value:.3f}  {verdict}")
+        for m in self.counter_mismatches:
+            lines.append(f"{m.probe}: COUNTER MISMATCH {m.counter} "
+                         f"{m.old} -> {m.new}")
         for name in self.only_old:
             lines.append(f"{name}: only in {self.old_label!r} (removed?)")
         for name in self.only_new:
@@ -302,6 +324,9 @@ class Comparison:
                 f"within threshold")
         if n_sig:
             tail += f" ({n_sig} significant sub-threshold)"
+        if self.counter_mismatches:
+            tail += (f"; {len(self.counter_mismatches)} counter totals "
+                     f"differ")
         lines.append(tail)
         return "\n".join(lines)
 
@@ -320,7 +345,9 @@ def compare_reports(old: dict, new: dict, *,
 
     Returns:
         A :class:`Comparison`; callers decide whether ``not ok`` is
-        fatal (CI's warn-only mode prints and moves on).
+        fatal (CI's warn-only mode prints and moves on).  Its
+        ``counter_mismatches`` list, for each probe in both reports,
+        every counter whose total differs or exists on one side only.
 
     Raises:
         ValueError: on a negative *threshold*, or when one report ran
@@ -337,9 +364,18 @@ def compare_reports(old: dict, new: dict, *,
     old_rows = old.get("benchmarks", {})
     new_rows = new.get("benchmarks", {})
     deltas = []
+    mismatches = []
     for name in old_rows:
         if name not in new_rows:
             continue
+        old_counters = old_rows[name].get("counters", {})
+        new_counters = new_rows[name].get("counters", {})
+        for counter in old_counters | new_counters:
+            old_total = old_counters.get(counter)
+            new_total = new_counters.get(counter)
+            if old_total != new_total:
+                mismatches.append(CounterMismatch(
+                    name, counter, old_total, new_total))
         old_samples = _samples(old_rows[name])
         new_samples = _samples(new_rows[name])
         deltas.append(BenchDelta(
@@ -362,4 +398,5 @@ def compare_reports(old: dict, new: dict, *,
         deltas=deltas,
         only_old=[n for n in old_rows if n not in new_rows],
         only_new=[n for n in new_rows if n not in old_rows],
+        counter_mismatches=mismatches,
     )

@@ -16,8 +16,9 @@ The result-cache options travel as one
 
 ``mirage bench`` runs the :mod:`repro.bench` microbenchmarks and
 writes a schema-versioned ``BENCH_<label>.json``; ``mirage bench
---compare OLD NEW`` diffs two such reports and fails on regressions
-(see ``docs/performance.md``).
+--compare OLD NEW`` diffs two such reports and fails on timing
+regressions and on any counter-total mismatch (see
+``docs/performance.md``).
 
 ``mirage serve`` runs the :mod:`repro.service` job server, and
 ``mirage submit`` / ``jobs`` / ``tail`` / ``shutdown`` talk to it
@@ -275,7 +276,8 @@ def _bench_command(argv: list[str]) -> int:
              f"(default: {DEFAULT_THRESHOLD})")
     parser.add_argument(
         "--warn-only", action="store_true",
-        help="with --compare: report regressions but exit 0")
+        help="with --compare: report timing regressions but exit 0 "
+             "(a counter-total mismatch still exits 1)")
     args = parser.parse_args(argv)
 
     if args.list:
@@ -297,7 +299,10 @@ def _bench_command(argv: list[str]) -> int:
             print(f"mirage bench: {exc}", file=sys.stderr)
             return 2
         print(comparison.summary())
-        if not comparison.ok and not args.warn_only:
+        # Counters are deterministic, so --warn-only never excuses a
+        # mismatch: it relaxes the timing gate only.
+        if comparison.counter_mismatches or (
+                not comparison.ok and not args.warn_only):
             return 1
         return 0
 

@@ -4,16 +4,17 @@ The model is access-accurate rather than port-accurate: each access
 classifies as hit or miss and the caller charges the corresponding
 latency.  Dirty-line writebacks are surfaced so the bus model can
 account for their traffic.
+
+State is kept per touched line, not per modelled line: a set's dict is
+created the first time an access or fill reaches it, and each resident
+line is one int word, ``(last_use << 1) | dirty``, keyed by its tag.
+A run that touches a few hundred of the L2's 2,048 sets therefore
+allocates a few hundred dicts and no per-line objects.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
-
-#: Victim-selection key for :meth:`Cache._fill` (kept at module level
-#: so the hot eviction path does not rebuild it per miss).
-_LINE_LAST_USE = operator.attrgetter("last_use")
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,23 +66,22 @@ class CacheStats:
         self.writebacks = 0
 
 
-@dataclass(slots=True)
-class _Line:
-    tag: int
-    dirty: bool = False
-    last_use: int = 0
-
-
 class Cache:
-    """Set-associative, write-back, write-allocate cache."""
+    """Set-associative, write-back, write-allocate cache.
+
+    ``_sets[i]`` is ``None`` until set *i* is first touched, then a
+    ``{tag: (last_use << 1) | dirty}`` dict in insertion order: a hit
+    rewrites its word in place, a fill appends and an eviction pops.
+    ``_clock`` ticks on every :meth:`access` and :meth:`fill`, so no
+    two resident lines share a stamp and the least word in a set is
+    its least recently used line.
+    """
 
     def __init__(self, config: CacheConfig, name: str = "cache"):
         self.config = config
         self.name = name
         self.stats = CacheStats()
-        self._sets: list[dict[int, _Line]] = [
-            {} for _ in range(config.num_sets)
-        ]
+        self._sets: list[dict[int, int] | None] = [None] * config.num_sets
         self._clock = 0
         self._set_shift = (config.line_bytes - 1).bit_length()
         self._set_mask = config.num_sets - 1
@@ -100,16 +100,19 @@ class Cache:
         the detailed tier (every fetch/load/store lands here twice, L1
         then L2).
         """
-        self._clock += 1
+        clock = self._clock + 1
+        self._clock = clock
         self.stats.accesses += 1
         tag = addr >> self._set_shift
-        lines = self._sets[tag & self._set_mask]
-        line = lines.get(tag)
-        if line is not None:
-            line.last_use = self._clock
-            if write:
-                line.dirty = True
-            return True
+        set_idx = tag & self._set_mask
+        lines = self._sets[set_idx]
+        if lines is None:
+            lines = self._sets[set_idx] = {}
+        else:
+            word = lines.get(tag)
+            if word is not None:
+                lines[tag] = clock << 1 | word & 1 | write
+                return True
         self.stats.misses += 1
         self._fill(lines, tag, write)
         return False
@@ -117,33 +120,33 @@ class Cache:
     def probe(self, addr: int) -> bool:
         """Check residency without updating state or stats."""
         set_idx, tag = self._locate(addr)
-        return tag in self._sets[set_idx]
+        lines = self._sets[set_idx]
+        return lines is not None and tag in lines
 
     def fill(self, addr: int) -> None:
         """Install a line without counting an access (prefetch fill)."""
         self._clock += 1
         set_idx, tag = self._locate(addr)
         lines = self._sets[set_idx]
-        if tag in lines:
+        if lines is None:
+            lines = self._sets[set_idx] = {}
+        elif tag in lines:
             return
         self._fill(lines, tag, write=False)
 
-    def _fill(self, lines: dict[int, _Line], tag: int, write: bool) -> None:
+    def _fill(self, lines: dict[int, int], tag: int, write: bool) -> None:
         if len(lines) >= self.config.assoc:
-            # min over the values reaches the same line as min over the
-            # keys (same dict order, same last_use tie-break) without a
-            # per-candidate lambda invocation.
-            victim = min(lines.values(), key=_LINE_LAST_USE)
-            lines.pop(victim.tag)
-            if victim.dirty:
+            victim = min(lines, key=lines.__getitem__)
+            if lines.pop(victim) & 1:
                 self.stats.writebacks += 1
-        lines[tag] = _Line(tag=tag, dirty=write, last_use=self._clock)
+        lines[tag] = self._clock << 1 | write
 
     # -- slice-memoization hooks (repro.simcache) ----------------------
     def state_snapshot(self) -> tuple:
         """Full mutable state as a hashable tuple (simcache keying).
 
-        Lines are listed in per-set dict insertion order so that
+        Lines are listed as ``(set_idx, tag, dirty, last_use)`` in set
+        order, then per-set insertion order, so that
         :meth:`state_restore` reproduces not just the contents but the
         iteration order future evictions and snapshots observe.
         """
@@ -151,9 +154,9 @@ class Cache:
         return (
             self._clock, stats.accesses, stats.misses, stats.writebacks,
             tuple(
-                (set_idx, line.tag, line.dirty, line.last_use)
-                for set_idx, lines in enumerate(self._sets)
-                for line in lines.values()
+                (set_idx, tag, bool(word & 1), word >> 1)
+                for set_idx, lines in enumerate(self._sets) if lines
+                for tag, word in lines.items()
             ),
         )
 
@@ -165,31 +168,37 @@ class Cache:
         stats.accesses = accesses
         stats.misses = misses
         stats.writebacks = writebacks
-        sets = self._sets
-        for bucket in sets:
-            bucket.clear()
+        sets: list[dict[int, int] | None] = [None] * self.config.num_sets
         for set_idx, tag, dirty, last_use in lines:
-            sets[set_idx][tag] = _Line(
-                tag=tag, dirty=dirty, last_use=last_use)
+            bucket = sets[set_idx]
+            if bucket is None:
+                bucket = sets[set_idx] = {}
+            bucket[tag] = last_use << 1 | dirty
+        self._sets = sets
 
     def invalidate(self, addr: int) -> bool:
         """Drop the line holding *addr* if present; True if it was dirty."""
         set_idx, tag = self._locate(addr)
-        line = self._sets[set_idx].pop(tag, None)
-        return bool(line and line.dirty)
+        lines = self._sets[set_idx]
+        if lines is None:
+            return False
+        word = lines.pop(tag, None)
+        return word is not None and bool(word & 1)
 
     def flush(self) -> int:
         """Empty the cache; return the number of dirty lines written back."""
-        dirty = 0
-        for lines in self._sets:
-            dirty += sum(1 for line in lines.values() if line.dirty)
-            lines.clear()
+        dirty = sum(
+            word & 1
+            for lines in self._sets if lines
+            for word in lines.values()
+        )
+        self._sets = [None] * self.config.num_sets
         self.stats.writebacks += dirty
         return dirty
 
     @property
     def resident_lines(self) -> int:
-        return sum(len(lines) for lines in self._sets)
+        return sum(len(lines) for lines in self._sets if lines)
 
     @property
     def capacity_lines(self) -> int:

@@ -6,12 +6,15 @@ application moves cores, its lines are resident in the old core's L1
 and must be invalidated/fetched across the bus.  The directory tracks,
 per line, which core holds it and in what state, and yields the
 invalidation traffic migration produces.
+
+Each tracked line is one int, ``(holders << 2) | state code``: bit *c*
+of ``holders`` is set while core *c* (a non-negative id) holds the
+line, and the two low bits encode its :class:`CoherenceState`.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 
 class CoherenceState(enum.Enum):
@@ -21,10 +24,18 @@ class CoherenceState(enum.Enum):
     INVALID = "I"
 
 
-@dataclass(slots=True)
-class _DirEntry:
-    holders: set[int]
-    state: CoherenceState
+#: State codes: the two low bits of a directory word index this tuple.
+_STATES = (
+    CoherenceState.MODIFIED, CoherenceState.EXCLUSIVE,
+    CoherenceState.SHARED, CoherenceState.INVALID,
+)
+_CODES = {state: code for code, state in enumerate(_STATES)}
+_M, _E, _S = 0, 1, 2
+
+
+def _holder_ids(holders: int) -> tuple[int, ...]:
+    """The core ids set in a holder mask, ascending."""
+    return tuple(c for c in range(holders.bit_length()) if holders >> c & 1)
 
 
 class CoherenceDirectory:
@@ -32,7 +43,7 @@ class CoherenceDirectory:
 
     def __init__(self, line_bytes: int = 64):
         self.line_bytes = line_bytes
-        self._entries: dict[int, _DirEntry] = {}
+        self._entries: dict[int, int] = {}
         self.invalidations = 0
         self.interventions = 0
 
@@ -42,46 +53,48 @@ class CoherenceDirectory:
     def on_read(self, core_id: int, addr: int) -> int:
         """Record a read; return the number of remote interventions."""
         line = self._line(addr)
+        bit = 1 << core_id
         entry = self._entries.get(line)
         if entry is None:
-            self._entries[line] = _DirEntry({core_id}, CoherenceState.EXCLUSIVE)
+            self._entries[line] = bit << 2 | _E
             return 0
         interventions = 0
-        if entry.state is CoherenceState.MODIFIED and core_id not in entry.holders:
+        holders = entry >> 2
+        state = entry & 3
+        if state == _M and not holders & bit:
             interventions = 1  # dirty line supplied by the remote owner
             self.interventions += 1
-        entry.holders.add(core_id)
-        if len(entry.holders) > 1:
-            entry.state = CoherenceState.SHARED
+        holders |= bit
+        if holders & (holders - 1):  # more than one holder
+            state = _S
+        self._entries[line] = holders << 2 | state
         return interventions
 
     def on_write(self, core_id: int, addr: int) -> int:
         """Record a write; return the number of invalidations sent."""
         line = self._line(addr)
+        bit = 1 << core_id
         entry = self._entries.get(line)
+        self._entries[line] = bit << 2 | _M
         if entry is None:
-            self._entries[line] = _DirEntry({core_id}, CoherenceState.MODIFIED)
             return 0
-        victims = entry.holders - {core_id}
-        self.invalidations += len(victims)
-        entry.holders = {core_id}
-        entry.state = CoherenceState.MODIFIED
-        return len(victims)
+        victims = (entry >> 2 & ~bit).bit_count()
+        self.invalidations += victims
+        return victims
 
     # -- slice-memoization hooks (repro.simcache) ----------------------
     def state_snapshot(self) -> tuple:
         """Full mutable state as a hashable tuple (simcache keying).
 
-        Holder sets are stored sorted so equal directory contents
-        always snapshot equal regardless of set build history.  States
-        are stored as the enum members themselves — they are immutable
-        process-wide singletons, so hashing and equality are O(1) and
-        :meth:`state_restore` skips re-constructing them per line.
+        Each line is ``(line, state, holders)`` in insertion order, with
+        the holders sorted so equal directory contents always snapshot
+        equal.  States are the enum members themselves — immutable
+        process-wide singletons, so hashing and equality are O(1).
         """
         return (
             self.invalidations, self.interventions,
             tuple(
-                (line, entry.state, tuple(sorted(entry.holders)))
+                (line, _STATES[entry & 3], _holder_ids(entry >> 2))
                 for line, entry in self._entries.items()
             ),
         )
@@ -92,7 +105,7 @@ class CoherenceDirectory:
         self.invalidations = invalidations
         self.interventions = interventions
         self._entries = {
-            line: _DirEntry(set(holders), state)
+            line: sum(1 << c for c in holders) << 2 | _CODES[state]
             for line, state, holders in entries
         }
 
@@ -101,24 +114,25 @@ class CoherenceDirectory:
         entry = self._entries.get(line)
         if entry is None:
             return
-        entry.holders.discard(core_id)
-        if not entry.holders:
+        entry &= ~(1 << core_id << 2)
+        if entry >> 2:
+            self._entries[line] = entry
+        else:
             del self._entries[line]
 
     def flush_core(self, core_id: int) -> int:
         """Remove *core_id* from every entry (migration); return count."""
-        dropped = 0
-        dead: list[int] = []
-        for line, entry in self._entries.items():
-            if core_id in entry.holders:
-                entry.holders.discard(core_id)
-                dropped += 1
-                if not entry.holders:
-                    dead.append(line)
-        for line in dead:
-            del self._entries[line]
-        self.invalidations += dropped
-        return dropped
+        mask = 1 << core_id << 2
+        entries = self._entries
+        held = [line for line, entry in entries.items() if entry & mask]
+        for line in held:
+            entry = entries[line] & ~mask
+            if entry >> 2:
+                entries[line] = entry
+            else:
+                del entries[line]
+        self.invalidations += len(held)
+        return len(held)
 
     @property
     def tracked_lines(self) -> int:

@@ -5,6 +5,11 @@ directory); ``CoreMemory`` is the per-core view (L1I, L1D) that the core
 models call into.  Access latency is returned in cycles and already
 includes the levels traversed (paper Table 2: L1 2 cycles, L2 15,
 memory 120).
+
+An L1 hit allocates nothing: each ``CoreMemory`` prebuilds its hit
+``AccessResult`` for each TLB outcome (hit, or a walk) and returns the
+same instance on every hit.  ``AccessResult`` is frozen, so sharing is
+safe.
 """
 
 from __future__ import annotations
@@ -20,7 +25,11 @@ from repro.memory.tlb import TLB
 
 @dataclass(frozen=True, slots=True)
 class AccessResult:
-    """Outcome of one demand access."""
+    """Outcome of one demand access.
+
+    Frozen, and it must stay so: :class:`CoreMemory` returns one shared
+    instance per TLB outcome for every L1 hit.
+    """
 
     latency: int
     l1_hit: bool
@@ -154,12 +163,17 @@ class CoreMemory:
         self.itlb = TLB(itlb_entries, tlb_walk_latency, name="ITLB")
         self.dtlb = TLB(dtlb_entries, tlb_walk_latency, name="DTLB")
         self.l1_latency = l1_latency
+        #: Shared L1-hit results, keyed by the TLB walk latency added.
+        self._l1_hits = {
+            walk: AccessResult(l1_latency + walk, True, True)
+            for walk in (0, self.itlb.walk_latency, self.dtlb.walk_latency)
+        }
 
     def fetch(self, pc: int, *, now: int = 0) -> AccessResult:
         """Instruction fetch at *pc* (at core cycle *now*)."""
         walk = self.itlb.access(pc)
         if self.l1i.access(pc):
-            return AccessResult(self.l1_latency + walk, True, True)
+            return self._l1_hits[walk]
         added, l2_hit = self.shared.l2_access(
             self.core_id, pc, pc, write=False, now=now, timed=False
         )
@@ -168,7 +182,7 @@ class CoreMemory:
     def load(self, pc: int, addr: int, *, now: int = 0) -> AccessResult:
         walk = self.dtlb.access(addr)
         if self.l1d.access(addr):
-            return AccessResult(self.l1_latency + walk, True, True)
+            return self._l1_hits[walk]
         added, l2_hit = self.shared.l2_access(
             self.core_id, pc, addr, write=False, now=now
         )
@@ -177,7 +191,7 @@ class CoreMemory:
     def store(self, pc: int, addr: int, *, now: int = 0) -> AccessResult:
         walk = self.dtlb.access(addr)
         if self.l1d.access(addr, write=True):
-            return AccessResult(self.l1_latency + walk, True, True)
+            return self._l1_hits[walk]
         added, l2_hit = self.shared.l2_access(
             self.core_id, pc, addr, write=True, now=now
         )

@@ -18,6 +18,11 @@ schedule memoization feeds on:
 Streams are infinite (loops restart; phases cycle), so callers decide
 run length.  Two streams from the same benchmark object are identical:
 all randomness derives from the benchmark seed.
+
+A phase's loops are built the first time a stream reaches the phase,
+always in phase order and from one build RNG kept on the object, so
+the program is the same whichever stream, or how many, got there
+first.  A window shorter than phase 0's budget builds phase 0 only.
 """
 
 from __future__ import annotations
@@ -96,7 +101,6 @@ class _Loop:
 class _Phase:
     index: int
     loops: list[_Loop]
-    weight: float
 
 
 class SyntheticBenchmark:
@@ -127,14 +131,13 @@ class SyntheticBenchmark:
             base_addr = (name_hash & 0xFF) << 30
         self.base_addr = base_addr
         self._stream_keys = 0
-        build_rng = random.Random((seed << 16) ^ name_hash)
-        self._phases = [
-            self._build_phase(i, build_rng) for i in range(profile.phase_count)
-        ]
-        total_w = sum(p.weight for p in self._phases)
+        #: Consumed phase by phase, in order, as :meth:`_phase` builds.
+        self._build_rng = random.Random((seed << 16) ^ name_hash)
+        self._phases: list[_Phase] = []
+        total_w = sum(profile.phase_weights)
         self._phase_budgets = [
-            max(1_000, int(pass_length * p.weight / total_w))
-            for p in self._phases
+            max(1_000, int(pass_length * weight / total_w))
+            for weight in profile.phase_weights
         ]
 
     # ------------------------------------------------------------------
@@ -158,6 +161,13 @@ class SyntheticBenchmark:
             pos -= budget
         return len(self._phase_budgets) - 1
 
+    def _phase(self, index: int) -> _Phase:
+        """Phase *index*, building it and every earlier phase if new."""
+        phases = self._phases
+        while len(phases) <= index:
+            phases.append(self._build_phase(len(phases), self._build_rng))
+        return phases[index]
+
     def _build_phase(self, index: int, rng: random.Random) -> _Phase:
         prof = self.profile
         code_base = 0x1000_0000 + index * (prof.code_kb * 1024 * 4)
@@ -171,8 +181,7 @@ class SyntheticBenchmark:
                     rng=rng,
                 )
             )
-        return _Phase(index=index, loops=loops,
-                      weight=prof.phase_weights[index])
+        return _Phase(index=index, loops=loops)
 
     def _build_loop(self, base_pc: int, data_base: int,
                     rng: random.Random) -> _Loop:
@@ -359,7 +368,8 @@ class SyntheticBenchmark:
         offsets: dict[int, int] = {}
         seq = 0
         while True:
-            for phase, budget in zip(self._phases, self._phase_budgets):
+            for index, budget in enumerate(self._phase_budgets):
+                phase = self._phase(index)
                 emitted = 0
                 loop_idx = 0
                 while emitted < budget:

@@ -213,6 +213,34 @@ class TestCompare:
             compare_reports(quick, full)
         assert compare_reports(full, full).ok
 
+    def test_counter_total_mismatch_fails_even_warn_only(self, tmp_path,
+                                                         capsys):
+        # Counter totals are deterministic: a differing, missing or new
+        # total is a behaviour change, so --warn-only (which relaxes
+        # the timing gate) must not let it through.
+        old = make_report("old", {"a": 1.0, "b": 1.0})
+        new = make_report("new", {"a": 1.0, "b": 1.0})
+        old["benchmarks"]["a"]["counters"] = {"x": 1, "y": 2, "gone": 3}
+        new["benchmarks"]["a"]["counters"] = {"x": 1, "y": 5, "fresh": 4}
+        comparison = compare_reports(old, new)
+        assert comparison.ok  # the timings are equal
+        assert [(m.probe, m.counter, m.old, m.new)
+                for m in comparison.counter_mismatches] == [
+            ("a", "y", 2, 5), ("a", "gone", 3, None),
+            ("a", "fresh", None, 4)]
+        summary = comparison.summary()
+        assert "a: COUNTER MISMATCH y 2 -> 5" in summary
+        assert "3 counter totals differ" in summary
+        old_path = write_report(old, tmp_path / "old.json")
+        new_path = write_report(new, tmp_path / "new.json")
+        for extra in ([], ["--warn-only"]):
+            assert main(["bench", "--compare", str(old_path),
+                         str(new_path), *extra]) == 1
+        assert main(["bench", "--compare", str(old_path), str(old_path),
+                     "--warn-only"]) == 0
+        assert not compare_reports(old, old).counter_mismatches
+        capsys.readouterr()
+
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError, match="threshold"):
             compare_reports(make_report("o", {}), make_report("n", {}),

@@ -15,16 +15,23 @@ slice memo (:mod:`repro.simcache`) must be invisible: a cold run and
 an all-hit replay match the run without a memo.  The detailed-core
 measurements (``table1``, ``fig1``, ``fig2``) generate one instruction
 window and hand it to every core; they must match giving each core its
-own freshly generated stream.  The warm worker pool must be a pure
-transport: random work-unit batches (interval-tier runs, cycle-tier
-measurements, plain call units) and random multi-cluster scenarios
-give the same results pooled as serially.  These tests run whole
+own freshly generated stream.  The memory hierarchy keeps cache lines
+and directory entries as int words in structures built on first touch,
+and a benchmark builds each phase when a stream first reaches it; each
+must behave, call by call, like a reference that keeps one object per
+cache line, one holder set per directory entry, or builds every phase
+up front.  The warm worker pool must be a pure transport: random
+work-unit batches (interval-tier runs, cycle-tier measurements, plain
+call units) and random multi-cluster scenarios give the same results
+pooled as serially.  These tests run whole
 simulations both ways and compare every field of the results exactly
 — no tolerances.
 """
 
 import dataclasses
 import random
+import zlib
+from itertools import islice
 from types import MethodType
 
 import pytest
@@ -45,12 +52,20 @@ from repro.engine.views import AppViewBatch, interval_tier_views
 from repro.experiments import fig1_core_characteristics as fig1
 from repro.experiments import fig2_memoization as fig2
 from repro.experiments import table1
-from repro.memory import MemoryHierarchy
+from repro.memory import (
+    Cache,
+    CacheConfig,
+    CacheStats,
+    CoherenceDirectory,
+    CoherenceState,
+    MemoryHierarchy,
+)
 from repro.runner import WarmPool
 from repro.runner.units import ARBITRATORS, call_unit, cmp_unit, execute_unit
 from repro.schedule import ScheduleCache, ScheduleRecorder
 from repro.simcache import SliceMemo
 from repro.workloads import ALL_BENCHMARKS, get_profile, make_benchmark
+from repro.workloads.generator import SyntheticBenchmark
 from repro.workloads.scenario import SHAPES, make_scenario
 from tests.test_simcache import run_fingerprint
 
@@ -289,6 +304,309 @@ def test_shared_window_matches_fresh_streams(name, seed, instructions):
             == reference_ratio(name, **kwargs))
     assert fig1.measure(name, **kwargs) == reference_fig1(name, **kwargs)
     assert fig2.measure(name, **kwargs) == reference_fig2(name, **kwargs)
+
+
+# -- memory and program state: compact against object-per-item ---------
+@dataclasses.dataclass(slots=True)
+class _RefLine:
+    tag: int
+    dirty: bool = False
+    last_use: int = 0
+
+
+class ReferenceCache:
+    """Reference cache: one ``_RefLine`` per resident line, and every
+    set's dict built up front."""
+
+    def __init__(self, config: CacheConfig):
+        self.config = config
+        self.stats = CacheStats()
+        self._sets = [{} for _ in range(config.num_sets)]
+        self._clock = 0
+        self._set_shift = (config.line_bytes - 1).bit_length()
+        self._set_mask = config.num_sets - 1
+
+    def _locate(self, addr):
+        block = addr >> self._set_shift
+        return block & self._set_mask, block
+
+    def access(self, addr, *, write=False):
+        self._clock += 1
+        self.stats.accesses += 1
+        set_idx, tag = self._locate(addr)
+        lines = self._sets[set_idx]
+        line = lines.get(tag)
+        if line is not None:
+            line.last_use = self._clock
+            if write:
+                line.dirty = True
+            return True
+        self.stats.misses += 1
+        self._fill(lines, tag, write)
+        return False
+
+    def probe(self, addr):
+        set_idx, tag = self._locate(addr)
+        return tag in self._sets[set_idx]
+
+    def fill(self, addr):
+        self._clock += 1
+        set_idx, tag = self._locate(addr)
+        lines = self._sets[set_idx]
+        if tag not in lines:
+            self._fill(lines, tag, write=False)
+
+    def _fill(self, lines, tag, write):
+        if len(lines) >= self.config.assoc:
+            victim = min(lines.values(), key=lambda line: line.last_use)
+            lines.pop(victim.tag)
+            if victim.dirty:
+                self.stats.writebacks += 1
+        lines[tag] = _RefLine(tag=tag, dirty=write, last_use=self._clock)
+
+    def state_snapshot(self):
+        stats = self.stats
+        return (
+            self._clock, stats.accesses, stats.misses, stats.writebacks,
+            tuple((set_idx, line.tag, line.dirty, line.last_use)
+                  for set_idx, lines in enumerate(self._sets)
+                  for line in lines.values()),
+        )
+
+    def state_restore(self, snap):
+        clock, accesses, misses, writebacks, lines = snap
+        self._clock = clock
+        self.stats = CacheStats(accesses, misses, writebacks)
+        for bucket in self._sets:
+            bucket.clear()
+        for set_idx, tag, dirty, last_use in lines:
+            self._sets[set_idx][tag] = _RefLine(tag, dirty, last_use)
+
+    def invalidate(self, addr):
+        set_idx, tag = self._locate(addr)
+        line = self._sets[set_idx].pop(tag, None)
+        return bool(line and line.dirty)
+
+    def flush(self):
+        dirty = 0
+        for lines in self._sets:
+            dirty += sum(1 for line in lines.values() if line.dirty)
+            lines.clear()
+        self.stats.writebacks += dirty
+        return dirty
+
+    @property
+    def resident_lines(self):
+        return sum(len(lines) for lines in self._sets)
+
+    @property
+    def capacity_lines(self):
+        return self.config.num_sets * self.config.assoc
+
+
+@dataclasses.dataclass(slots=True)
+class _RefEntry:
+    holders: set
+    state: CoherenceState
+
+
+class ReferenceDirectory:
+    """Reference directory: one ``_RefEntry`` and holder ``set`` per
+    tracked line."""
+
+    def __init__(self, line_bytes=64):
+        self.line_bytes = line_bytes
+        self._entries = {}
+        self.invalidations = 0
+        self.interventions = 0
+
+    def on_read(self, core_id, addr):
+        line = addr // self.line_bytes
+        entry = self._entries.get(line)
+        if entry is None:
+            self._entries[line] = _RefEntry({core_id},
+                                            CoherenceState.EXCLUSIVE)
+            return 0
+        interventions = 0
+        if (entry.state is CoherenceState.MODIFIED
+                and core_id not in entry.holders):
+            interventions = 1
+            self.interventions += 1
+        entry.holders.add(core_id)
+        if len(entry.holders) > 1:
+            entry.state = CoherenceState.SHARED
+        return interventions
+
+    def on_write(self, core_id, addr):
+        line = addr // self.line_bytes
+        entry = self._entries.get(line)
+        if entry is None:
+            self._entries[line] = _RefEntry({core_id},
+                                            CoherenceState.MODIFIED)
+            return 0
+        victims = entry.holders - {core_id}
+        self.invalidations += len(victims)
+        entry.holders = {core_id}
+        entry.state = CoherenceState.MODIFIED
+        return len(victims)
+
+    def state_snapshot(self):
+        return (
+            self.invalidations, self.interventions,
+            tuple((line, entry.state, tuple(sorted(entry.holders)))
+                  for line, entry in self._entries.items()),
+        )
+
+    def state_restore(self, snap):
+        self.invalidations, self.interventions, entries = snap
+        self._entries = {line: _RefEntry(set(holders), state)
+                         for line, state, holders in entries}
+
+    def evict(self, core_id, addr):
+        line = addr // self.line_bytes
+        entry = self._entries.get(line)
+        if entry is None:
+            return
+        entry.holders.discard(core_id)
+        if not entry.holders:
+            del self._entries[line]
+
+    def flush_core(self, core_id):
+        dropped = 0
+        dead = []
+        for line, entry in self._entries.items():
+            if core_id in entry.holders:
+                entry.holders.discard(core_id)
+                dropped += 1
+                if not entry.holders:
+                    dead.append(line)
+        for line in dead:
+            del self._entries[line]
+        self.invalidations += dropped
+        return dropped
+
+    @property
+    def tracked_lines(self):
+        return len(self._entries)
+
+
+def restored(structure, fresh):
+    """*fresh* after ``state_restore`` of *structure*'s snapshot."""
+    fresh.state_restore(structure.state_snapshot())
+    return fresh
+
+
+#: Cache calls, weighted so evictions happen between the rarer flushes
+#: and snapshot round-trips.
+CACHE_CALLS = st.sampled_from(
+    ("read",) * 8 + ("write",) * 6 + ("fill",) * 4 + ("probe",) * 2
+    + ("invalidate",) * 2 + ("flush", "restore"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    assoc=st.integers(1, 8),
+    n_sets=st.sampled_from([1, 2, 4, 8, 16, 32]),
+    calls=st.lists(st.tuples(CACHE_CALLS, st.integers(0, 2**16)),
+                   min_size=1, max_size=400),
+)
+def test_cache_matches_object_per_line_reference(assoc, n_sets, calls):
+    config = CacheConfig(n_sets * assoc * 64, assoc, 64)
+    shipped, reference = Cache(config), ReferenceCache(config)
+    # Twice the capacity in distinct lines: sets conflict and evict.
+    pool = 2 * n_sets * assoc + 1
+    for call, draw in calls:
+        addr = (draw % pool) * 64 + draw % 64
+        if call == "restore":
+            shipped = restored(shipped, Cache(config))
+            reference = restored(reference, ReferenceCache(config))
+        elif call == "flush":
+            assert shipped.flush() == reference.flush()
+        elif call in ("read", "write"):
+            write = call == "write"
+            assert (shipped.access(addr, write=write)
+                    == reference.access(addr, write=write))
+        else:
+            assert (getattr(shipped, call)(addr)
+                    == getattr(reference, call)(addr))
+        assert shipped.stats == reference.stats
+        assert shipped.resident_lines == reference.resident_lines
+        # repr: equal values *and* types (a dirty bit stays a bool).
+        assert repr(shipped.state_snapshot()) == repr(
+            reference.state_snapshot())
+    assert shipped.capacity_lines == reference.capacity_lines
+
+
+#: Directory calls over a few lines, so cores share and invalidate.
+DIRECTORY_CALLS = st.sampled_from(
+    ("on_read",) * 6 + ("on_write",) * 4 + ("evict",) * 3
+    + ("flush_core", "restore"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(calls=st.lists(
+    st.tuples(DIRECTORY_CALLS, st.integers(0, 16), st.integers(0, 31),
+              st.integers(0, 63)),
+    min_size=1, max_size=400))
+def test_directory_matches_set_per_line_reference(calls):
+    shipped, reference = CoherenceDirectory(), ReferenceDirectory()
+    for call, core, line, offset in calls:
+        if call == "restore":
+            shipped = restored(shipped, CoherenceDirectory())
+            reference = restored(reference, ReferenceDirectory())
+            continue
+        args = (core,) if call == "flush_core" else (core,
+                                                     line * 64 + offset)
+        assert (getattr(shipped, call)(*args)
+                == getattr(reference, call)(*args))
+        assert (shipped.invalidations, shipped.interventions,
+                shipped.tracked_lines) == (
+            reference.invalidations, reference.interventions,
+            reference.tracked_lines)
+        assert repr(shipped.state_snapshot()) == repr(
+            reference.state_snapshot())
+
+
+class EagerBenchmark(SyntheticBenchmark):
+    """Reference program: every phase built at construction, in order
+    from the build RNG, with the budgets summed over the built phases."""
+
+    def __init__(self, profile, *, seed, pass_length):
+        super().__init__(profile, seed=seed, pass_length=pass_length)
+        rng = random.Random((seed << 16) ^ zlib.crc32(profile.name.encode()))
+        self._stream_keys = 0
+        self._phases = [self._build_phase(i, rng)
+                        for i in range(profile.phase_count)]
+        weights = [profile.phase_weights[p.index] for p in self._phases]
+        total_w = sum(weights)
+        self._phase_budgets = [max(1_000, int(pass_length * w / total_w))
+                               for w in weights]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(ALL_BENCHMARKS),
+    seed=st.integers(0, 2**16),
+    pass_length=st.integers(2_000, 8_000),
+    chunks=st.lists(st.integers(1, 2_000), min_size=1, max_size=8),
+)
+def test_phases_built_on_first_use_match_eager_build(name, seed,
+                                                     pass_length, chunks):
+    # Short passes: the windows cross phases and whole passes.  Two
+    # interleaved streams of one object, in turn, must see one program.
+    profile = get_profile(name)
+    n = sum(chunks)
+    eager = EagerBenchmark(profile, seed=seed, pass_length=pass_length)
+    expected = list(islice(eager.stream(), n))
+    bench = SyntheticBenchmark(profile, seed=seed, pass_length=pass_length)
+    assert bench.phase_budgets == eager.phase_budgets
+    streams = (bench.stream(), bench.stream())
+    seen = ([], [])
+    for turn, size in enumerate(chunks):
+        seen[turn % 2].extend(islice(streams[turn % 2], size))
+    for stream, got in zip(streams, seen):
+        got.extend(islice(stream, n - len(got)))
+        assert got == expected
 
 
 # -- the warm pool: pooled maps and scenarios match serial execution ----

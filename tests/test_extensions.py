@@ -1,15 +1,20 @@
 """Tests for the extension features: software arbitration and
 multithreaded schedule broadcast (paper sections 3.2.4 and 6)."""
 
+import dataclasses
+
 import pytest
 
-from repro.arbiter import SCMPKIArbitrator
+from repro.arbiter import Arbitrator, FairArbitrator, SCMPKIArbitrator
 from repro.arbiter.base import AppView
 from repro.arbiter.software import SoftwareArbitrator
 from repro.characterize import analytic_model
 from repro.cmp import ClusterConfig
 from repro.cmp.multithreaded import MultithreadedMirage
+from repro.cmp.system import CMPSystem
+from repro.engine import views as engine_views
 from repro.experiments import multithreaded, software_arbiter
+from repro.workloads import standard_mixes
 
 
 def view(index, mpki_ino=2.0):
@@ -50,6 +55,38 @@ class TestSoftwareArbitrator:
         sw.pick([view(0, mpki_ino=20.0)], interval_index=0)
         sw.reset()
         assert sw._decided_at is None
+
+    @pytest.mark.parametrize("inner, views_built", [
+        (SCMPKIArbitrator, 0),   # SC-MPKI decides on its fast path
+        (FairArbitrator, 20 * 8),  # one view list per decision
+    ])
+    def test_builds_views_only_when_it_decides(self, monkeypatch, inner,
+                                                views_built):
+        # 400 intervals at a 20-interval timeslice is 20 decisions over
+        # 8 apps; the held intervals in between must poll nothing.
+        built = []
+        build = engine_views.build_app_view
+
+        def counting_build(**kwargs):
+            built.append(kwargs["index"])
+            return build(**kwargs)
+
+        class ViewsEveryInterval(SoftwareArbitrator):
+            pick_batch = Arbitrator.pick_batch
+
+        def run(arbitrator_cls):
+            models = [analytic_model(name) for name
+                      in standard_mixes(8, seed=2017)[0].benchmarks]
+            config = ClusterConfig(n_consumers=8, n_producers=1,
+                                   mirage=True)
+            system = CMPSystem(config, models, arbitrator_cls(
+                inner(), reaction_intervals=20))
+            return dataclasses.asdict(system.run(max_intervals=400))
+
+        monkeypatch.setattr(engine_views, "build_app_view", counting_build)
+        shipped = run(SoftwareArbitrator)
+        assert len(built) == views_built
+        assert shipped == run(ViewsEveryInterval)
 
     def test_coarser_reaction_loses_throughput(self):
         result = software_arbiter.run(n_mixes=2)

@@ -1,5 +1,7 @@
 """Unit tests for prefetcher, bus, coherence and the hierarchy."""
 
+import gc
+
 import pytest
 
 from repro.memory import (
@@ -158,6 +160,36 @@ class TestHierarchy:
         mem.flush_for_migration()
         assert mem.dtlb.resident == 0
         assert mem.itlb.resident == 0
+
+    def test_l1_hits_share_one_result_per_tlb_outcome(self):
+        mem = MemoryHierarchy().core_view(0)
+        mem.load(0x100, 0x8000)
+        first = mem.load(0x100, 0x8000)
+        assert first.l1_hit and first.latency == L1_LATENCY
+        assert mem.store(0x104, 0x8008) is first
+        mem.fetch(0x4000)
+        assert mem.fetch(0x4000) is first
+        mem.dtlb.flush()
+        walked = mem.load(0x100, 0x8000)
+        assert walked.l1_hit
+        assert walked.latency == L1_LATENCY + mem.dtlb.walk_latency
+        mem.dtlb.flush()
+        assert mem.store(0x104, 0x8010) is walked
+
+    def test_build_allocates_for_touched_state_only(self):
+        # The L2 alone models 2,048 sets; building a hierarchy and a
+        # core view must not allocate per modelled set or line (the
+        # collector counts container allocations, empty dicts too).
+        MemoryHierarchy().core_view(0)
+        gc.collect()
+        gc.disable()
+        try:
+            before = gc.get_count()[0]
+            MemoryHierarchy().core_view(0)
+            allocated = gc.get_count()[0] - before
+        finally:
+            gc.enable()
+        assert allocated < 50
 
     def test_core_views_are_cached(self):
         hier = MemoryHierarchy()

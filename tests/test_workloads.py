@@ -121,6 +121,13 @@ class TestGenerator:
         total = sum(budgets)
         assert bench.phase_at(total) == 0   # wraps to a new pass
 
+    def test_phases_are_built_when_the_stream_reaches_them(self):
+        bench = make_benchmark("bzip2")
+        assert len(bench._phases) == 0
+        window = list(itertools.islice(bench.stream(), 500))
+        assert len(bench._phases) == 1       # 500 < phase 0's budget
+        assert window == take("bzip2", 500, seed=0)
+
     def test_phase_changes_move_code_region(self):
         # Loop bursts overshoot phase budgets, so exact boundaries are
         # fuzzy; over a full pass the stream must still visit several
