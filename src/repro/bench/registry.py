@@ -433,63 +433,3 @@ def bench_service_roundtrip(ctx: BenchContext) -> None:
     counters.bump("service.jobs", 2 * n_jobs)
     counters.bump("service.executions", stats["executions"])
     counters.bump("service.cache_hits", stats["cache_hits"])
-
-
-@register(
-    "sweep-makespan", tier="infra",
-    description="LPT dispatch through the warm pool: a skewed unit "
-                "batch longest-first vs submission order",
-)
-def bench_sweep_makespan(ctx: BenchContext) -> None:
-    """FIFO vs longest-first dispatch of one deliberately skewed batch.
-
-    The batch is several light units followed by one unit ~8x their
-    cost — the worst case for submission-order dispatch, whose
-    makespan ends on the late-starting heavy unit.  LPT starts the
-    heavy unit first, so the light tail packs behind it.  The probe
-    asserts the LPT permutation is the deterministic pure function
-    of the cost hints it must be, and that both dispatch orders
-    produce bit-identical (input-ordered) results.
-    """
-    from repro.runner.pool import PoolUnavailable, WarmPool, lpt_order
-    from repro.runner.units import cmp_unit, execute_unit
-
-    with ctx.telemetry.profiler.time("setup"):
-        light_n = ctx.size(6, 4)
-        base = ctx.size(60, 30)
-        units = [cmp_unit(("bzip2", "astar"), "SC-MPKI",
-                          max_intervals=base + i)
-                 for i in range(light_n)]
-        units.append(cmp_unit(("hmmer", "gcc", "mcf", "bzip2"),
-                              "SC-MPKI", max_intervals=base * 8))
-        costs = [float(unit.max_intervals * len(unit.benchmarks))
-                 for unit in units]
-    order = lpt_order(costs)
-    if order[0] != len(units) - 1:
-        raise RuntimeError("LPT did not dispatch the heavy unit first")
-    if order != lpt_order(costs):
-        raise RuntimeError("LPT ordering is nondeterministic")
-    pool = None
-    try:
-        pool = WarmPool(2)
-        with ctx.telemetry.profiler.time("fifo"):
-            fifo = pool.map(execute_unit, units)
-        with ctx.telemetry.profiler.time("lpt"):
-            lpt = pool.map(execute_unit, units, costs=costs)
-    except PoolUnavailable:
-        with ctx.telemetry.profiler.time("fifo"):
-            fifo = [execute_unit(unit) for unit in units]
-        with ctx.telemetry.profiler.time("lpt"):
-            lpt = [execute_unit(unit) for unit in units]
-    finally:
-        if pool is not None:
-            pool.shutdown()
-    if lpt != fifo:
-        raise RuntimeError("LPT dispatch changed a sweep's results")
-    counters = ctx.telemetry.counters
-    counters.bump("pool.units", 2 * len(units))
-    # The permutation itself, folded to one deterministic number.
-    counters.bump("pool.lpt_order_key",
-                  sum(i * position for i, position in enumerate(order)))
-    for result in lpt:
-        counters.bump("bench.stp_milli", round(result.stp * 1000))

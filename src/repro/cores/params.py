@@ -8,23 +8,20 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True, slots=True)
 class CoreParams:
-    """Microarchitectural parameters for one core model."""
+    """Microarchitectural parameters for one core model.
+
+    Front-end depth is :attr:`fetch_to_issue`: a mispredicted branch
+    redirects fetch the cycle after it completes, and the refetched
+    path pays those stages again before it issues.
+    """
 
     name: str
     width: int = 3                 #: superscalar width (fetch/issue/commit)
-    pipeline_depth: int = 12       #: stages; sets the mispredict penalty
     rob_size: int = 128            #: OoO window (ignored by InO)
     lq_size: int = 32              #: load-queue entries (OoO)
     sq_size: int = 32              #: store-queue entries (OoO)
     mem_inflight: int = 8          #: in-flight memory ops (InO/OinO MSHRs)
-    int_regs: int = 128            #: physical integer register file
-    fp_regs: int = 256             #: physical floating-point register file
     fetch_to_issue: int = 4        #: front-end stages before issue
-
-    #: Extra cycles from branch resolve to fetch restart on mispredict.
-    @property
-    def mispredict_penalty(self) -> int:
-        return self.pipeline_depth - 2
 
     #: Bubble cycles when a taken branch misses in the BTB.
     btb_miss_bubble: int = 2
@@ -43,12 +40,9 @@ class CoreParams:
 OOO_PARAMS = CoreParams(
     name="OoO",
     width=3,
-    pipeline_depth=12,
     rob_size=128,
     lq_size=32,
     sq_size=32,
-    int_regs=128,
-    fp_regs=256,
     fetch_to_issue=5,
 )
 
@@ -56,11 +50,8 @@ OOO_PARAMS = CoreParams(
 INO_PARAMS = CoreParams(
     name="InO",
     width=3,
-    pipeline_depth=8,
     rob_size=1,
     mem_inflight=8,
-    int_regs=128,
-    fp_regs=128,
     fetch_to_issue=3,
 )
 
@@ -77,11 +68,8 @@ LDT_PARAMS = dataclasses.replace(
 CGOOO_PARAMS = CoreParams(
     name="CG-OoO",
     width=3,
-    pipeline_depth=10,
     rob_size=1,
     mem_inflight=8,
-    int_regs=128,
-    fp_regs=128,
     fetch_to_issue=4,
 )
 

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+from itertools import islice
+
 from repro.characterize import AppModel
 from repro.cmp import ClusterConfig, TimeScale, SIM_SCALE
 from repro.cmp.system import CMPResult, CMPSystem, run_homo
+from repro.cores import CoreResult, InOrderCore, OutOfOrderCore
+from repro.memory import MemoryHierarchy
 # The arbitrator tables and the memoized per-benchmark model live with
 # the work-unit executor so drivers and pool workers share one source.
 from repro.runner.units import ARBITRATORS, TRADITIONAL, app_model
 from repro.telemetry import Telemetry
+from repro.workloads import make_benchmark
 from repro.workloads.mixes import WorkloadMix
 
 
@@ -55,6 +60,24 @@ def homo_baselines(
         run_homo(models, kind="ooo", config=config),
         run_homo(models, kind="ino", config=config),
     )
+
+
+def run_core_pair(name: str, *, instructions: int,
+                  seed: int) -> tuple[CoreResult, CoreResult]:
+    """(OoO, InO) results for one benchmark's window on the detailed
+    cores, each on a fresh hierarchy (cores 0 and 1).
+
+    The InO:OoO IPC ratio of this pair is Table 1's classification
+    and Figure 1's performance.
+    """
+    # The stream is deterministic: generate it once for both cores.
+    window = list(islice(make_benchmark(name, seed=seed).stream(),
+                         instructions))
+    r_ooo = OutOfOrderCore(MemoryHierarchy().core_view(0)).run(
+        iter(window), instructions)
+    r_ino = InOrderCore(MemoryHierarchy().core_view(1)).run(
+        iter(window), instructions)
+    return r_ooo, r_ino
 
 
 def mean(values) -> float:

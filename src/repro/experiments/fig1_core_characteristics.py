@@ -11,26 +11,16 @@ Paper shape: InO keeps ~60 % performance overall (less for HPD), at
 
 from __future__ import annotations
 
-from itertools import islice
-
-from repro.cores import InOrderCore, OutOfOrderCore
 from repro.energy import CoreEnergyModel, core_area
-from repro.experiments.common import format_table, mean
-from repro.memory import MemoryHierarchy
-from repro.runner import SweepRunner, call_unit, run_units
-from repro.workloads import ALL_BENCHMARKS, get_profile, make_benchmark
+from repro.experiments.common import format_table, mean, run_core_pair
+from repro.runner import SweepRunner, WorkUnit, call_unit, run_units
+from repro.workloads import ALL_BENCHMARKS, get_profile
 
 
 def measure(name: str, *, instructions: int = 30_000,
             seed: int = 1) -> dict:
-    # The stream is deterministic: generate it once for both cores.
-    window = list(islice(make_benchmark(name, seed=seed).stream(),
-                         instructions))
+    r_ooo, r_ino = run_core_pair(name, instructions=instructions, seed=seed)
     em = CoreEnergyModel()
-    r_ooo = OutOfOrderCore(MemoryHierarchy().core_view(0)).run(
-        iter(window), instructions)
-    r_ino = InOrderCore(MemoryHierarchy().core_view(1)).run(
-        iter(window), instructions)
     e_ooo = em.breakdown("ooo", r_ooo.energy_events, r_ooo.cycles)
     e_ino = em.breakdown("ino", r_ino.energy_events, r_ino.cycles)
     return {
@@ -44,15 +34,23 @@ def measure(name: str, *, instructions: int = 30_000,
     }
 
 
+def measure_units(benchmarks: tuple[str, ...],
+                  instructions: int) -> list[WorkUnit]:
+    """One :func:`measure` call unit per benchmark.
+
+    Table 1 maps these same units, so whichever of the two runs second
+    is served from the result cache.
+    """
+    return [call_unit("repro.experiments.fig1_core_characteristics:measure",
+                      name, instructions=instructions)
+            for name in benchmarks]
+
+
 def run(*, instructions: int = 30_000,
         benchmarks: tuple[str, ...] = ALL_BENCHMARKS,
         runner: SweepRunner | None = None) -> dict:
     # One pure call per benchmark -> one cached, parallelizable sweep.
-    per_bench = run_units(
-        [call_unit("repro.experiments.fig1_core_characteristics:measure",
-                   name, instructions=instructions)
-         for name in benchmarks],
-        runner)
+    per_bench = run_units(measure_units(benchmarks, instructions), runner)
     groups = {}
     for label, pred in [
         ("overall", lambda r: True),

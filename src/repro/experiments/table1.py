@@ -10,41 +10,35 @@ the paper's category labels.
 
 from __future__ import annotations
 
-from itertools import islice
-
-from repro.cores import InOrderCore, OutOfOrderCore
-from repro.experiments.common import format_table
-from repro.memory import MemoryHierarchy
-from repro.runner import SweepRunner, call_unit, run_units
-from repro.workloads import ALL_BENCHMARKS, get_profile, make_benchmark
+from repro.experiments import fig1_core_characteristics as fig1
+from repro.experiments.common import format_table, run_core_pair
+from repro.runner import SweepRunner, run_units
+from repro.workloads import ALL_BENCHMARKS, get_profile
 
 PAPER_BOUNDARY = 0.60
 
 
 def measure_ratio(name: str, *, instructions: int = 30_000,
                   seed: int = 1) -> float:
-    """InO:OoO IPC ratio for one benchmark on the detailed cores."""
-    # The stream is deterministic: generate it once for both cores.
-    window = list(islice(make_benchmark(name, seed=seed).stream(),
-                         instructions))
-    r_ooo = OutOfOrderCore(MemoryHierarchy().core_view(0)).run(
-        iter(window), instructions)
-    r_ino = InOrderCore(MemoryHierarchy().core_view(1)).run(
-        iter(window), instructions)
+    """InO:OoO IPC ratio for one benchmark on the detailed cores.
+
+    Equal to ``fig1_core_characteristics.measure(...)["performance"]``
+    without the energy breakdown; :func:`run` reads that value from
+    Figure 1's units instead.
+    """
+    r_ooo, r_ino = run_core_pair(name, instructions=instructions, seed=seed)
     return r_ino.ipc / max(1e-9, r_ooo.ipc)
 
 
 def run(*, instructions: int = 30_000,
         benchmarks: tuple[str, ...] = ALL_BENCHMARKS,
         runner: SweepRunner | None = None) -> dict:
-    # Each per-benchmark measurement is an independent pure call, so
-    # the whole table is one sweep: cached, and parallel under
-    # --jobs (floats survive the call-unit JSON round-trip exactly,
-    # keeping the printed table byte-identical to the serial loop).
-    ratios = run_units(
-        [call_unit("repro.experiments.table1:measure_ratio", name,
-                   instructions=instructions) for name in benchmarks],
-        runner)
+    # The ratio is Figure 1's "performance": map Figure 1's own units,
+    # so one result cache runs each benchmark's core pair once for both
+    # experiments (floats survive the call-unit JSON round-trip
+    # exactly, keeping the printed table byte-identical).
+    ratios = [r["performance"] for r in run_units(
+        fig1.measure_units(benchmarks, instructions), runner)]
     rows = []
     for name, ratio in zip(benchmarks, ratios):
         prof = get_profile(name)

@@ -27,10 +27,6 @@ results produced by a different loop/backend/scenario generation are
 invalidated even when the package version is unchanged.  The detailed
 tier's in-memory slice memo (:mod:`repro.simcache`) is not part of the
 key: it never changes a result (``tests/test_equivalence.py``).
-
-Per-experiment wall-time hints for the LPT scheduler live beside the
-entries, at ``timings/<experiment>.json``, keyed by the version-free
-:func:`unit_digest`.
 """
 
 from __future__ import annotations
@@ -56,15 +52,11 @@ MISS = object()
 
 
 def unit_digest(unit: WorkUnit) -> str:
-    """A *version-free* digest of a unit's fields.
+    """A digest of a unit's fields alone.
 
-    Unlike :meth:`ResultCache.digest`, this deliberately folds in
-    **no** version or schema tags: it keys the per-unit wall-time
-    hints behind the LPT scheduler, and a unit's *cost* survives
-    version bumps even when its cached *result* must not.  A stale
-    hint can only mis-order dispatch (costing a little makespan),
-    never change a result.  Equal units have equal digests, which is
-    also how :meth:`SweepRunner.map
+    Unlike :meth:`ResultCache.digest`, it folds in no version or
+    schema tags and needs no cache: equal units have equal digests,
+    which is how :meth:`SweepRunner.map
     <repro.runner.executor.SweepRunner.map>` finds the repeats of a
     batch.
     """
@@ -181,45 +173,3 @@ class ResultCache:
                 pass
             raise
         return path
-
-    # -- per-unit wall-time hints --------------------------------------
-    def timings_path(self, experiment: str) -> Path:
-        """Where an experiment's ``{unit_digest: seconds}`` hints live.
-
-        Deliberately *outside* the ``v<version>/`` entry tree: timing
-        hints are advisory scheduler input keyed by
-        :func:`unit_digest`, so they survive version bumps that
-        invalidate the results themselves.
-        """
-        return self.root / "timings" / f"{experiment or 'adhoc'}.json"
-
-    def load_timings(self, experiment: str) -> dict[str, float]:
-        """The persisted wall-time hints (empty when none or malformed)."""
-        try:
-            entry = json.loads(self.timings_path(experiment).read_text())
-            return {str(k): float(v) for k, v in entry["wall"].items()}
-        except (OSError, ValueError, TypeError, KeyError, AttributeError):
-            return {}
-
-    def record_timings(self, experiment: str,
-                       timings: dict[str, float]) -> None:
-        """Merge *timings* into the persisted hints, atomically.
-
-        Best-effort by design: a full disk or read-only cache must
-        never fail a sweep over scheduling hints.
-        """
-        if not timings:
-            return
-        path = self.timings_path(experiment)
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            merged = self.load_timings(experiment)
-            merged.update(
-                {k: round(float(v), 6) for k, v in timings.items()})
-            entry = {"schema": "mirage-timings/v1", "wall": merged}
-            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-            with os.fdopen(fd, "w") as handle:
-                json.dump(entry, handle, sort_keys=True)
-            os.replace(tmp, path)
-        except OSError:
-            pass

@@ -6,12 +6,11 @@ paths produce bit-identical tables.  Equal units in one batch are
 looked up and executed once.  Units already in the cache are
 returned without executing; the rest fan out over the process-global
 :class:`~repro.runner.pool.WarmPool` when ``jobs > 1`` — persistent
-workers reused across sweeps, with per-unit wall times persisted by the
-:class:`~repro.runner.cache.ResultCache` feeding longest-expected-first
-dispatch — and run serially for pickling-hostile units, or when the
-pool is unavailable (worker processes cannot be spawned, or the runner
-is itself inside a pool worker).  Results are written back to the
-cache as they complete.
+workers reused across sweeps, dispatched in submission order — and run
+serially for pickling-hostile units, or when the pool is unavailable
+(worker processes cannot be spawned, or the runner is itself inside a
+pool worker).  Results are written back to the cache as they complete;
+the cache holds nothing else.
 
 With ``trace=`` set, every CMP unit is forced to record its
 per-interval history and the runner appends the telemetry trace —
@@ -46,25 +45,20 @@ class RunnerStats:
     jobs: int = 1
     cache_hits: int = 0
     cache_misses: int = 0
-    units_run: int = 0
-    unit_seconds: list[float] = field(default_factory=list)
     wall_seconds: float = 0.0
     mode: str = "serial"        #: "serial" | "warm-pool"
     trace_records: int = 0               #: JSONL records appended
-    #: ``(seconds, label)`` for every executed unit — the fix for the
-    #: old behaviour where per-unit timing died with the run: the
-    #: executor persists these through the cache for LPT dispatch and
-    #: the CLI surfaces the worst offenders.
+    #: ``(seconds, label)`` for every executed unit, in memory only:
+    #: the CLI's ``slowest units`` line reads it.
     unit_timings: list[tuple[float, str]] = field(default_factory=list)
 
     @property
     def total_units(self) -> int:
         return self.cache_hits + self.cache_misses
 
-    def note_unit(self, seconds: float, label: str) -> None:
-        self.units_run += 1
-        self.unit_seconds.append(seconds)
-        self.unit_timings.append((seconds, label))
+    @property
+    def units_run(self) -> int:
+        return len(self.unit_timings)
 
     def slowest_summary(self, k: int = 3) -> str:
         """``label 1.2s; label 0.8s`` for the *k* slowest units."""
@@ -75,11 +69,12 @@ class RunnerStats:
     def summary(self) -> str:
         """One-line report for the CLI."""
         parts = [f"{self.total_units} units"]
-        if self.units_run:
-            mean = sum(self.unit_seconds) / len(self.unit_seconds)
+        if self.unit_timings:
+            seconds = [s for s, _ in self.unit_timings]
             parts.append(
                 f"{self.units_run} executed ({self.mode}, jobs={self.jobs},"
-                f" {mean:.2f}s mean {max(self.unit_seconds):.2f}s max)")
+                f" {sum(seconds) / len(seconds):.2f}s mean"
+                f" {max(seconds):.2f}s max)")
         if self.cache_hits:
             parts.append(f"{self.cache_hits} from cache")
         if self.trace_records:
@@ -102,10 +97,9 @@ class SweepRunner:
     Args:
         jobs: worker processes; 1 (the default) stays in-process.
         cache: a :class:`ResultCache`, or None to always execute.
-        experiment: names the per-experiment wall-time hints file
-            (:meth:`ResultCache.timings_path`) only.  Results are
-            keyed by unit content, so equal units share one cache
-            entry whichever experiment maps them.
+        experiment: a label for the runner only; nothing reads it.
+            Results are keyed by unit content, so equal units share
+            one cache entry whichever experiment maps them.
         trace: JSONL file the telemetry trace of every CMP result is
             appended to (``None`` disables tracing).
     """
@@ -158,7 +152,7 @@ class SweepRunner:
                 self.stats.cache_hits += len(indices)
         if pending:
             todo = [units[indices[0]] for indices in pending.values()]
-            payloads = self._execute(todo, list(pending))
+            payloads = self._execute(todo)
             for unit, indices, payload in zip(todo, pending.values(),
                                               payloads):
                 for i in indices:
@@ -203,51 +197,29 @@ class SweepRunner:
                     self.stats.trace_records += 1
 
     # ------------------------------------------------------------------
-    def _execute(self, units: list[WorkUnit],
-                 digests: list[str]) -> list[Any]:
-        """Execute each of the distinct *units* once; payloads in order.
-
-        *digests* are the units' :func:`unit_digest` values, the keys
-        of the persisted wall-time hints.
-        """
+    def _execute(self, units: list[WorkUnit]) -> list[Any]:
+        """Execute each of the distinct *units* once; payloads in order."""
         payloads: list[Any] = []
-        timings: dict[str, float] = {}
-        try:
-            for unit, digest, (payload, seconds) in zip(
-                    units, digests, self._timed(units, digests)):
-                payloads.append(payload)
-                self.stats.note_unit(seconds, unit_label(unit))
-                timings[digest] = seconds
-        finally:
-            # Persist whatever we timed — the next sweep's LPT input.
-            if self.cache is not None:
-                self.cache.record_timings(self.experiment, timings)
+        for unit, (payload, seconds) in zip(units, self._timed(units)):
+            payloads.append(payload)
+            self.stats.unit_timings.append((seconds, unit_label(unit)))
         return payloads
 
-    def _timed(self, units: list[WorkUnit],
-               digests: list[str]) -> Iterable[tuple[Any, float]]:
+    def _timed(self, units: list[WorkUnit]) -> Iterable[tuple[Any, float]]:
         """``(payload, seconds)`` per unit, in order: through the warm
         pool when ``jobs > 1`` and it can run here, else serially."""
         if (self.jobs > 1 and len(units) > 1
                 and all(_picklable(u) for u in units)):
             try:
-                return self._map_warm(units, digests)
+                return self._map_warm(units)
             except PoolUnavailable:
                 pass  # no pool here (sandbox or nesting): run serially
         return map(units_mod.timed_execute, units)
 
-    def _map_warm(self, units, digests) -> list[tuple[Any, float]]:
-        """Fan out over the shared warm pool, longest-expected-first.
-
-        Cost hints come from the wall times previous runs persisted
-        (:meth:`ResultCache.load_timings`); units never seen before
-        have no hint and are conservatively dispatched first.
-        """
+    def _map_warm(self, units: list[WorkUnit]) -> list[tuple[Any, float]]:
+        """Fan out over the shared warm pool, in submission order."""
         pool = WarmPool.shared(self.jobs)
-        hints = (self.cache.load_timings(self.experiment)
-                 if self.cache is not None else {})
-        pairs = pool.map(units_mod.timed_execute, units,
-                         costs=[hints.get(d) for d in digests])
+        pairs = pool.map(units_mod.timed_execute, units)
         self.stats.mode = "warm-pool"
         return pairs
 

@@ -1,4 +1,4 @@
-"""Warm worker pools: persistent processes, pickled batches, LPT.
+"""Warm worker pools: persistent processes, pickled batches.
 
 Every parallel path in the repo runs on a :class:`WarmPool`, and there
 are two: :class:`~repro.runner.executor.SweepRunner` sweeps (every
@@ -32,15 +32,12 @@ their parent's sentinel and exit as soon as the parent dies.
 
 Scheduling
 ----------
-:meth:`WarmPool.map` returns results in input order but *dispatches*
-longest-expected-first when per-item cost hints are given
-(:func:`lpt_order` — unknown costs are conservatively treated as
-infinite and go first).  Assignment is demand-driven — a worker takes
+:meth:`WarmPool.map` dispatches in submission order and returns
+results in input order.  Assignment is demand-driven — a worker takes
 the next queued batch the moment it replies, which is work stealing by
 construction — and cheap items are coalesced into chunks
 (:func:`chunk_sizes`) so pipe round-trips never dominate wide sweeps
-of tiny units.  With LPT ordering, a sweep's wall clock tracks its
-critical path instead of its submission order.
+of tiny units.
 
 Fallback
 --------
@@ -105,20 +102,6 @@ class PoolTaskError(RuntimeError):
 # ----------------------------------------------------------------------
 # Scheduling helpers
 # ----------------------------------------------------------------------
-def lpt_order(costs: Sequence[float | None]) -> list[int]:
-    """Longest-processing-time-first dispatch order over *costs*.
-
-    Items with unknown cost (``None``) are conservatively treated as
-    infinitely long and dispatched first (in index order); known
-    costs follow in descending order, ties broken by index — the
-    whole order is a pure function of *costs*, so identical sweeps
-    dispatch identically.
-    """
-    return sorted(
-        range(len(costs)),
-        key=lambda i: (costs[i] is not None, -(costs[i] or 0.0), i))
-
-
 def chunk_sizes(n_items: int, n_workers: int) -> int:
     """Dynamic chunk width for *n_items* over *n_workers*.
 
@@ -374,38 +357,25 @@ class WarmPool:
             self._dispatch()
         return batch.future
 
-    def map(self, fn: Callable, items: Sequence[Any], *,
-            costs: Sequence[float | None] | None = None) -> list[Any]:
+    def map(self, fn: Callable, items: Sequence[Any]) -> list[Any]:
         """Results of ``fn(item)`` for every item, in input order.
 
-        *fn* must be module-level (it travels by dotted name).  With
-        *costs* (expected seconds per item, ``None`` = unknown),
-        dispatch goes longest-expected-first; without, submission
-        order.  Either way results land in input order and are
-        bit-identical to ``[fn(item) for item in items]``.
+        *fn* must be module-level (it travels by dotted name).  Items
+        dispatch in submission order, coalesced into chunks of
+        :func:`chunk_sizes` width; results are bit-identical to
+        ``[fn(item) for item in items]``.  Raises
+        :class:`PoolUnavailable` when the pool is shut down or has no
+        live worker.
         """
         items = list(items)
         if not items:
             return []
-        if costs is None:
-            order = list(range(len(items)))
-        elif len(costs) != len(items):
-            raise ValueError("costs must match items")
-        else:
-            order = lpt_order(costs)
-        chunk = chunk_sizes(len(items), self.size)
-        # With cost hints, the head of the order is the critical path:
-        # dispatch those singly, chunk only the cheap tail.
-        batches: list[list[int]] = []
-        cursor = 0
-        while cursor < len(order):
-            width = 1
-            if chunk > 1 and (costs is None
-                              or costs[order[cursor]] is None
-                              or cursor >= 2 * self.size):
-                width = min(chunk, len(order) - cursor)
-            batches.append(order[cursor:cursor + width])
-            cursor += width
+        workers = self.size
+        if not workers:
+            raise PoolUnavailable("pool has no live worker")
+        chunk = chunk_sizes(len(items), workers)
+        batches = [range(start, min(start + chunk, len(items)))
+                   for start in range(0, len(items), chunk)]
 
         futures: list[Future] = []
         try:

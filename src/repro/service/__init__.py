@@ -8,8 +8,8 @@ long-running service:
   units on a private :class:`~repro.runner.pool.WarmPool`;
 * :mod:`repro.service.client` — the HTTP client behind ``mirage
   submit`` / ``jobs`` / ``tail``;
-* :mod:`repro.service.protocol` — submissions, decomposition into
-  :class:`~repro.runner.units.WorkUnit` values, digests;
+* :mod:`repro.service.protocol` — submissions and their
+  decomposition into :class:`~repro.runner.units.WorkUnit` values;
 * :mod:`repro.service.jobs`, :mod:`repro.service.journal` — job/task
   state and the restart journal.
 
@@ -18,7 +18,7 @@ See ``docs/service.md`` for the operational guide.
 
 from repro.config import ServiceConfig, default_service_dir
 from repro.service.client import ServiceClient, ServiceError, discover
-from repro.service.protocol import SubmitRequest, decompose, unit_digest
+from repro.service.protocol import SubmitRequest, decompose
 from repro.service.server import ExperimentServer, ServerHandle, serve
 
 __all__ = [
@@ -32,5 +32,4 @@ __all__ = [
     "default_service_dir",
     "discover",
     "serve",
-    "unit_digest",
 ]

@@ -8,10 +8,6 @@ What a client sends, and what the server makes of it, is defined here:
   :class:`~repro.runner.units.WorkUnit` values the server's worker
   pool executes, one per experiment — ``mirage submit all`` really
   does fan one unit per driver across the workers;
-* :func:`unit_digest` — the unit's content identity under the *shared*
-  :class:`~repro.runner.cache.ResultCache` keying, which is what makes
-  concurrent identical submissions coalesce onto one execution and
-  lets a job reuse what a CLI sweep already computed;
 * :func:`unit_to_dict` / :func:`unit_from_dict` — the JSON form of a
   unit the journal records.
 
@@ -179,20 +175,6 @@ def unit_from_dict(data: dict) -> WorkUnit:
     fields["kwargs"] = tuple(
         (pair[0], pair[1]) for pair in fields.get("kwargs", ()))
     return WorkUnit(**fields)
-
-
-def unit_digest(cache, unit: WorkUnit) -> str:
-    """The unit's service-wide identity:
-    :meth:`~repro.runner.cache.ResultCache.digest`.
-
-    Because this is literally the result cache's own keying, "two
-    submissions share a digest" and "two submissions share a cache
-    entry" are the same statement — coalescing and caching can never
-    disagree about what counts as identical work.  The key holds the
-    unit's content only, so a job also hits entries that CLI sweeps
-    wrote, and the reverse.
-    """
-    return cache.digest(unit)
 
 
 # ----------------------------------------------------------------------

@@ -56,7 +56,6 @@ from repro.service.protocol import (
     request_from_dict,
     request_to_dict,
     run_unit,
-    unit_digest,
     unit_from_dict,
     unit_to_dict,
 )
@@ -234,7 +233,7 @@ class ExperimentServer:
             raise RuntimeError("server is draining: not accepting jobs")
         self.stats["submissions"] += 1
         units = decompose(request)
-        digests = [unit_digest(self.cache, u) for u in units]
+        digests = [self.cache.digest(u) for u in units]
         key = _job_key(digests)
         active = self._active_keys.get(key)
         if active is not None and not self.jobs[active].finished:

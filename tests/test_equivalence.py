@@ -300,10 +300,14 @@ def test_shared_window_matches_fresh_streams(name, seed, instructions):
     # Sharing is sound only while no core reads back what another core
     # wrote into an Instruction; any such coupling shows up here.
     kwargs = {"instructions": instructions, "seed": seed}
-    assert (table1.measure_ratio(name, **kwargs)
-            == reference_ratio(name, **kwargs))
-    assert fig1.measure(name, **kwargs) == reference_fig1(name, **kwargs)
+    ratio = table1.measure_ratio(name, **kwargs)
+    fig1_row = fig1.measure(name, **kwargs)
+    assert ratio == reference_ratio(name, **kwargs)
+    assert fig1_row == reference_fig1(name, **kwargs)
     assert fig2.measure(name, **kwargs) == reference_fig2(name, **kwargs)
+    # Table 1 reads its ratios from Figure 1's units; the call target
+    # it used to map must keep measuring the same number.
+    assert ratio == fig1_row["performance"]
 
 
 # -- memory and program state: compact against object-per-item ---------
@@ -650,13 +654,9 @@ UNITS = st.one_of(
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_pooled_map_matches_serial(pool, data):
-    # Up to 40 units over 2 workers: wide draws chunk, and drawn costs
-    # (None = unknown) reorder dispatch longest-first.
+    # Up to 40 units over 2 workers: wide draws chunk.
     units = data.draw(st.lists(UNITS, max_size=40), label="units")
-    costs = data.draw(st.none() | st.lists(
-        st.none() | st.floats(0.0, 10.0), min_size=len(units),
-        max_size=len(units)), label="costs")
-    assert (pool.map(execute_unit, units, costs=costs)
+    assert (pool.map(execute_unit, units)
             == [execute_unit(unit) for unit in units])
 
 

@@ -22,6 +22,7 @@ from repro.experiments import (
     headline,
     table1,
 )
+from repro.runner import ResultCache, SweepRunner
 
 pytestmark = pytest.mark.filterwarnings("ignore")
 
@@ -56,6 +57,21 @@ class TestTable1:
                             benchmarks=("hmmer", "astar"))
         cats = {r["benchmark"]: r for r in result["rows"]}
         assert cats["hmmer"]["ratio"] < cats["astar"]["ratio"]
+
+
+    def test_fig1_after_table1_executes_nothing(self, tmp_path):
+        # Table 1 maps Figure 1's units: with one result cache, the
+        # second of the two runs no core simulation.
+        cache = ResultCache(tmp_path)
+        benches = QUICK_BENCHES[:3]
+        table = table1.run(instructions=2_000, benchmarks=benches,
+                           runner=SweepRunner(cache=cache))
+        runner = SweepRunner(cache=cache)
+        result = fig1_core_characteristics.run(
+            instructions=2_000, benchmarks=benches, runner=runner)
+        assert (runner.stats.units_run, runner.stats.cache_hits) == (0, 3)
+        assert ([r["ratio"] for r in table["rows"]]
+                == [r["performance"] for r in result["benchmarks"]])
 
 
 class TestFig1:

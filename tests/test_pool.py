@@ -1,11 +1,11 @@
-"""Tests for the warm worker pool: identity, crashes, transport, LPT.
+"""Tests for the warm worker pool: identity, crashes, transport.
 
 The contract under test: the pool is a pure transport/scheduling
 layer.  Results are bit-identical to serial execution for small and
-large pickled batches, whether dispatch is FIFO or
-longest-processing-time-first, and across worker crashes; a call
-that raises leaves nothing behind for the next one, and workers do
-not outlive their parent.  ``tests/test_equivalence.py`` draws
+large pickled batches and across worker crashes; a call that raises
+leaves nothing behind for the next one, a pool without workers
+refuses work so callers run serially, and workers do not outlive
+their parent.  ``tests/test_equivalence.py`` draws
 randomized batches against serial execution.
 
 All task helpers are module-level: pool workers resolve targets by
@@ -24,13 +24,11 @@ import time
 import pytest
 
 from repro.runner import (
-    ResultCache,
     SweepRunner,
     WarmPool,
     call_unit,
     cmp_unit,
     execute_unit,
-    lpt_order,
     unit_digest,
     unit_label,
 )
@@ -105,13 +103,6 @@ class TestMapIdentity:
         serial = [execute_unit(u) for u in units]
         assert pool.map(execute_unit, units) == serial
 
-    def test_lpt_dispatch_matches_fifo_results(self, pool):
-        items = list(range(12))
-        fifo = pool.map(_double, items)
-        lpt = pool.map(_double, items,
-                       costs=[float(12 - i) for i in items])
-        assert lpt == fifo == [x * 2 for x in items]
-
     def test_task_error_propagates(self, pool):
         with pytest.raises(pool_mod.PoolTaskError, match="boom 1"):
             pool.map(_boom, [1])
@@ -132,18 +123,6 @@ class TestMapIdentity:
         assert future.result(timeout=30) == [2, 4, 6]
 
 
-class TestLptOrder:
-    def test_descending_and_stable(self):
-        assert lpt_order([1.0, 3.0, 2.0, 3.0]) == [1, 3, 2, 0]
-
-    def test_unknown_costs_go_first(self):
-        assert lpt_order([1.0, None, 5.0]) == [1, 2, 0]
-
-    def test_deterministic(self):
-        costs = [2.0, None, 7.0, 7.0, 0.5]
-        assert lpt_order(costs) == lpt_order(list(costs))
-
-
 class TestCrashRecovery:
     def test_crashed_worker_is_respawned_and_batch_requeued(
             self, tmp_path):
@@ -158,6 +137,26 @@ class TestCrashRecovery:
             assert pool.map(_double, [7]) == [14]
         finally:
             pool.shutdown()
+
+
+class TestNoLiveWorkers:
+    def test_map_raises_pool_unavailable(self):
+        pool = WarmPool(1)
+        pool.shutdown()
+        with pytest.raises(pool_mod.PoolUnavailable):
+            pool.map(abs, [-1])
+
+    def test_sweep_falls_back_to_serial(self, monkeypatch):
+        # Every worker gone between WarmPool.shared() and map: the
+        # runner must run the batch serially, not crash.
+        dead = WarmPool(1)
+        dead.shutdown()
+        monkeypatch.setattr(WarmPool, "shared",
+                            classmethod(lambda cls, workers=None: dead))
+        runner = SweepRunner(jobs=2)
+        assert (runner.map(NESTED_UNITS)
+                == SweepRunner(jobs=1).map(NESTED_UNITS))
+        assert runner.stats.mode == "serial"
 
 
 def _running(pid):
@@ -220,41 +219,10 @@ class TestNesting:
 
 
 class TestCacheKeying:
-    def test_timings_round_trip(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        unit = cmp_unit(MIXES[0], "SC-MPKI")
-        digest = unit_digest(unit)
-        cache.record_timings("fig7", {digest: 1.25})
-        assert cache.load_timings("fig7") == {digest: 1.25}
-        # Merge-on-write keeps earlier entries.
-        cache.record_timings("fig7", {"other": 0.5})
-        assert cache.load_timings("fig7") == {digest: 1.25,
-                                              "other": 0.5}
-
-    @pytest.mark.parametrize("text", [
-        "not json {", "[1]", "null", '"wall"', '{"wall": [1]}',
-        '{"wall": {"d": "slow"}}', '{"wall": {"d": null}}',
-    ], ids=["garbage", "list", "null", "string", "wall-list",
-            "wall-text", "wall-null"])
-    def test_malformed_hints_file_reads_as_empty(self, tmp_path, text):
-        cache = ResultCache(tmp_path)
-        path = cache.timings_path("fig7")
-        path.parent.mkdir(parents=True)
-        path.write_text(text)
-        assert cache.load_timings("fig7") == {}
-        # Recording never fails a sweep: it replaces the bad file.
-        cache.record_timings("fig7", {"d": 0.5})
-        assert cache.load_timings("fig7") == {"d": 0.5}
-
-    def test_unit_digest_is_version_free(self, monkeypatch):
-        import repro
-
-        unit = cmp_unit(MIXES[0], "SC-MPKI")
-        before = unit_digest(unit)
-        monkeypatch.setattr(repro, "__version__", "9.9.9")
-        assert unit_digest(unit) == before
-        # Content alone: an equal unit, whichever experiment built it,
-        # has the same digest; a different unit does not.
+    def test_unit_digest_is_content_only(self):
+        # An equal unit, whichever experiment built it, has the same
+        # digest; a different unit does not.
+        before = unit_digest(cmp_unit(MIXES[0], "SC-MPKI"))
         assert unit_digest(cmp_unit(MIXES[0], "SC-MPKI")) == before
         assert unit_digest(cmp_unit(MIXES[0], "maxSTP")) != before
 

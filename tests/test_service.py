@@ -142,12 +142,10 @@ def test_unit_dict_round_trip_preserves_digest(tmp_path):
     from repro.runner.cache import ResultCache
 
     cache = ResultCache(tmp_path / "cache")
-    from repro.service.protocol import unit_digest
-
     unit = call_unit(ECHO, tag="x", value=3)
     again = unit_from_dict(json.loads(json.dumps(unit_to_dict(unit))))
     assert again == unit
-    assert unit_digest(cache, again) == unit_digest(cache, unit)
+    assert cache.digest(again) == cache.digest(unit)
 
 
 def test_decompose_validates_names():
