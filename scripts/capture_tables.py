@@ -21,9 +21,8 @@ tier-identity gate on any byte difference::
 ``--backend-smoke`` runs ``backend-matrix --quick`` twice on one
 tree: every registered backend must appear as a leg row and the two
 runs must print byte-identical tables and export byte-identical JSON
-(determinism across the whole roster).  Perf layers are held to their
-references by ``tests/test_equivalence.py`` instead: the slice memo
-against its memo-less run, and the warm pool against serial execution.
+(determinism across the whole roster).  The warm pool is held to
+serial execution by ``tests/test_equivalence.py`` instead.
 """
 
 from __future__ import annotations

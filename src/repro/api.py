@@ -22,8 +22,9 @@ The facade groups six surfaces:
   (:class:`MigrationCostModel`: pipeline drain, L1 warm-up and the
   Schedule Cache transfer);
 * **arbitration** — the five paper arbitrators;
-* **infrastructure** — telemetry, the sweep runner, the result cache
-  (selected by a :class:`CacheConfig`) and the slice memo;
+* **infrastructure** — telemetry, the sweep runner and the result
+  cache (selected by a :class:`CacheConfig`); :class:`SliceMemo`
+  stays exported only for the benchmark, which still reads it;
 * **service** — the :mod:`repro.service` job server's client side
   (:class:`ServiceClient`, :class:`ServiceConfig`,
   :class:`SubmitRequest`);

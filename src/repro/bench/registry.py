@@ -162,53 +162,6 @@ def bench_oino_replay(ctx: BenchContext) -> None:
 
 
 @register(
-    "sim-cache", tier="detailed",
-    description="SliceMemo cold capture then all-hit replay of an "
-                "identical detailed-tier cluster run",
-)
-def bench_sim_cache(ctx: BenchContext) -> None:
-    """Slice-memoization capture/replay on a repeated cluster run.
-
-    A private :class:`~repro.simcache.SliceMemo` is populated by the
-    cold run, then an identical cluster is driven straight through the
-    replay path; the probe asserts the replayed result matches before
-    reporting, so a correctness regression fails loudly here too.
-    """
-    from repro import simcache
-    from repro.arbiter import SCMPKIArbitrator
-    from repro.cmp.detailed import DetailedMirageCluster
-    from repro.workloads import make_benchmark
-
-    memo = simcache.SliceMemo()
-    slice_n = ctx.size(4_000, 1_000)
-    n_slices = ctx.size(6, 3)
-
-    def run():
-        cluster = DetailedMirageCluster(
-            [make_benchmark("hmmer", seed=3),
-             make_benchmark("mcf", seed=3)],
-            SCMPKIArbitrator(),
-            slice_instructions=slice_n,
-            sim_cache=memo,
-        )
-        return cluster.run(n_slices=n_slices)
-
-    with ctx.telemetry.profiler.time("cold"):
-        cold = run()
-    with ctx.telemetry.profiler.time("replay"):
-        warm = run()
-    if (warm.ipcs, warm.migrations, warm.energy_pj) != (
-            cold.ipcs, cold.migrations, cold.energy_pj):
-        raise RuntimeError("sim-cache replay diverged from the cold run")
-    counters = ctx.telemetry.counters
-    counters.bump("simcache.lookups", memo.stats.lookups)
-    counters.bump("simcache.hits", memo.stats.hits)
-    counters.bump("simcache.stores", memo.stats.stores)
-    counters.bump("simcache.entries", memo.num_entries)
-    counters.bump("simcache.bytes", memo.approx_bytes)
-
-
-@register(
     "cgooo-slice", tier="detailed",
     description="CGOoOCore block scheduling: cold schedule selection "
                 "then SC-memoized replay of the same stream",

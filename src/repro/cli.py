@@ -193,17 +193,6 @@ def _trace_command(path: str, *, app: str | None, limit: int,
                       f"{event.intervals} intervals, "
                       f"{event.total_cycles:.0f} cycles")
                 counters = event.counters
-                lookups = counters.get("simcache.lookups", 0)
-                if lookups:
-                    hits = counters.get("simcache.hits", 0)
-                    replayed = counters.get(
-                        "simcache.replayed_instructions", 0)
-                    invalidations = counters.get(
-                        "simcache.invalidations", 0)
-                    print(f"  sim-cache: {hits:.0f}/{lookups:.0f} slice "
-                          f"hits ({100.0 * hits / lookups:.1f}%), "
-                          f"{replayed:.0f} instructions replayed, "
-                          f"{invalidations:.0f} invalidations")
                 for name in sorted(counters):
                     print(f"  {name} = {counters[name]}")
 

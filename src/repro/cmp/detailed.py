@@ -35,7 +35,6 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from repro import simcache
 from repro.arbiter.base import Arbitrator
 from repro.cmp.config import ClusterConfig
 from repro.cmp.migration import MigrationCostModel
@@ -156,17 +155,9 @@ class DetailedBackend(ExecutionBackend):
         config: ClusterConfig,
         sc_capacity: int | None = 8 * 1024,
         slice_instructions: int = 8_000,
-        sim_cache: "bool | simcache.SliceMemo" = False,
     ):
         self.config = config
         self.slice_instructions = slice_instructions
-        self.sc_capacity = sc_capacity
-        # Slice memoization (repro.simcache) is opt-in: a slice key
-        # holds the stream position, so only a repeat of an identical
-        # run in this process can hit.  False (the default) runs
-        # without a memo, True uses the shared memo, and a SliceMemo
-        # instance is used privately.
-        self.memo = simcache.resolve(sim_cache)
         self.hier = MemoryHierarchy()
         self.producer_mem = self.hier.core_view(len(benchmarks))
         # The producer's frontend state is physical: one predictor and
@@ -176,14 +167,9 @@ class DetailedBackend(ExecutionBackend):
         self.apps: list[DetailedAppState] = []
         for i, bench in enumerate(benchmarks):
             sc = ScheduleCache(sc_capacity)
-            # With memoization on, the stream is held behind a cursor
-            # so replayed slices can skip generation entirely; without
-            # a memo the raw generator feeds the cores directly.
-            stream = (simcache.StreamCursor(bench) if self.memo is not None
-                      else bench.stream())
             self.apps.append(DetailedAppState(
                 model=bench,
-                stream=stream,
+                stream=bench.stream(),
                 sc=sc,
                 recorder=ScheduleRecorder(sc),
                 consumer=self._make_consumer(self.hier.core_view(i), sc),
@@ -195,25 +181,14 @@ class DetailedBackend(ExecutionBackend):
         self.migration = MigrationCostModel(config)
         self.sc_bytes_transferred = 0
         self._pending: list[bool | None] = [None] * len(benchmarks)
-        # Logical-state snapshot cache (memo on only).  Maps a slot —
-        # "hier", a producer slot, or ("sc"|"core"|"rec", app index) —
-        # to that structure's current *logical* snapshot.  Slots in
-        # ``_lagging`` hold a materialized state that lags the cached
-        # snapshot: a replayed slice parked its exit state here instead
-        # of restoring it, and :meth:`_materialize` pays the restore
-        # only when a live run, a migration, or :meth:`finalize`
-        # actually needs the physical structures.  An all-hit run thus
-        # never re-walks or rebuilds the big tables per slice.
-        self._snap_cache: dict[object, tuple] = {}
-        self._lagging: set[object] = set()
 
     def _make_consumer(self, memory, sc: ScheduleCache):
         """Build one consumer core; the subclass variation point.
 
         The returned core must expose the shared core-model contract:
-        ``run(stream, n)``, ``state_snapshot``/``state_restore``, and
-        :class:`~repro.cores.base.CoreStats` counters (including the
-        SC hit/miss counts the arbitrator's SC-MPKI signal reads).
+        ``run(stream, n)`` and :class:`~repro.cores.base.CoreStats`
+        counters (including the SC hit/miss counts the arbitrator's
+        SC-MPKI signal reads).
         """
         return OinOCore(memory, sc)
 
@@ -225,159 +200,19 @@ class DetailedBackend(ExecutionBackend):
         return None
 
     def advance(self, ctx: EngineContext, index: int) -> ExecOutcome:
-        """Apply any pending move, then run one slice of instructions.
-
-        With slice memoization on, the slice's entry state is keyed
-        against the :class:`~repro.simcache.SliceMemo` first: a hit
-        replays the recorded deltas (:meth:`_replay_slice`) instead of
-        re-running the core models, parking the exit snapshots in the
-        logical-state cache so a chain of hits costs O(1) per slice.
-        Migration itself is never memoized — it mutates the bus and
-        telemetry in ways the next slice's key then observes.
-        """
+        """Apply any pending move, then run one slice of instructions."""
         app = ctx.apps[index]
         pending = self._pending[index]
         if pending is not None:
             self._pending[index] = None
-            self._perform_migration(ctx, app, index, to_ooo=pending)
-        memo = self.memo
-        if memo is None:
-            return self._run_slice(ctx, app, index, None)
-        key = self._slice_key(app, index)
-        counters = ctx.telemetry.counters
-        counters.bump("simcache.lookups")
-        delta = memo.lookup(key)
-        if delta is not None:
-            counters.bump("simcache.hits")
-            counters.bump("simcache.replayed_instructions",
-                          delta.instructions)
-            return self._replay_slice(ctx, app, index, delta)
-        counters.bump("simcache.misses")
-        self._materialize(self._touched_slots(app, index))
-        before_inval = memo.stats.invalidations
-        outcome = self._run_slice(ctx, app, index, key)
-        counters.bump("simcache.invalidations",
-                      memo.stats.invalidations - before_inval)
-        return outcome
+            self._perform_migration(ctx, app, to_ooo=pending)
+        return self._run_slice(ctx, app)
 
-    # -- logical-state snapshot cache ----------------------------------
-    def _slot_target(self, slot):
-        """The live structure a snapshot slot names."""
-        if slot == "hier":
-            return self.hier
-        if slot == "pbpred":
-            return self.producer_bpred
-        if slot == "pbtb":
-            return self.producer_btb
-        if slot == "pmem":
-            return self.producer_mem
-        kind, index = slot
-        app = self.apps[index]
-        if kind == "sc":
-            return app.sc
-        if kind == "core":
-            return app.consumer
-        return app.recorder
-
-    def _snap(self, slot) -> tuple:
-        """This slot's current logical snapshot, cached when known.
-
-        The cache is refreshed at every point the backend mutates a
-        structure (live-run exit, migration), so a cached entry always
-        equals what ``state_snapshot()`` would return — computing it
-        live happens only the first time a slot is keyed per run.
-        """
-        snap = self._snap_cache.get(slot)
-        if snap is None:
-            snap = self._slot_target(slot).state_snapshot()
-            self._snap_cache[slot] = snap
-        return snap
-
-    def _park(self, slot, snap: tuple) -> None:
-        """Record a replayed exit snapshot without materializing it."""
-        self._snap_cache[slot] = snap
-        self._lagging.add(slot)
-
-    def _materialize(self, slots) -> None:
-        """Fold parked exit snapshots back into the live structures."""
-        lagging = self._lagging
-        for slot in slots:
-            if slot in lagging:
-                self._slot_target(slot).state_restore(
-                    self._snap_cache[slot])
-                lagging.discard(slot)
-
-    def _touched_slots(self, app: DetailedAppState, index: int) -> tuple:
-        """Every slot a live slice of *app* reads or mutates."""
-        if app.on_ooo:
-            return ("hier", ("sc", index), "pbpred", "pbtb", "pmem",
-                    ("rec", index))
-        return ("hier", ("sc", index), ("core", index))
-
-    def _slice_key(self, app: DetailedAppState, index: int) -> tuple:
-        """Complete entry-state key for this app's next slice.
-
-        Every structure the slice can read or write contributes a full
-        snapshot, plus the identity of the instruction window and the
-        per-app scalars the outcome reads without updating.  Equal keys
-        therefore imply bit-identical slices; any drift at all simply
-        misses (conservative over-invalidation, never a wrong replay).
-        The snapshots come from the logical-state cache (:meth:`_snap`)
-        — the exit state of the previous slice on each structure — so
-        a steady hit chain builds its keys without touching the tables.
-        """
-        cursor = app.stream
-        if app.on_ooo:
-            core_state = (
-                self._snap("pbpred"), self._snap("pbtb"),
-                self._snap("pmem"), self._snap(("rec", index)),
-            )
-        else:
-            core_state = self._snap(("core", index))
-        return (
-            self.name, app.on_ooo, index, self.slice_instructions,
-            self.sc_capacity,
-            cursor.fingerprint, cursor.pos,
-            app.sc_mpki_ino_last, app.sc_mpki_ooo_last,
-            self._snap(("sc", index)), self._snap("hier"),
-            core_state,
-        )
-
-    def _exit_state(self, app: DetailedAppState, index: int) -> tuple:
-        """Post-slice snapshots, shaped exactly like the key's.
-
-        Taken live right after a slice ran, and folded into the
-        snapshot cache: the exit state of slice *k* is the entry state
-        of slice *k+1* for every structure untouched in between.
-        """
-        cache = self._snap_cache
-        sc_state = app.sc.state_snapshot()
-        hier_state = self.hier.state_snapshot()
-        cache[("sc", index)] = sc_state
-        cache["hier"] = hier_state
-        if app.on_ooo:
-            core_state = (
-                self.producer_bpred.state_snapshot(),
-                self.producer_btb.state_snapshot(),
-                self.producer_mem.state_snapshot(),
-                app.recorder.state_snapshot(),
-            )
-            (cache["pbpred"], cache["pbtb"], cache["pmem"],
-             cache[("rec", index)]) = core_state
-        else:
-            core_state = app.consumer.state_snapshot()
-            cache[("core", index)] = core_state
-        return (sc_state, hier_state, core_state)
-
-    def _run_slice(self, ctx: EngineContext, app: DetailedAppState,
-                   index: int, key: tuple | None) -> ExecOutcome:
-        """Run one slice on the real core models (the memo-miss path)."""
+    def _run_slice(self, ctx: EngineContext,
+                   app: DetailedAppState) -> ExecOutcome:
+        """Run one slice of *app*'s stream on the real core models."""
         n = self.slice_instructions
-        if key is None:
-            # No memo: the stream is the raw generator, sliced lazily.
-            window = itertools.islice(app.stream, n)
-        else:
-            window = app.stream.take(n)
+        window = itertools.islice(app.stream, n)
         telemetry = ctx.telemetry
         if app.on_ooo:
             before_misses = app.sc.stats.misses
@@ -396,7 +231,6 @@ class DetailedBackend(ExecutionBackend):
             counters = result.stats.counters(prefix="ooo.")
             kind = "ooo"
             memo_frac = 0.0
-            sc_mpki = app.sc_mpki_ooo_last
         else:
             result = app.consumer.run(window, n)
             app.sc_mpki_ino_last = result.stats.sc_mpki()
@@ -405,19 +239,10 @@ class DetailedBackend(ExecutionBackend):
                 prefix=self.consumer_counter_prefix)
             kind = self.consumer_kind
             memo_frac = result.stats.memoized_fraction
-            sc_mpki = app.sc_mpki_ino_last
         telemetry.counters.merge(counters)
         app.instructions += result.instructions
         app.t_total += result.cycles
         app.ipc_last = result.ipc
-        if key is not None:
-            self.memo.store(key, simcache.SliceDelta(
-                kind=kind, instructions=result.instructions,
-                cycles=result.cycles, ipc=result.ipc,
-                memo_frac=memo_frac, sc_mpki=sc_mpki,
-                counters=counters,
-                exit_state=self._exit_state(app, index),
-            ))
         return ExecOutcome(
             kind=kind, ipc=result.ipc, memo_frac=memo_frac,
             effective=result.cycles, energy_cycles=result.cycles,
@@ -426,80 +251,16 @@ class DetailedBackend(ExecutionBackend):
             sc_mpki_ref=app.sc_mpki_ooo_last,
         )
 
-    def _replay_slice(self, ctx: EngineContext, app: DetailedAppState,
-                      index: int,
-                      delta: "simcache.SliceDelta") -> ExecOutcome:
-        """Re-apply a memoized slice's deltas (the memo-hit path).
-
-        Mirrors :meth:`_run_slice`'s bookkeeping field by field, then
-        *parks* the recorded exit snapshots in the logical-state cache
-        (:meth:`_park`) so the next slice keys against exactly the
-        state the original run left behind — without paying a restore
-        that a following hit would immediately overwrite.  The physical
-        structures catch up in :meth:`_materialize` only when live
-        simulation actually resumes.
-        """
-        sc_state, hier_state, core_state = delta.exit_state
-        if delta.kind == "ooo":
-            app.sc_mpki_ooo_last = delta.sc_mpki
-            app.ipc_ooo_last = delta.ipc
-            app.t_ooo += delta.cycles
-            app.ooo_slices += 1
-            app.intervals_since_ooo = 0
-            bpred, btb, mem, recorder = core_state
-            self._park("pbpred", bpred)
-            self._park("pbtb", btb)
-            self._park("pmem", mem)
-            self._park(("rec", index), recorder)
-        else:
-            app.sc_mpki_ino_last = delta.sc_mpki
-            app.intervals_since_ooo += 1
-            self._park(("core", index), core_state)
-        self._park(("sc", index), sc_state)
-        self._park("hier", hier_state)
-        ctx.telemetry.counters.merge(delta.counters)
-        app.instructions += delta.instructions
-        app.t_total += delta.cycles
-        app.ipc_last = delta.ipc
-        app.stream.skip(delta.instructions)
-        return ExecOutcome(
-            kind=delta.kind, ipc=delta.ipc, memo_frac=delta.memo_frac,
-            effective=delta.cycles, energy_cycles=delta.cycles,
-            alone_ipc=_alone_ooo_ipc(app.model.name),
-            sc_mpki=app.sc_mpki_ino_last,
-            sc_mpki_ref=app.sc_mpki_ooo_last,
-        )
-
     def finalize(self, ctx: EngineContext) -> None:
         """Fold each app's final SC stats into the shared counters."""
-        if self.memo is not None:
-            # Settle every parked exit snapshot into the live
-            # structures (callers read SC stats, L1/L2 contents, and
-            # predictor state after a run), then drop the cache: code
-            # outside the engine loop may mutate state between runs,
-            # which the cache cannot observe.
-            self._materialize(tuple(self._lagging))
-            self._snap_cache.clear()
         for app in ctx.apps:
             ctx.telemetry.counters.merge(
                 app.sc.stats.counters(prefix=f"sc.{app.model.name}."))
-        if self.memo is not None:
-            # Gauges, not deltas: the memo may be process-global, so
-            # its footprint is reported by assignment.
-            counters = ctx.telemetry.counters
-            counters["simcache.entries"] = self.memo.num_entries
-            counters["simcache.bytes"] = self.memo.approx_bytes
 
     # -- the physical move ---------------------------------------------
     def _perform_migration(self, ctx: EngineContext,
-                           app: DetailedAppState, index: int, *,
+                           app: DetailedAppState, *,
                            to_ooo: bool) -> None:
-        if self.memo is not None:
-            # The move reads and mutates live state (SC occupancy, the
-            # bus, an L1 flush): settle the parked snapshots it can
-            # touch first.
-            self._materialize(("hier", ("sc", index), ("core", index),
-                               "pmem"))
         app.on_ooo = to_ooo
         app.migrations += 1
         # SC contents cross the shared bus; L1s drain on the way out.
@@ -525,12 +286,6 @@ class DetailedBackend(ExecutionBackend):
             counters={"migration.l1_flush_dirty": dirty,
                       "migration.l1_flush_lines": dropped},
         ))
-        if self.memo is not None:
-            # The bus transfer, directory flush and L1 drain just
-            # changed live state behind the snapshot cache's back.
-            self._snap_cache.pop("hier", None)
-            self._snap_cache.pop(
-                ("core", index) if to_ooo else "pmem", None)
 
 
 class CGOoOBackend(DetailedBackend):
@@ -601,7 +356,6 @@ class DetailedMirageCluster:
         slice_instructions: int = 8_000,
         energy_model: CoreEnergyModel | None = None,
         telemetry: Telemetry | None = None,
-        sim_cache: "bool | simcache.SliceMemo" = False,
         backend: str = "detailed",
     ):
         backend_cls = CYCLE_BACKENDS.get(backend)
@@ -620,7 +374,7 @@ class DetailedMirageCluster:
         )
         self.backend = backend_cls(
             benchmarks, config=config, sc_capacity=sc_capacity,
-            slice_instructions=slice_instructions, sim_cache=sim_cache)
+            slice_instructions=slice_instructions)
         self.apps = self.backend.apps
         self.phases = [
             ArbitrationPhase(arbitrator),

@@ -83,27 +83,6 @@ class CGOoOCore:
         self.predictor = predictor or TournamentPredictor()
         self.btb = btb or BranchTargetBuffer()
 
-    # -- slice-memoization hooks (repro.simcache) ----------------------
-    def state_snapshot(self) -> tuple:
-        """Persistent cross-slice state (frontend + private memory).
-
-        Everything else (scoreboards, rings, the block window state)
-        is rebuilt at the top of :meth:`run`.  The SC snapshots
-        separately — it is owned by the cluster.
-        """
-        return (
-            self.predictor.state_snapshot(),
-            self.btb.state_snapshot(),
-            self.memory.state_snapshot(),
-        )
-
-    def state_restore(self, snap: tuple) -> None:
-        """Rebuild the exact state a :meth:`state_snapshot` captured."""
-        predictor, btb, memory = snap
-        self.predictor.state_restore(predictor)
-        self.btb.state_restore(btb)
-        self.memory.state_restore(memory)
-
     # ------------------------------------------------------------------
     def run(
         self,

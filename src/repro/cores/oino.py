@@ -73,34 +73,6 @@ class OinOCore:
         # the abort penalty near 0.3 % of execution time).
         self._launch_stats: dict[int, list[int]] = {}
 
-    # -- slice-memoization hooks (repro.simcache) ----------------------
-    def state_snapshot(self) -> tuple:
-        """Persistent cross-slice state as a hashable tuple.
-
-        Everything else (``_stats``, rings, scoreboards, ...) is rebuilt
-        at the top of :meth:`run`, so it never leaks between slices and
-        stays out of the memo key.  The SC snapshots separately — it is
-        shared with the recorder and owned by the cluster.
-        """
-        return (
-            tuple((pc, c[0], c[1])
-                  for pc, c in self._abort_counts.items()),
-            tuple((pc, c[0], c[1])
-                  for pc, c in self._launch_stats.items()),
-            self.predictor.state_snapshot(),
-            self.btb.state_snapshot(),
-            self.memory.state_snapshot(),
-        )
-
-    def state_restore(self, snap: tuple) -> None:
-        """Rebuild the exact state a :meth:`state_snapshot` captured."""
-        aborts, launches, predictor, btb, memory = snap
-        self._abort_counts = {pc: [a, b] for pc, a, b in aborts}
-        self._launch_stats = {pc: [a, b] for pc, a, b in launches}
-        self.predictor.state_restore(predictor)
-        self.btb.state_restore(btb)
-        self.memory.state_restore(memory)
-
     # ------------------------------------------------------------------
     def run(
         self,

@@ -63,33 +63,6 @@ class OutOfOrderCore:
         self.btb = btb or BranchTargetBuffer()
         self.recorder = recorder
 
-    # -- slice-memoization hooks (repro.simcache) ----------------------
-    def state_snapshot(self) -> tuple:
-        """Persistent cross-slice state as a hashable tuple.
-
-        The OoO core itself is stateless between :meth:`run` calls —
-        everything mutable it touches lives in the injected frontend,
-        memory and recorder structures, so the snapshot is simply
-        theirs.  The recorder's SC snapshots separately (the cluster
-        owns and shares it).
-        """
-        return (
-            self.predictor.state_snapshot(),
-            self.btb.state_snapshot(),
-            self.memory.state_snapshot(),
-            None if self.recorder is None
-            else self.recorder.state_snapshot(),
-        )
-
-    def state_restore(self, snap: tuple) -> None:
-        """Rebuild the exact state a :meth:`state_snapshot` captured."""
-        predictor, btb, memory, recorder = snap
-        self.predictor.state_restore(predictor)
-        self.btb.state_restore(btb)
-        self.memory.state_restore(memory)
-        if recorder is not None:
-            self.recorder.state_restore(recorder)
-
     def run(
         self,
         stream: Iterable[Instruction],

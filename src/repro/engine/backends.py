@@ -13,11 +13,7 @@ one interval, and that seam is the :class:`ExecutionBackend` protocol:
 * ``DetailedBackend`` (:mod:`repro.cmp.detailed`) — the cycle-level
   tier: real instruction streams through the detailed core models,
   a shared L2, per-core predictors/BTB, and real Schedule-Cache
-  contents crossing the bus on migration.  Its ``advance`` slices can
-  be memoized by :mod:`repro.simcache` (opt-in, ``sim_cache=``):
-  repeating a slice from a previously-seen entry state replays the
-  recorded deltas instead of re-running the core models, with
-  bit-identical results.
+  contents crossing the bus on migration.
 
 Both backends are driven by the same
 :class:`~repro.engine.loop.IntervalEngine` and the same four phases,

@@ -55,15 +55,6 @@ class BranchPredictor(ABC):
         self.lookups = 0
         self.mispredicts = 0
 
-    # -- slice-memoization hooks (repro.simcache) ----------------------
-    def state_snapshot(self) -> tuple:
-        """Full mutable state as a hashable tuple (simcache keying)."""
-        raise NotImplementedError
-
-    def state_restore(self, snap: tuple) -> None:
-        """Rebuild the exact state a :meth:`state_snapshot` captured."""
-        raise NotImplementedError
-
 
 class BimodalPredictor(BranchPredictor):
     """Per-PC 2-bit saturating counter table."""
@@ -84,13 +75,6 @@ class BimodalPredictor(BranchPredictor):
     def update(self, pc: int, taken: bool) -> None:
         idx = self._index(pc)
         self._table[idx] = _saturate(self._table[idx], taken)
-
-    def state_snapshot(self) -> tuple:
-        return (self.lookups, self.mispredicts, tuple(self._table))
-
-    def state_restore(self, snap: tuple) -> None:
-        self.lookups, self.mispredicts, table = snap
-        self._table = list(table)
 
 
 class GSharePredictor(BranchPredictor):
@@ -115,14 +99,6 @@ class GSharePredictor(BranchPredictor):
         idx = self._index(pc)
         self._table[idx] = _saturate(self._table[idx], taken)
         self._history = ((self._history << 1) | int(taken)) & self._history_mask
-
-    def state_snapshot(self) -> tuple:
-        return (self.lookups, self.mispredicts, self._history,
-                tuple(self._table))
-
-    def state_restore(self, snap: tuple) -> None:
-        self.lookups, self.mispredicts, self._history, table = snap
-        self._table = list(table)
 
 
 class TournamentPredictor(BranchPredictor):
@@ -151,17 +127,6 @@ class TournamentPredictor(BranchPredictor):
             self._meta[idx] = _saturate(self._meta[idx], gsh_correct)
         self.bimodal.update(pc, taken)
         self.gshare.update(pc, taken)
-
-    def state_snapshot(self) -> tuple:
-        return (self.lookups, self.mispredicts, tuple(self._meta),
-                self.bimodal.state_snapshot(),
-                self.gshare.state_snapshot())
-
-    def state_restore(self, snap: tuple) -> None:
-        self.lookups, self.mispredicts, meta, bim, gsh = snap
-        self._meta = list(meta)
-        self.bimodal.state_restore(bim)
-        self.gshare.state_restore(gsh)
 
     def access(self, pc: int, taken: bool) -> bool:
         """Fused predict+update: one table read per component.

@@ -38,18 +38,6 @@ class BranchTargetBuffer:
         self._tags[idx] = pc
         self._targets[idx] = target
 
-    # -- slice-memoization hooks (repro.simcache) ----------------------
-    def state_snapshot(self) -> tuple:
-        """Full mutable state as a hashable tuple (simcache keying)."""
-        return (self.lookups, self.misses, tuple(self._tags),
-                tuple(self._targets))
-
-    def state_restore(self, snap: tuple) -> None:
-        """Rebuild the exact state a :meth:`state_snapshot` captured."""
-        self.lookups, self.misses, tags, targets = snap
-        self._tags = list(tags)
-        self._targets = list(targets)
-
     @property
     def miss_rate(self) -> float:
         if self.lookups == 0:

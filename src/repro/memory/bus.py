@@ -78,18 +78,6 @@ class SharedBus:
         self._free_at = finish
         return start, finish
 
-    # -- slice-memoization hooks (repro.simcache) ----------------------
-    def state_snapshot(self) -> tuple:
-        """Full mutable state as a hashable tuple (simcache keying)."""
-        stats = self.stats
-        return (self._free_at, stats.transfers, stats.bytes_moved,
-                stats.busy_cycles, stats.contention_cycles)
-
-    def state_restore(self, snap: tuple) -> None:
-        """Rebuild the exact state a :meth:`state_snapshot` captured."""
-        (self._free_at, self.stats.transfers, self.stats.bytes_moved,
-         self.stats.busy_cycles, self.stats.contention_cycles) = snap
-
     def occupancy(self, elapsed_cycles: int) -> float:
         """Fraction of *elapsed_cycles* the bus spent busy."""
         if elapsed_cycles <= 0:

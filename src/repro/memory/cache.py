@@ -141,41 +141,6 @@ class Cache:
                 self.stats.writebacks += 1
         lines[tag] = self._clock << 1 | write
 
-    # -- slice-memoization hooks (repro.simcache) ----------------------
-    def state_snapshot(self) -> tuple:
-        """Full mutable state as a hashable tuple (simcache keying).
-
-        Lines are listed as ``(set_idx, tag, dirty, last_use)`` in set
-        order, then per-set insertion order, so that
-        :meth:`state_restore` reproduces not just the contents but the
-        iteration order future evictions and snapshots observe.
-        """
-        stats = self.stats
-        return (
-            self._clock, stats.accesses, stats.misses, stats.writebacks,
-            tuple(
-                (set_idx, tag, bool(word & 1), word >> 1)
-                for set_idx, lines in enumerate(self._sets) if lines
-                for tag, word in lines.items()
-            ),
-        )
-
-    def state_restore(self, snap: tuple) -> None:
-        """Rebuild the exact state a :meth:`state_snapshot` captured."""
-        clock, accesses, misses, writebacks, lines = snap
-        self._clock = clock
-        stats = self.stats
-        stats.accesses = accesses
-        stats.misses = misses
-        stats.writebacks = writebacks
-        sets: list[dict[int, int] | None] = [None] * self.config.num_sets
-        for set_idx, tag, dirty, last_use in lines:
-            bucket = sets[set_idx]
-            if bucket is None:
-                bucket = sets[set_idx] = {}
-            bucket[tag] = last_use << 1 | dirty
-        self._sets = sets
-
     def invalidate(self, addr: int) -> bool:
         """Drop the line holding *addr* if present; True if it was dirty."""
         set_idx, tag = self._locate(addr)

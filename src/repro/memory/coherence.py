@@ -24,18 +24,9 @@ class CoherenceState(enum.Enum):
     INVALID = "I"
 
 
-#: State codes: the two low bits of a directory word index this tuple.
-_STATES = (
-    CoherenceState.MODIFIED, CoherenceState.EXCLUSIVE,
-    CoherenceState.SHARED, CoherenceState.INVALID,
-)
-_CODES = {state: code for code, state in enumerate(_STATES)}
+#: State codes, the two low bits of a directory word, in
+#: :class:`CoherenceState` order.
 _M, _E, _S = 0, 1, 2
-
-
-def _holder_ids(holders: int) -> tuple[int, ...]:
-    """The core ids set in a holder mask, ascending."""
-    return tuple(c for c in range(holders.bit_length()) if holders >> c & 1)
 
 
 class CoherenceDirectory:
@@ -81,33 +72,6 @@ class CoherenceDirectory:
         victims = (entry >> 2 & ~bit).bit_count()
         self.invalidations += victims
         return victims
-
-    # -- slice-memoization hooks (repro.simcache) ----------------------
-    def state_snapshot(self) -> tuple:
-        """Full mutable state as a hashable tuple (simcache keying).
-
-        Each line is ``(line, state, holders)`` in insertion order, with
-        the holders sorted so equal directory contents always snapshot
-        equal.  States are the enum members themselves — immutable
-        process-wide singletons, so hashing and equality are O(1).
-        """
-        return (
-            self.invalidations, self.interventions,
-            tuple(
-                (line, _STATES[entry & 3], _holder_ids(entry >> 2))
-                for line, entry in self._entries.items()
-            ),
-        )
-
-    def state_restore(self, snap: tuple) -> None:
-        """Rebuild the exact state a :meth:`state_snapshot` captured."""
-        invalidations, interventions, entries = snap
-        self.invalidations = invalidations
-        self.interventions = interventions
-        self._entries = {
-            line: sum(1 << c for c in holders) << 2 | _CODES[state]
-            for line, state, holders in entries
-        }
 
     def evict(self, core_id: int, addr: int) -> None:
         line = self._line(addr)

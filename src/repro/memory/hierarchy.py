@@ -77,29 +77,6 @@ class MemoryHierarchy:
             self._cores[core_id] = CoreMemory(core_id, self, **l1_kwargs)
         return self._cores[core_id]
 
-    # -- slice-memoization hooks (repro.simcache) ----------------------
-    def state_snapshot(self) -> tuple:
-        """Snapshot of the *shared* structures a slice can touch.
-
-        Covers the L2, prefetcher, bus and directory; the per-core L1
-        views snapshot separately (:meth:`CoreMemory.state_snapshot`)
-        so a memo key only carries the cores a slice actually runs on.
-        """
-        return (
-            self.l2.state_snapshot(),
-            self.prefetcher.state_snapshot(),
-            self.bus.state_snapshot(),
-            self.directory.state_snapshot(),
-        )
-
-    def state_restore(self, snap: tuple) -> None:
-        """Rebuild the exact shared state a snapshot captured."""
-        l2, prefetcher, bus, directory = snap
-        self.l2.state_restore(l2)
-        self.prefetcher.state_restore(prefetcher)
-        self.bus.state_restore(bus)
-        self.directory.state_restore(directory)
-
     #: Ceiling on per-request bus queueing: issue timestamps from the
     #: dataflow-slot cores are only locally ordered, so unbounded
     #: serialization would amplify timestamp noise into phantom queues.
@@ -196,25 +173,6 @@ class CoreMemory:
             self.core_id, pc, addr, write=True, now=now
         )
         return AccessResult(self.l1_latency + walk + added, False, l2_hit)
-
-    # -- slice-memoization hooks (repro.simcache) ----------------------
-    def state_snapshot(self) -> tuple:
-        """Touched-line digest of this core's private state (L1s, TLBs)."""
-        return (
-            self.core_id,
-            self.l1i.state_snapshot(),
-            self.l1d.state_snapshot(),
-            self.itlb.state_snapshot(),
-            self.dtlb.state_snapshot(),
-        )
-
-    def state_restore(self, snap: tuple) -> None:
-        """Rebuild the exact per-core state a snapshot captured."""
-        _core_id, l1i, l1d, itlb, dtlb = snap
-        self.l1i.state_restore(l1i)
-        self.l1d.state_restore(l1d)
-        self.itlb.state_restore(itlb)
-        self.dtlb.state_restore(dtlb)
 
     def flush_for_migration(self) -> tuple[int, int]:
         """Drain L1s and TLBs (application migrating away).

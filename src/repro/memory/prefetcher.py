@@ -27,11 +27,9 @@ class StridePrefetcher:
         self.confirm_threshold = confirm_threshold
         self._table: dict[int, _Entry] = {}
         self.issued = 0
-        self.trained = 0
 
     def observe(self, pc: int, addr: int) -> list[int]:
         """Train on a demand access; return addresses to prefetch."""
-        self.trained += 1
         entry = self._table.get(pc)
         if entry is None:
             if len(self._table) >= self.entries:
@@ -54,32 +52,5 @@ class StridePrefetcher:
             return prefetches
         return []
 
-    # -- slice-memoization hooks (repro.simcache) ----------------------
-    def state_snapshot(self) -> tuple:
-        """Full mutable state as a hashable tuple (simcache keying).
-
-        Table order matters: eviction is FIFO over insertion order, so
-        the snapshot preserves it for :meth:`state_restore`.
-        """
-        return (
-            self.issued, self.trained,
-            tuple(
-                (pc, e.last_addr, e.stride, e.confidence)
-                for pc, e in self._table.items()
-            ),
-        )
-
-    def state_restore(self, snap: tuple) -> None:
-        """Rebuild the exact state a :meth:`state_snapshot` captured."""
-        issued, trained, entries = snap
-        self.issued = issued
-        self.trained = trained
-        self._table = {
-            pc: _Entry(last_addr=last_addr, stride=stride,
-                       confidence=confidence)
-            for pc, last_addr, stride, confidence in entries
-        }
-
     def reset_stats(self) -> None:
         self.issued = 0
-        self.trained = 0

@@ -58,21 +58,6 @@ class TLB:
         self._pages[page] = self._clock
         return self.walk_latency
 
-    # -- slice-memoization hooks (repro.simcache) ----------------------
-    def state_snapshot(self) -> tuple:
-        """Full mutable state as a hashable tuple (simcache keying)."""
-        stats = self.stats
-        return (self._clock, stats.accesses, stats.misses,
-                tuple(self._pages.items()))
-
-    def state_restore(self, snap: tuple) -> None:
-        """Rebuild the exact state a :meth:`state_snapshot` captured."""
-        clock, accesses, misses, pages = snap
-        self._clock = clock
-        self.stats.accesses = accesses
-        self.stats.misses = misses
-        self._pages = dict(pages)
-
     def flush(self) -> int:
         """Drop all translations (context/application switch)."""
         dropped = len(self._pages)

@@ -24,9 +24,7 @@ the engine/backend schema tag
 (:data:`repro.engine.backends.ENGINE_CACHE_TAG`) and the scenario
 schema tag (:data:`repro.workloads.scenario.SCENARIO_CACHE_TAG`), so
 results produced by a different loop/backend/scenario generation are
-invalidated even when the package version is unchanged.  The detailed
-tier's in-memory slice memo (:mod:`repro.simcache`) is not part of the
-key: it never changes a result (``tests/test_equivalence.py``).
+invalidated even when the package version is unchanged.
 """
 
 from __future__ import annotations

@@ -77,7 +77,6 @@ class ScheduleRecorder:
         self.confidence_threshold = confidence_threshold
         self.abort_blacklist_ratio = abort_blacklist_ratio
         self.tables = RecorderTables(size=table_size)
-        self.observed_traces = 0
         self.memoized_writes = 0
         self.instructions_seen = 0
         self.instructions_memoized = 0
@@ -113,7 +112,6 @@ class ScheduleRecorder:
         ``duration`` is the trace's issue-to-complete span in cycles,
         one of the metrics used to judge schedule repeatability.
         """
-        self.observed_traces += 1
         self.instructions_seen += len(trace)
         if not MIN_TRACE_LEN <= len(trace) <= MAX_TRACE_LEN:
             return
@@ -154,41 +152,6 @@ class ScheduleRecorder:
         ):
             entry.blacklisted = True
             self.sc.mark_unmemoizable(trace_key[0])
-
-    # -- slice-memoization hooks (repro.simcache) ----------------------
-    def state_snapshot(self) -> tuple:
-        """Full mutable state as a hashable tuple (simcache keying).
-
-        Covers the repeatability tables (in insertion order, so LRU
-        eviction scans behave identically after a restore) and the
-        recorder counters; the SC itself snapshots separately.
-        """
-        tables = self.tables
-        return (
-            self.observed_traces, self.memoized_writes,
-            self.instructions_seen, self.instructions_memoized,
-            tables.clock,
-            tuple(
-                (key, e.signature, e.streak, e.executions, e.aborts,
-                 e.blacklisted, e.last_use)
-                for key, e in tables.entries.items()
-            ),
-        )
-
-    def state_restore(self, snap: tuple) -> None:
-        """Rebuild the exact state a :meth:`state_snapshot` captured."""
-        (self.observed_traces, self.memoized_writes,
-         self.instructions_seen, self.instructions_memoized,
-         clock, entries) = snap
-        tables = self.tables
-        tables.clock = clock
-        tables.entries = {
-            key: _TableEntry(
-                signature=signature, streak=streak, executions=executions,
-                aborts=aborts, blacklisted=blacklisted, last_use=last_use)
-            for (key, signature, streak, executions, aborts,
-                 blacklisted, last_use) in entries
-        }
 
     # ------------------------------------------------------------------
     @property

@@ -112,12 +112,6 @@ class ScheduleCache:
         self._launchable: dict[int, int] = {}
         self._bytes = 0
         self._clock = 0
-        #: Entry-generation stamp: bumped whenever the *contents*
-        #: change (insert, removal, unmemoizable marking, bulk load or
-        #: invalidation).  Recency/stat updates do not bump it.  The
-        #: slice memoizer (:mod:`repro.simcache`) folds it into its
-        #: state keys as a cheap first-divergence signal.
-        self.generation = 0
 
     # ------------------------------------------------------------------
     def lookup(self, start_pc: int, path_hash: int) -> Schedule | None:
@@ -161,7 +155,6 @@ class ScheduleCache:
         if self.capacity_bytes is not None and size > self.capacity_bytes:
             return False
         key = (schedule.start_pc, schedule.path_hash)
-        self.generation += 1
         self._remove(key)
         # Path associativity: cap the number of paths per start pc.
         paths = self._by_pc.get(schedule.start_pc)
@@ -188,7 +181,6 @@ class ScheduleCache:
         entry = self._entries.pop(key, None)
         if entry is None:
             return
-        self.generation += 1
         self._bytes -= entry.schedule.storage_bytes
         if not entry.unmemoizable:
             left = self._launchable[key[0]] - 1
@@ -222,7 +214,6 @@ class ScheduleCache:
             entry = self._entries[(start_pc, path)]
             if not entry.unmemoizable:
                 entry.unmemoizable = True
-                self.generation += 1
                 left = self._launchable[start_pc] - 1
                 if left:
                     self._launchable[start_pc] = left
@@ -231,52 +222,10 @@ class ScheduleCache:
 
     def invalidate_all(self) -> None:
         """Drop all contents (e.g. SC handed to a different program)."""
-        self.generation += 1
         self._entries.clear()
         self._by_pc.clear()
         self._launchable.clear()
         self._bytes = 0
-
-    # -- slice-memoization hooks (repro.simcache) ----------------------
-    def state_snapshot(self) -> tuple:
-        """Full mutable state as a hashable tuple (simcache keying).
-
-        :class:`Schedule` objects are immutable, so snapshots share
-        them by reference; entry order is preserved so a restore
-        reproduces the dict iteration future evictions observe.
-        """
-        stats = self.stats
-        return (
-            self.generation, self._bytes, self._clock,
-            stats.lookups, stats.misses, stats.writes, stats.evictions,
-            tuple(
-                (entry.schedule, entry.last_use, entry.unmemoizable)
-                for entry in self._entries.values()
-            ),
-        )
-
-    def state_restore(self, snap: tuple) -> None:
-        """Rebuild the exact state a :meth:`state_snapshot` captured."""
-        (self.generation, self._bytes, self._clock,
-         lookups, misses, writes, evictions, entries) = snap
-        stats = self.stats
-        stats.lookups = lookups
-        stats.misses = misses
-        stats.writes = writes
-        stats.evictions = evictions
-        self._entries = {}
-        self._by_pc = {}
-        self._launchable = {}
-        for schedule, last_use, unmemoizable in entries:
-            key = (schedule.start_pc, schedule.path_hash)
-            self._entries[key] = _Entry(
-                schedule=schedule, last_use=last_use,
-                unmemoizable=unmemoizable)
-            self._by_pc.setdefault(schedule.start_pc, set()).add(
-                schedule.path_hash)
-            if not unmemoizable:
-                self._launchable[schedule.start_pc] = (
-                    self._launchable.get(schedule.start_pc, 0) + 1)
 
     # ------------------------------------------------------------------
     @property

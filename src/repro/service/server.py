@@ -21,9 +21,9 @@ One process, one event loop, three responsibilities:
   on-disk journal (:mod:`repro.service.journal`); a restarted server
   replays it and resubmits unfinished jobs, whose finished units come
   straight back from the result cache.  Per-job progress streams as
-  typed :class:`~repro.telemetry.events.JobRecord` lines through
-  :class:`~repro.telemetry.sinks.JSONLSink` files that ``mirage
-  tail`` (the ``GET /jobs/<id>/stream`` endpoint) follows live.
+  typed :class:`~repro.telemetry.events.JobRecord` lines appended to
+  ``streams/<job>.jsonl``, which ``mirage tail`` (the ``GET
+  /jobs/<id>/stream`` endpoint) follows live.
 
 The HTTP surface is deliberately tiny — ``GET /health``, ``GET
 /jobs``, ``GET /jobs/<id>``, ``POST /jobs``, ``GET /jobs/<id>/stream``
@@ -60,7 +60,7 @@ from repro.service.protocol import (
     unit_to_dict,
 )
 from repro.telemetry.events import JobRecord
-from repro.telemetry.sinks import JSONLSink, dump_record
+from repro.telemetry.sinks import dump_record
 
 #: Bind hosts the server treats as trusted (no HTTP auth required).
 _LOOPBACK_HOSTS = ("localhost", "::1")
@@ -104,7 +104,6 @@ class ExperimentServer:
         self._active_keys: dict[str, str] = {}    # job key -> job id
         self._key_of: dict[str, str] = {}         # job id -> job key
         self._streams: dict[str, list[str]] = {}
-        self._stream_sinks: dict[str, JSONLSink] = {}
         self._stream_events: dict[str, asyncio.Event] = {}
         self._running: set[asyncio.Task] = set()  # units on the pool
         self._seq = 0
@@ -169,8 +168,6 @@ class ExperimentServer:
             self.pool.shutdown()
         # Shutting the pool down failed every unit still on it.
         await asyncio.gather(*self._running, return_exceptions=True)
-        for sink in self._stream_sinks.values():
-            sink.close()
         self.journal.close()
         try:
             (self.dir / "server.json").unlink()
@@ -386,9 +383,6 @@ class ExperimentServer:
         key = self._key_of.pop(job.job_id, None)
         if key is not None and self._active_keys.get(key) == job.job_id:
             del self._active_keys[key]
-        sink = self._stream_sinks.pop(job.job_id, None)
-        if sink is not None:
-            sink.close()
 
     # ------------------------------------------------------------------
     # Streaming + telemetry emission
@@ -403,13 +397,11 @@ class ExperimentServer:
             payload=payload or {})
         line = dump_record(record)
         self._streams.setdefault(job.job_id, []).append(line)
-        sink = self._stream_sinks.get(job.job_id)
-        if sink is None:
-            sink = JSONLSink(
-                self.dir / "streams" / f"{job.job_id}.jsonl", mode="a")
-            self._stream_sinks[job.job_id] = sink
-        sink.emit(record)
-        sink.close()          # flush every record: tails may be live
+        # Closed after every record: tails may be live, and a restarted
+        # server replays the file as a crash left it.
+        path = self.dir / "streams" / f"{job.job_id}.jsonl"
+        with path.open("a") as stream:
+            stream.write(line + "\n")
         self._notify_stream(job.job_id)
 
     def _notify_stream(self, job_id: str) -> None:

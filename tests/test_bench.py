@@ -60,8 +60,8 @@ def make_report(label, bests, *, extra=None):
 
 class TestRegistry:
     def test_standard_probes_are_registered(self):
-        expected = {"detailed-slice", "oino-replay", "sim-cache",
-                    "interval-engine", "memory-hierarchy", "runner-cache"}
+        expected = {"detailed-slice", "oino-replay", "interval-engine",
+                    "memory-hierarchy", "runner-cache"}
         assert expected <= set(BENCHMARKS)
 
     def test_every_benchmark_has_valid_tier_and_description(self):
@@ -130,10 +130,9 @@ class TestHarness:
     def test_counter_totals_are_deterministic(self, name):
         """Fixed seeds: two fresh invocations must agree bit-for-bit.
 
-        Every counter counts, ``simcache.*`` included: no probe shares
-        state with an earlier invocation (``sim-cache`` builds its own
-        memo each time), so a second run that replays the first's
-        slices fails here.
+        Every counter counts: no probe may share state with an earlier
+        invocation, so a second run that reuses the first's work fails
+        here.
         """
         first = BenchContext(quick=True)
         second = BenchContext(quick=True)

@@ -9,18 +9,18 @@ the reference surfaces they accelerate: the per-application
 :meth:`~repro.engine.backends.ExecutionBackend.advance_all`, and
 ``pick`` over the materialized view list — whole runs against a
 reference side that bypasses every fast path, and single picks over
-random counter states with forced ties and threshold values.  On the
-detailed tier, the
-slice memo (:mod:`repro.simcache`) must be invisible: a cold run and
-an all-hit replay match the run without a memo.  The detailed-core
-measurements (``table1``, ``fig1``, ``fig2``) generate one instruction
-window and hand it to every core; they must match giving each core its
-own freshly generated stream.  The memory hierarchy keeps cache lines
-and directory entries as int words in structures built on first touch,
-and a benchmark builds each phase when a stream first reaches it; each
-must behave, call by call, like a reference that keeps one object per
-cache line, one holder set per directory entry, or builds every phase
-up front.  The warm worker pool must be a pure transport: random
+random counter states with forced ties and threshold values.  The
+detailed-core measurements (``table1``, ``fig1``, ``fig2``) generate
+one instruction window and hand it to every core; they must match
+giving each core its own freshly generated stream.  The memory
+hierarchy keeps cache lines and directory entries as int words in
+structures built on first touch, and a benchmark builds each phase
+when a stream first reaches it; each must behave, call by call, like
+a reference that keeps one object per cache line, one holder set per
+directory entry, or builds every phase up front.  The caches and
+directories are compared on what they report (return values, stats,
+residency of every line in the address pool), over random 400-call
+sequences.  The warm worker pool must be a pure transport: random
 work-unit batches (interval-tier runs, cycle-tier measurements, plain
 call units) and random multi-cluster scenarios give the same results
 pooled as serially.  These tests run whole
@@ -43,7 +43,6 @@ from repro.characterize import analytic_model
 from repro.cluster.dynamic import run_scenario
 from repro.cluster.scheduler import POLICIES as PLACEMENTS
 from repro.cmp import ClusterConfig
-from repro.cmp.detailed import CYCLE_BACKENDS, DetailedMirageCluster
 from repro.cmp.system import CMPSystem
 from repro.cores import InOrderCore, OinOCore, OutOfOrderCore
 from repro.energy import CoreEnergyModel, core_area
@@ -63,11 +62,9 @@ from repro.memory import (
 from repro.runner import WarmPool
 from repro.runner.units import ARBITRATORS, call_unit, cmp_unit, execute_unit
 from repro.schedule import ScheduleCache, ScheduleRecorder
-from repro.simcache import SliceMemo
 from repro.workloads import ALL_BENCHMARKS, get_profile, make_benchmark
 from repro.workloads.generator import SyntheticBenchmark
 from repro.workloads.scenario import SHAPES, make_scenario
-from tests.test_simcache import run_fingerprint
 
 
 class ReferenceBackend(AnalyticBackend):
@@ -195,44 +192,6 @@ class TestFixedCases:
         shipped, reference = run_pair(names, n_producers=3,
                                       max_intervals=120)
         assert shipped == reference
-
-
-def run_detailed(backend, names, seed, policy, slice_instructions,
-                 n_slices, sim_cache):
-    """One detailed-tier run: everything observable, plus the cluster."""
-    benches = [make_benchmark(name, seed=seed, base_addr=(i + 1) << 34)
-               for i, name in enumerate(names)]
-    cluster = DetailedMirageCluster(
-        benches, ARBITRATORS[policy](),
-        slice_instructions=slice_instructions,
-        sim_cache=sim_cache, backend=backend)
-    result = cluster.run(n_slices=n_slices)
-    return (dataclasses.asdict(result),
-            run_fingerprint(cluster, result)), cluster
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    backend=st.sampled_from(sorted(CYCLE_BACKENDS)),
-    names=st.lists(st.sampled_from(ALL_BENCHMARKS), min_size=1,
-                   max_size=3),
-    seed=st.integers(0, 2**16),
-    policy=st.sampled_from(sorted(ARBITRATORS)),
-    slice_instructions=st.integers(500, 2_000),
-    n_slices=st.integers(2, 6),
-)
-def test_slice_memo_matches_unmemoized_run(backend, names, seed, policy,
-                                           slice_instructions, n_slices):
-    args = (backend, names, seed, policy, slice_instructions, n_slices)
-    memo = SliceMemo()
-    off, _ = run_detailed(*args, sim_cache=False)
-    cold, _ = run_detailed(*args, sim_cache=memo)
-    replay, cluster = run_detailed(*args, sim_cache=memo)
-    assert cold == off
-    assert replay == off
-    counters = cluster.telemetry.counters
-    assert counters["simcache.lookups"] > 0
-    assert counters["simcache.hits"] == counters["simcache.lookups"]
 
 
 # -- detailed-core measurements: a fresh stream per core -----------------
@@ -368,24 +327,6 @@ class ReferenceCache:
                 self.stats.writebacks += 1
         lines[tag] = _RefLine(tag=tag, dirty=write, last_use=self._clock)
 
-    def state_snapshot(self):
-        stats = self.stats
-        return (
-            self._clock, stats.accesses, stats.misses, stats.writebacks,
-            tuple((set_idx, line.tag, line.dirty, line.last_use)
-                  for set_idx, lines in enumerate(self._sets)
-                  for line in lines.values()),
-        )
-
-    def state_restore(self, snap):
-        clock, accesses, misses, writebacks, lines = snap
-        self._clock = clock
-        self.stats = CacheStats(accesses, misses, writebacks)
-        for bucket in self._sets:
-            bucket.clear()
-        for set_idx, tag, dirty, last_use in lines:
-            self._sets[set_idx][tag] = _RefLine(tag, dirty, last_use)
-
     def invalidate(self, addr):
         set_idx, tag = self._locate(addr)
         line = self._sets[set_idx].pop(tag, None)
@@ -454,18 +395,6 @@ class ReferenceDirectory:
         entry.state = CoherenceState.MODIFIED
         return len(victims)
 
-    def state_snapshot(self):
-        return (
-            self.invalidations, self.interventions,
-            tuple((line, entry.state, tuple(sorted(entry.holders)))
-                  for line, entry in self._entries.items()),
-        )
-
-    def state_restore(self, snap):
-        self.invalidations, self.interventions, entries = snap
-        self._entries = {line: _RefEntry(set(holders), state)
-                         for line, state, holders in entries}
-
     def evict(self, core_id, addr):
         line = addr // self.line_bytes
         entry = self._entries.get(line)
@@ -494,37 +423,32 @@ class ReferenceDirectory:
         return len(self._entries)
 
 
-def restored(structure, fresh):
-    """*fresh* after ``state_restore`` of *structure*'s snapshot."""
-    fresh.state_restore(structure.state_snapshot())
-    return fresh
+#: Cache calls, weighted so evictions happen between the rarer flushes.
+CACHE_CALLS = (("read",) * 8 + ("write",) * 6 + ("fill",) * 4
+               + ("probe",) * 2 + ("invalidate",) * 2 + ("flush",))
+#: Calls per sequence: long enough that a line is filled, hit, evicted
+#: and refilled many times over, so a wrong victim or a lost dirty bit
+#: shows in what the cache reports, not only in its internals.
+SEQUENCE = 400
 
 
-#: Cache calls, weighted so evictions happen between the rarer flushes
-#: and snapshot round-trips.
-CACHE_CALLS = st.sampled_from(
-    ("read",) * 8 + ("write",) * 6 + ("fill",) * 4 + ("probe",) * 2
-    + ("invalidate",) * 2 + ("flush", "restore"))
-
-
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(
     assoc=st.integers(1, 8),
     n_sets=st.sampled_from([1, 2, 4, 8, 16, 32]),
-    calls=st.lists(st.tuples(CACHE_CALLS, st.integers(0, 2**16)),
-                   min_size=1, max_size=400),
+    seed=st.integers(0, 2**32 - 1),
 )
-def test_cache_matches_object_per_line_reference(assoc, n_sets, calls):
+def test_cache_matches_object_per_line_reference(assoc, n_sets, seed):
     config = CacheConfig(n_sets * assoc * 64, assoc, 64)
     shipped, reference = Cache(config), ReferenceCache(config)
     # Twice the capacity in distinct lines: sets conflict and evict.
     pool = 2 * n_sets * assoc + 1
-    for call, draw in calls:
+    lines = range(0, pool * 64, 64)
+    rng = random.Random(seed)
+    for call in rng.choices(CACHE_CALLS, k=SEQUENCE):
+        draw = rng.randrange(2**16)
         addr = (draw % pool) * 64 + draw % 64
-        if call == "restore":
-            shipped = restored(shipped, Cache(config))
-            reference = restored(reference, ReferenceCache(config))
-        elif call == "flush":
+        if call == "flush":
             assert shipped.flush() == reference.flush()
         elif call in ("read", "write"):
             write = call == "write"
@@ -535,40 +459,31 @@ def test_cache_matches_object_per_line_reference(assoc, n_sets, calls):
                     == getattr(reference, call)(addr))
         assert shipped.stats == reference.stats
         assert shipped.resident_lines == reference.resident_lines
-        # repr: equal values *and* types (a dirty bit stays a bool).
-        assert repr(shipped.state_snapshot()) == repr(
-            reference.state_snapshot())
+        assert ([shipped.probe(line) for line in lines]
+                == [reference.probe(line) for line in lines])
     assert shipped.capacity_lines == reference.capacity_lines
 
 
 #: Directory calls over a few lines, so cores share and invalidate.
-DIRECTORY_CALLS = st.sampled_from(
-    ("on_read",) * 6 + ("on_write",) * 4 + ("evict",) * 3
-    + ("flush_core", "restore"))
+DIRECTORY_CALLS = (("on_read",) * 6 + ("on_write",) * 4 + ("evict",) * 3
+                   + ("flush_core",))
 
 
-@settings(max_examples=200, deadline=None)
-@given(calls=st.lists(
-    st.tuples(DIRECTORY_CALLS, st.integers(0, 16), st.integers(0, 31),
-              st.integers(0, 63)),
-    min_size=1, max_size=400))
-def test_directory_matches_set_per_line_reference(calls):
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_directory_matches_set_per_line_reference(seed):
     shipped, reference = CoherenceDirectory(), ReferenceDirectory()
-    for call, core, line, offset in calls:
-        if call == "restore":
-            shipped = restored(shipped, CoherenceDirectory())
-            reference = restored(reference, ReferenceDirectory())
-            continue
-        args = (core,) if call == "flush_core" else (core,
-                                                     line * 64 + offset)
+    rng = random.Random(seed)
+    for call in rng.choices(DIRECTORY_CALLS, k=SEQUENCE):
+        core, line = rng.randrange(17), rng.randrange(32)
+        args = ((core,) if call == "flush_core"
+                else (core, line * 64 + rng.randrange(64)))
         assert (getattr(shipped, call)(*args)
                 == getattr(reference, call)(*args))
         assert (shipped.invalidations, shipped.interventions,
                 shipped.tracked_lines) == (
             reference.invalidations, reference.interventions,
             reference.tracked_lines)
-        assert repr(shipped.state_snapshot()) == repr(
-            reference.state_snapshot())
 
 
 class EagerBenchmark(SyntheticBenchmark):

@@ -207,6 +207,25 @@ def test_client_round_trip_and_errors(tmp_path):
         handle.stop(drain=False)
 
 
+def test_stream_file_holds_each_streamed_record_once(tmp_path):
+    """``streams/<job>.jsonl`` is the records a tail receives, in
+    order, each written once as one compact JSON line."""
+    handle = ServerHandle.start(_config(tmp_path))
+    try:
+        client = ServiceClient(service_dir=tmp_path / "svc")
+        job_id = client.submit(_echo_request("stream-file"))["job"]["id"]
+        client.wait(job_id, timeout=60)
+        tailed = list(client.tail(job_id, timeout=10))
+    finally:
+        handle.stop(drain=False)
+    path = tmp_path / "svc" / "streams" / f"{job_id}.jsonl"
+    assert [record["event"] for record in tailed] == [
+        "queued", "started", "unit", "done"]
+    assert path.read_text() == "".join(
+        json.dumps(record, separators=(",", ":")) + "\n"
+        for record in tailed)
+
+
 def test_concurrent_identical_submissions_coalesce(tmp_path):
     handle = ServerHandle.start(_config(tmp_path, workers=2))
     try:
