@@ -1,20 +1,22 @@
 """Cycle-level core models.
 
-Three machines, all 3-wide with identical functional units (the paper's
+Four machines, all 3-wide with identical functional units (the paper's
 configuration, chosen so issue schedules transfer directly):
 
 * :class:`~repro.cores.ooo.OutOfOrderCore` — 12-stage, 128-entry ROB,
   dataflow issue within the ROB window; optionally records trace issue
   schedules through a :class:`~repro.schedule.recorder.ScheduleRecorder`.
 * :class:`~repro.cores.inorder.InOrderCore` — 8-stage, stall-on-use,
-  program-order issue.
+  program-order issue.  It is the one in-order pipeline: the next two
+  subclass it and reuse its fetch, issue/execute and branch steps.
 * :class:`~repro.cores.oino.OinOCore` — an InOrderCore augmented with
   the OinO mode: traces that hit in the Schedule Cache issue in their
   recorded OoO order (atomically, with a replay LSQ and expanded PRF);
   misses and misspeculations fall back to program order.
 * :class:`~repro.cores.cgooo.CGOoOCore` — the coarse-grain OoO
-  comparison point: block-granularity scheduling windows, dataflow
-  issue within a block, a short ring of outstanding blocks across.
+  comparison point, an InOrderCore whose blocks issue dataflow-order
+  inside block-granularity windows, with a short ring of outstanding
+  blocks across.
 
 The in-order machines additionally accept
 ``CoreParams(issue_policy="ldt")`` (see :data:`LDT_PARAMS`): per-load

@@ -44,12 +44,6 @@ class CoreStats:
             return 0.0
         return self.instructions / self.cycles
 
-    @property
-    def mispredict_rate(self) -> float:
-        if self.branches == 0:
-            return 0.0
-        return self.mispredicts / self.branches
-
     def sc_mpki(self) -> float:
         """SC trace-lookup misses per kilo committed instructions."""
         if self.instructions == 0:

@@ -33,7 +33,9 @@ Timing model, per block:
   instructions: instruction *j* also waits for instruction
   *j - entries* of its own block to complete;
 * fetch, branch prediction, MSHRs, and store-to-load forwarding are
-  exactly the in-order core's mechanisms.
+  the in-order core's own: :class:`CGOoOCore` subclasses
+  :class:`~repro.cores.inorder.InOrderCore`, runs each block through
+  its program-order loop, and overrides only the issue floor.
 
 This lands the core between the stall-on-use InO and the full OoO on
 both IPC and energy per instruction, which is the point of the
@@ -42,30 +44,27 @@ comparison in the ``backend-matrix`` experiment.
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Iterable
+from itertools import islice
 
-from repro.cores.base import CoreResult, CoreStats, EnergyEvents
-from repro.cores.functional_units import FUPool, fu_type_for
+from repro.cores.base import CoreResult
+from repro.cores.inorder import InOrderCore
 from repro.cores.params import (
     CGOOO_BLOCK_WINDOWS,
     CGOOO_PARAMS,
     CGOOO_WINDOW_ENTRIES,
     CoreParams,
 )
-from repro.frontend.branch_predictor import (
-    BranchPredictor,
-    TournamentPredictor,
-)
+from repro.frontend.branch_predictor import BranchPredictor
 from repro.frontend.btb import BranchTargetBuffer
 from repro.isa.instructions import Instruction
 from repro.memory.hierarchy import CoreMemory
 from repro.schedule.schedule_cache import Schedule, ScheduleCache
 from repro.schedule.trace import Trace, TraceBuilder
 
-_LINE_SHIFT = 6
 
-
-class CGOoOCore:
+class CGOoOCore(InOrderCore):
     """3-wide block-level out-of-order core (CG-OoO)."""
 
     def __init__(
@@ -77,11 +76,8 @@ class CGOoOCore:
         predictor: BranchPredictor | None = None,
         btb: BranchTargetBuffer | None = None,
     ):
-        self.params = params
-        self.memory = memory
+        super().__init__(memory, params=params, predictor=predictor, btb=btb)
         self.sc = sc
-        self.predictor = predictor or TournamentPredictor()
-        self.btb = btb or BranchTargetBuffer()
 
     # ------------------------------------------------------------------
     def run(
@@ -92,26 +88,17 @@ class CGOoOCore:
         start_cycle: int = 0,
     ) -> CoreResult:
         """Execute up to *max_instructions* block by block."""
-        self._stats = stats = CoreStats()
-        self._energy = EnergyEvents()
-        self._fus = FUPool(self.params.width)
-        self._reg_ready: dict[int, int] = {}
-        self._store_line_ready: dict[int, int] = {}
-        self._miss_ring = [0] * self.params.mem_inflight
-        self._misses = 0
-        self._fetch_cycle = start_cycle
-        self._fetched_in_cycle = 0
-        self._redirect_at = start_cycle
-        self._last_fetch_line = -1
-        self._last_complete = start_cycle
-        self._block_ring = [start_cycle] * CGOOO_BLOCK_WINDOWS
-        self._blocks = 0
+        self._begin(start_cycle)
+        # Blocks issue dataflow-order inside their windows: no delay
+        # queue, whatever the issue policy.
+        self._ldt = False
+        # Drain cycles of the outstanding block windows, oldest first.
+        self._block_ring = deque([start_cycle] * CGOOO_BLOCK_WINDOWS,
+                                 maxlen=CGOOO_BLOCK_WINDOWS)
 
         builder = TraceBuilder()
         n = 0
-        for insn in stream:
-            if n >= max_instructions:
-                break
+        for insn in islice(stream, max_instructions):
             n += 1
             done = builder.feed(insn)
             if done is not None:
@@ -119,17 +106,10 @@ class CGOoOCore:
         tail = builder.flush()
         if tail is not None:
             self._run_block(tail)
-
-        stats.instructions = n
-        stats.cycles = max(1, self._last_complete + 1 - start_cycle)
-        return CoreResult(
-            core_name=self.params.name, stats=stats,
-            energy_events=self._energy,
-        )
+        return self._result(n, start_cycle, self.params.name)
 
     # ------------------------------------------------------------------
     def _run_block(self, trace: Trace) -> None:
-        p = self.params
         stats = self._stats
         energy = self._energy
         stats.traces += 1
@@ -152,124 +132,41 @@ class CGOoOCore:
             stats.sc_trace_misses += 1
             energy.bump("bw_select", len(insns))
 
-        block_floor = self._block_ring[self._blocks % CGOOO_BLOCK_WINDOWS]
-        completes: list[int] = []
-        issues: list[int] = []
-        block_end = block_floor
-        reg_ready = self._reg_ready
-        for pos, insn in enumerate(insns):
-            # ---------------- fetch ----------------
-            if self._fetch_cycle < self._redirect_at:
-                self._fetch_cycle = self._redirect_at
-                self._fetched_in_cycle = 0
-            line = insn.pc >> _LINE_SHIFT
-            if line != self._last_fetch_line:
-                res = self.memory.fetch(insn.pc, now=self._fetch_cycle)
-                energy.bump("icache")
-                if not res.l1_hit:
-                    stats.l1i_misses += 1
-                    if not res.l2_hit:
-                        stats.l2_misses += 1
-                    self._fetch_cycle += \
-                        res.latency - self.memory.l1_latency
-                    self._fetched_in_cycle = 0
-                self._last_fetch_line = line
-            if self._fetched_in_cycle >= p.width:
-                self._fetch_cycle += 1
-                self._fetched_in_cycle = 0
-            self._fetched_in_cycle += 1
-            energy.bump("fetch")
-            energy.bump("decode")
-            energy.bump("bw_window")
-
-            # ---------------- block-window issue ----------------
-            earliest = self._fetch_cycle + p.fetch_to_issue
-            if earliest < block_floor:
-                earliest = block_floor
-            if pos >= CGOOO_WINDOW_ENTRIES:
-                w = completes[pos - CGOOO_WINDOW_ENTRIES]
-                if w > earliest:
-                    earliest = w
-            for src in insn.srcs:
-                t = reg_ready.get(src, 0)
-                if t > earliest:
-                    earliest = t
-            energy.bump("rf_read", len(insn.srcs))
-            if insn.is_load:
-                dep = self._store_line_ready.get(
-                    insn.mem_addr >> _LINE_SHIFT, 0)
-                if dep > earliest:
-                    earliest = dep
-            res = None
-            if insn.is_mem:
-                energy.bump("dcache")
-                if insn.is_load:
-                    res = self.memory.load(
-                        insn.pc, insn.mem_addr, now=earliest)
-                    stats.loads += 1
-                else:
-                    res = self.memory.store(
-                        insn.pc, insn.mem_addr, now=earliest)
-                    stats.stores += 1
-                if not res.l1_hit:
-                    stats.l1d_misses += 1
-                    if not res.l2_hit:
-                        stats.l2_misses += 1
-                    energy.bump("l2")
-                    slot = self._miss_ring[
-                        self._misses % p.mem_inflight]
-                    if slot > earliest:
-                        earliest = slot
-
-            issue = self._fus.issue_at(
-                insn.opclass, earliest, insn.base_latency)
-            energy.bump(fu_type_for(insn.opclass))
-
-            # ---------------- complete ----------------
-            complete = issue + insn.base_latency
-            if res is not None:
-                complete += res.latency - 1
-                if insn.is_store:
-                    self._store_line_ready[
-                        insn.mem_addr >> _LINE_SHIFT] = complete
-                if not res.l1_hit:
-                    self._miss_ring[self._misses % p.mem_inflight] = \
-                        complete
-                    self._misses += 1
-            if insn.dst is not None:
-                reg_ready[insn.dst] = complete
-                energy.bump("rf_write")
-            if complete > self._last_complete:
-                self._last_complete = complete
-            if complete > block_end:
-                block_end = complete
-
-            # ---------------- branches ----------------
-            if insn.is_branch:
-                stats.branches += 1
-                energy.bump("bpred")
-                wrong = self.predictor.access(insn.pc, insn.taken)
-                insn.mispredicted = wrong
-                if insn.taken:
-                    if self.btb.lookup(insn.pc) is None:
-                        self._fetch_cycle += p.btb_miss_bubble
-                        self._fetched_in_cycle = 0
-                        self.btb.install(insn.pc, insn.target)
-                if wrong:
-                    stats.mispredicts += 1
-                    self._redirect_at = complete + 1
-                elif insn.taken:
-                    self._fetch_cycle += 1
-                    self._fetched_in_cycle = 0
-
-            completes.append(complete)
-            issues.append(issue)
-
-        self._block_ring[self._blocks % CGOOO_BLOCK_WINDOWS] = block_end
-        self._blocks += 1
-        if not replayed and insns:
+        # The window's completion ring, seeded with the block-ring
+        # floor: its oldest entry is the issue floor (see _issue).
+        # Every instruction completes no earlier than the one a window
+        # older, so the ring also holds the block's latest completion.
+        self._window = deque([self._block_ring[0]] * CGOOO_WINDOW_ENTRIES,
+                             maxlen=CGOOO_WINDOW_ENTRIES)
+        self._issues: list[int] = []
+        self._exec_program_order(insns)
+        self._block_ring.append(max(self._window))
+        if not replayed:
+            issues = self._issues
             order = tuple(sorted(range(len(issues)),
                                  key=issues.__getitem__))
             if self.sc.insert(Schedule(
                     trace.start_pc, trace.path_hash, order)):
                 energy.bump("sc_write")
+
+    def _issue(
+        self,
+        insn: Instruction,
+        earliest: int,
+        lsq: deque[int] | None = None,
+    ) -> int:
+        """Block-window issue: no program-order floor inside a block.
+
+        Instruction *j* waits for the block ring's floor and, once the
+        window is full, for instruction *j - CGOOO_WINDOW_ENTRIES* of
+        its block to complete: the oldest entry of the window's ring.
+        """
+        window = self._window
+        self._issue_floor = window[0]
+        self._energy["bw_window"] += 1
+        complete = InOrderCore._issue(self, insn, earliest)
+        # Without delay-queue parking the floor the step leaves behind
+        # is this instruction's issue cycle.
+        self._issues.append(self._issue_floor)
+        window.append(complete)
+        return complete

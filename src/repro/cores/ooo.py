@@ -33,16 +33,11 @@ from repro.frontend.branch_predictor import (
 )
 from repro.frontend.btb import BranchTargetBuffer
 from repro.isa.instructions import Instruction
-from repro.memory.hierarchy import CoreMemory, MemoryHierarchy
+from repro.memory.hierarchy import CoreMemory
 from repro.schedule.recorder import ScheduleRecorder
 from repro.schedule.trace import TraceBuilder
 
 _LINE_SHIFT = 6
-
-
-def standalone_memory(core_id: int = 0) -> CoreMemory:
-    """A private memory hierarchy for single-core experiments."""
-    return MemoryHierarchy().core_view(core_id)
 
 
 class OutOfOrderCore:

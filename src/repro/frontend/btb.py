@@ -43,7 +43,3 @@ class BranchTargetBuffer:
         if self.lookups == 0:
             return 0.0
         return self.misses / self.lookups
-
-    def reset_stats(self) -> None:
-        self.lookups = 0
-        self.misses = 0

@@ -19,12 +19,6 @@ class BusStats:
     busy_cycles: int = 0
     contention_cycles: int = 0
 
-    def reset(self) -> None:
-        self.transfers = 0
-        self.bytes_moved = 0
-        self.busy_cycles = 0
-        self.contention_cycles = 0
-
 
 class SharedBus:
     """A single split-transaction bus with first-come service.
@@ -83,7 +77,3 @@ class SharedBus:
         if elapsed_cycles <= 0:
             return 0.0
         return min(1.0, self.stats.busy_cycles / elapsed_cycles)
-
-    def reset(self) -> None:
-        self.stats.reset()
-        self._free_at = 0

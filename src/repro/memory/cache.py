@@ -60,11 +60,6 @@ class CacheStats:
             return 0.0
         return 1000.0 * self.misses / instructions
 
-    def reset(self) -> None:
-        self.accesses = 0
-        self.misses = 0
-        self.writebacks = 0
-
 
 class Cache:
     """Set-associative, write-back, write-allocate cache.

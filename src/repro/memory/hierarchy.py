@@ -187,9 +187,3 @@ class CoreMemory:
         self.dtlb.flush()
         self.shared.directory.flush_core(self.core_id)
         return dirty, resident
-
-    def reset_stats(self) -> None:
-        self.l1i.stats.reset()
-        self.l1d.stats.reset()
-        self.itlb.stats.reset()
-        self.dtlb.stats.reset()

@@ -51,6 +51,3 @@ class StridePrefetcher:
             self.issued += len(prefetches)
             return prefetches
         return []
-
-    def reset_stats(self) -> None:
-        self.issued = 0

@@ -24,10 +24,6 @@ class TLBStats:
             return 0.0
         return self.misses / self.accesses
 
-    def reset(self) -> None:
-        self.accesses = 0
-        self.misses = 0
-
 
 class TLB:
     """Fully-associative, LRU translation buffer."""

@@ -68,12 +68,6 @@ class SCStats:
             return 0.0
         return 1000.0 * self.misses / instructions
 
-    def reset(self) -> None:
-        self.lookups = 0
-        self.misses = 0
-        self.writes = 0
-        self.evictions = 0
-
     def counters(self, prefix: str = "") -> dict[str, int]:
         """Flatten the stats into telemetry counter entries."""
         return {

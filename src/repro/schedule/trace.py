@@ -88,7 +88,3 @@ class TraceBuilder:
         if not self._pending:
             return None
         return self._finish()
-
-    @property
-    def pending_count(self) -> int:
-        return len(self._pending)

@@ -87,10 +87,6 @@ class BenchmarkProfile:
                 f"inconsistent with category {self.category}"
             )
 
-    @property
-    def is_hpd(self) -> bool:
-        return self.category == HPD
-
 
 def _p(name, category, *, chain, mem, store=0.30, fp=0.0, longop=0.05,
        usedist=2, lc=0.10, accums=3,

@@ -1,13 +1,23 @@
-"""Unit tests for the three cycle-level core models."""
+"""Unit tests for the cycle-level core models."""
 
+import dataclasses
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.cores import InOrderCore, OinOCore, OutOfOrderCore
+from repro.cores import (
+    INO_PARAMS,
+    LDT_PARAMS,
+    CoreStats,
+    InOrderCore,
+    OinOCore,
+    OutOfOrderCore,
+)
 from repro.cores.functional_units import FUPool, SlotPool, fu_type_for
 from repro.isa import Instruction, OpClass
 from repro.memory import MemoryHierarchy
 from repro.schedule import Schedule, ScheduleCache, ScheduleRecorder
+from repro.workloads import ALL_BENCHMARKS, make_benchmark
 
 
 def mem(core_id=0):
@@ -173,7 +183,6 @@ class TestOutOfOrderCore:
         assert r.stats.mispredicts > 300
 
     def test_recording_populates_sc(self):
-        from repro.workloads import make_benchmark
         sc = ScheduleCache(None)
         rec = ScheduleRecorder(sc)
         core = OutOfOrderCore(mem(), recorder=rec)
@@ -232,7 +241,6 @@ class TestInOrderCore:
         assert r_friendly.ipc > r_hostile.ipc
 
     def test_in_order_never_beats_ooo_on_benchmarks(self):
-        from repro.workloads import make_benchmark
         for name in ("hmmer", "gobmk"):
             bench = make_benchmark(name, seed=2)
             r_ooo = OutOfOrderCore(mem(0)).run(bench.stream(), 15_000)
@@ -256,7 +264,6 @@ class TestInOrderCore:
 
 class TestOinOCore:
     def _producer_consumer(self, name, n=25_000, sc_bytes=None):
-        from repro.workloads import make_benchmark
         bench = make_benchmark(name, seed=2)
         sc = ScheduleCache(sc_bytes)
         rec = ScheduleRecorder(sc)
@@ -270,14 +277,30 @@ class TestOinOCore:
         assert r_oino.stats.memoized_fraction > 0.8
         assert r_oino.ipc > r_ino.ipc * 1.1
 
-    def test_empty_sc_degrades_to_ino(self):
-        from repro.workloads import make_benchmark
-        bench = make_benchmark("hmmer", seed=2)
-        sc = ScheduleCache()
-        r_oino = OinOCore(mem(0), sc).run(bench.stream(), 10_000)
-        r_ino = InOrderCore(mem(1)).run(bench.stream(), 10_000)
-        assert r_oino.stats.memoized_fraction == 0.0
-        assert r_oino.ipc == pytest.approx(r_ino.ipc, rel=0.1)
+    @given(
+        name=st.sampled_from(ALL_BENCHMARKS),
+        seed=st.integers(0, 3),
+        n=st.integers(100, 4_000),
+        params=st.sampled_from([INO_PARAMS, LDT_PARAMS]),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_empty_sc_degrades_to_ino(self, name, seed, n, params):
+        # With nothing to replay every trace misses and runs in program
+        # order, so the OinO is the InO exactly: same stats apart from
+        # its trace bookkeeping, and the same energy events in the same
+        # first-touch order apart from the SC lookups it pays for.
+        bench = make_benchmark(name, seed=seed)
+        r_oino = OinOCore(mem(0), ScheduleCache(None), params=params).run(
+            bench.stream(), n)
+        r_ino = InOrderCore(mem(1), params=params).run(bench.stream(), n)
+        for f in dataclasses.fields(CoreStats):
+            if f.name not in ("traces", "sc_trace_misses"):
+                assert (getattr(r_oino.stats, f.name)
+                        == getattr(r_ino.stats, f.name)), f.name
+        assert r_oino.stats.sc_trace_misses == r_oino.stats.traces
+        assert [
+            (k, v) for k, v in r_oino.energy_events.items() if k != "sc_read"
+        ] == list(r_ino.energy_events.items())
 
     def test_finite_sc_memoizes_less_than_infinite(self):
         r_small, _ = self._producer_consumer("gcc", sc_bytes=1024)
@@ -310,7 +333,6 @@ class TestOinOCore:
 
     def test_wrong_path_costs_abort(self):
         """A stored schedule for a different path aborts, not replays."""
-        from repro.workloads import make_benchmark
         bench = make_benchmark("hmmer", seed=2)
         sc = ScheduleCache(None)
         rec = ScheduleRecorder(sc)
@@ -329,7 +351,6 @@ class TestOinOCore:
 
     def test_launch_gate_suppresses_hopeless_speculation(self):
         """After enough wrong-path launches the gate stops aborting."""
-        from repro.workloads import make_benchmark
         bench = make_benchmark("hmmer", seed=2)
         sc = ScheduleCache(None)
         rec = ScheduleRecorder(sc)
