@@ -23,15 +23,26 @@ tree: every registered backend must appear as a leg row and the two
 runs must print byte-identical tables and export byte-identical JSON
 (determinism across the whole roster).  The warm pool is held to
 serial execution by ``tests/test_equivalence.py`` instead.
+
+``--roster`` runs the cycle-level cores directly, outside any
+experiment, and writes ``core-roster.txt``: per run, a label, the
+``repr`` of its ``CoreStats`` and its energy events as a list of
+items (key order included).  The tables above only show what the
+experiments round and aggregate; CI diffs the roster base vs PR next
+to them::
+
+    python scripts/capture_tables.py --roster --src src --out /tmp/pr
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import subprocess
 import sys
 import tempfile
+from itertools import islice
 from pathlib import Path
 
 #: The experiments whose results must stay bit-identical: the
@@ -113,6 +124,95 @@ def backend_smoke(src: Path, out: Path) -> None:
           f"{len(first[1])} JSON bytes)")
 
 
+#: The core roster's windows: ``(benchmarks, instructions)``: every
+#: benchmark at a short window, and two memory-bound ones at a long
+#: window.
+ROSTER_WINDOWS = (
+    (None, 4_000),                # None: every benchmark
+    (("mcf", "milc"), 40_000),
+)
+
+#: Seed of every roster stream.
+ROSTER_SEED = 1
+
+
+def roster_runs(src: Path):
+    """Yield ``(label, CoreResult)`` for every run of the core roster.
+
+    Per benchmark and window: the OoO with a recorder into an infinite
+    Schedule Cache, InO, InO-LDT, the OinO replaying that recording,
+    and CG-OoO with an 8 KB SC.  At the 4k window the roster adds the
+    OinO at an abort penalty of 40 cycles, and all five cores again at
+    2-wide with 2 MSHRs.  Imports the ``repro`` under *src*.
+    """
+    sys.path.insert(0, str(src))
+    from repro.cores import (
+        CGOOO_PARAMS,
+        INO_PARAMS,
+        LDT_PARAMS,
+        OOO_PARAMS,
+        CGOoOCore,
+        InOrderCore,
+        OinOCore,
+        OutOfOrderCore,
+    )
+    from repro.memory import MemoryHierarchy
+    from repro.schedule import ScheduleCache, ScheduleRecorder
+    from repro.workloads import ALL_BENCHMARKS, make_benchmark
+
+    def narrow(params):
+        return dataclasses.replace(params, width=2, mem_inflight=2)
+
+    def five(window, n, ooo, ino, ldt, cgooo):
+        """The five cores on one window; the OinO replays what the OoO
+        recorded."""
+        sc = ScheduleCache(None)
+        yield "ooo", OutOfOrderCore(
+            MemoryHierarchy().core_view(0), params=ooo,
+            recorder=ScheduleRecorder(sc)).run(iter(window), n)
+        yield "ino", InOrderCore(
+            MemoryHierarchy().core_view(1), params=ino).run(iter(window), n)
+        yield "ldt", InOrderCore(
+            MemoryHierarchy().core_view(1), params=ldt).run(iter(window), n)
+        yield "oino", OinOCore(
+            MemoryHierarchy().core_view(2), sc, params=ino).run(
+                iter(window), n)
+        yield "cgooo", CGOoOCore(
+            MemoryHierarchy().core_view(3), ScheduleCache(8 * 1024),
+            params=cgooo).run(iter(window), n)
+
+    def oino_at(window, n, abort_penalty):
+        sc = ScheduleCache(None)
+        OutOfOrderCore(MemoryHierarchy().core_view(0),
+                       recorder=ScheduleRecorder(sc)).run(iter(window), n)
+        return OinOCore(MemoryHierarchy().core_view(2), sc,
+                        abort_penalty=abort_penalty).run(iter(window), n)
+
+    base = (OOO_PARAMS, INO_PARAMS, LDT_PARAMS, CGOOO_PARAMS)
+    for names, n in ROSTER_WINDOWS:
+        for name in names or ALL_BENCHMARKS:
+            window = list(islice(
+                make_benchmark(name, seed=ROSTER_SEED).stream(), n))
+            for core, result in five(window, n, *base):
+                yield f"{name} {n} {core}", result
+            if names is not None:
+                continue
+            yield f"{name} {n} oino abort_penalty=40", \
+                oino_at(window, n, 40)
+            for core, result in five(window, n, *map(narrow, base)):
+                yield f"{name} {n} {core} width=2 mshrs=2", result
+
+
+def capture_roster(src: Path, out: Path) -> int:
+    """Write ``core-roster.txt``; returns the number of runs."""
+    lines = []
+    for label, result in roster_runs(src):
+        lines += [f"== {label}", repr(result.stats),
+                  repr(list(result.energy_events.items()))]
+    (out / "core-roster.txt").write_text("\n".join(lines) + "\n")
+    return len(lines) // 3
+
+
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point: capture every experiment into ``--out``."""
     parser = argparse.ArgumentParser(description=__doc__)
@@ -130,6 +230,10 @@ def main(argv: list[str] | None = None) -> int:
         help="run backend-matrix --quick twice and fail unless every "
              "registered backend appears and the runs are "
              "byte-identical")
+    parser.add_argument(
+        "--roster", action="store_true",
+        help="run the cycle-level core roster and write every run's "
+             "stats and energy events to core-roster.txt")
     args = parser.parse_args(argv)
 
     src = Path(args.src).resolve()
@@ -137,6 +241,10 @@ def main(argv: list[str] | None = None) -> int:
     out.mkdir(parents=True, exist_ok=True)
     if args.backend_smoke:
         backend_smoke(src, out)
+        return 0
+    if args.roster:
+        runs = capture_roster(src, out)
+        print(f"[roster] {runs} core runs -> {out / 'core-roster.txt'}")
         return 0
     for experiment in args.experiments:
         captured = capture(experiment, src)

@@ -31,7 +31,7 @@ redirects, rather than iterating cycle by cycle (see DESIGN.md §5).
 
 from repro.cores.base import CoreResult, CoreStats, EnergyEvents
 from repro.cores.cgooo import CGOoOCore
-from repro.cores.functional_units import FUPool, SlotPool, fu_type_for
+from repro.cores.functional_units import FUPool, fu_type_for
 from repro.cores.inorder import InOrderCore
 from repro.cores.oino import OinOCore
 from repro.cores.ooo import OutOfOrderCore
@@ -53,7 +53,6 @@ __all__ = [
     "CoreStats",
     "EnergyEvents",
     "FUPool",
-    "SlotPool",
     "fu_type_for",
     "OutOfOrderCore",
     "InOrderCore",

@@ -10,7 +10,10 @@ class EnergyEvents(Counter):
     """Per-structure activity counts consumed by :mod:`repro.energy`.
 
     Keys are structure names (``"rob"``, ``"prf"``, ``"scheduler"`` ...)
-    matching :data:`repro.energy.model.DYNAMIC_ENERGY_PJ`.
+    matching :data:`repro.energy.model.DYNAMIC_ENERGY_PJ`, in the order
+    the run first touched them.  The cores tally into a plain dict
+    while they run (an exact-dict item update costs about half a
+    ``Counter`` one) and wrap it once per run.
     """
 
     def bump(self, structure: str, count: int = 1) -> None:

@@ -115,7 +115,7 @@ class CGOoOCore(InOrderCore):
         stats.traces += 1
 
         schedule = self.sc.lookup(trace.start_pc, trace.path_hash)
-        energy.bump("sc_read")
+        energy["sc_read"] = energy.get("sc_read", 0) + 1
         insns = trace.instructions
         replayed = (
             schedule is not None
@@ -127,10 +127,10 @@ class CGOoOCore(InOrderCore):
             # the timing below is identical on both paths).
             stats.sc_trace_hits += 1
             stats.memoized_instructions += len(insns)
-            energy.bump("sc_read", len(insns))
+            energy["sc_read"] = energy.get("sc_read", 0) + len(insns)
         else:
             stats.sc_trace_misses += 1
-            energy.bump("bw_select", len(insns))
+            energy["bw_select"] = energy.get("bw_select", 0) + len(insns)
 
         # The window's completion ring, seeded with the block-ring
         # floor: its oldest entry is the issue floor (see _issue).
@@ -147,7 +147,7 @@ class CGOoOCore(InOrderCore):
                                  key=issues.__getitem__))
             if self.sc.insert(Schedule(
                     trace.start_pc, trace.path_hash, order)):
-                energy.bump("sc_write")
+                energy["sc_write"] = energy.get("sc_write", 0) + 1
 
     def _issue(
         self,
@@ -163,7 +163,8 @@ class CGOoOCore(InOrderCore):
         """
         window = self._window
         self._issue_floor = window[0]
-        self._energy["bw_window"] += 1
+        energy = self._energy
+        energy["bw_window"] = energy.get("bw_window", 0) + 1
         complete = InOrderCore._issue(self, insn, earliest)
         # Without delay-queue parking the floor the step leaves behind
         # is this instruction's issue cycle.

@@ -2,10 +2,9 @@
 
 The dataflow-slot core models need to answer one question efficiently:
 *given an earliest-ready cycle, when can this instruction actually
-issue?*  :class:`SlotPool` tracks per-cycle usage of a resource with a
-fixed per-cycle capacity; :class:`FUPool` combines the global issue
-width with per-FU-type unit counts and (for divides) non-pipelined
-initiation intervals.
+issue?*  :class:`FUPool` combines the global issue width with
+per-FU-type unit counts and (for divides) non-pipelined initiation
+intervals in one per-cycle table.
 """
 
 from __future__ import annotations
@@ -20,18 +19,19 @@ FU_FDIV = "fp_div"
 FU_MEM = "mem_port"
 FU_BR = "branch"
 
-_FU_FOR_OPCLASS = {
-    OpClass.IALU: FU_INT,
-    OpClass.IMUL: FU_MUL,
-    OpClass.IDIV: FU_MUL,
-    OpClass.FALU: FU_FP,
-    OpClass.FMUL: FU_FP,
-    OpClass.FDIV: FU_FDIV,
-    OpClass.LOAD: FU_MEM,
-    OpClass.STORE: FU_MEM,
-    OpClass.BRANCH: FU_BR,
-    OpClass.NOP: FU_INT,
-}
+#: Functional-unit type per op class, indexed by the OpClass int value.
+FU_TYPE_BY_OP: tuple[str, ...] = (
+    FU_INT,    # IALU
+    FU_MUL,    # IMUL
+    FU_MUL,    # IDIV
+    FU_FP,     # FALU
+    FU_FP,     # FMUL
+    FU_FDIV,   # FDIV
+    FU_MEM,    # LOAD
+    FU_MEM,    # STORE
+    FU_BR,     # BRANCH
+    FU_INT,    # NOP
+)
 
 #: Unit counts for the 3-wide machine (same for OoO and InO, paper §4.2).
 DEFAULT_FU_COUNTS = {
@@ -46,124 +46,89 @@ DEFAULT_FU_COUNTS = {
 #: Op classes that occupy their unit for the full latency (unpipelined).
 _UNPIPELINED = frozenset({OpClass.IDIV, OpClass.FDIV})
 
+#: Bits per resource in a packed per-cycle word.
+_FIELD_BITS = 8
+_FIELD_MAX = (1 << _FIELD_BITS) - 1
+
 
 def fu_type_for(opclass: OpClass) -> str:
     """Functional-unit type an instruction of *opclass* executes on."""
-    return _FU_FOR_OPCLASS[opclass]
-
-
-class SlotPool:
-    """Per-cycle capacity tracker with lazy pruning.
-
-    Cycle indices only grow over a run; entries far behind the
-    high-water mark are pruned in bulk to bound memory.
-    """
-
-    __slots__ = ("capacity", "_used", "_horizon", "_prune_at")
-
-    def __init__(self, capacity: int, prune_window: int = 50_000):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        self._used: dict[int, int] = {}
-        self._horizon = 0
-        self._prune_at = prune_window
-
-    def earliest_free(self, cycle: int, span: int = 1) -> int:
-        """First cycle >= *cycle* with *span* consecutive free slots."""
-        used = self._used
-        cap = self.capacity
-        if span == 1:
-            # Pipelined ops (the overwhelmingly common case): a plain
-            # scan without the inner offset loop.
-            c = cycle
-            get = used.get
-            while get(c, 0) >= cap:
-                c += 1
-            return c
-        c = cycle
-        while True:
-            for offset in range(span):
-                if used.get(c + offset, 0) >= cap:
-                    c = c + offset + 1
-                    break
-            else:
-                return c
-
-    def reserve(self, cycle: int, span: int = 1) -> None:
-        """Consume one slot in each of cycles [cycle, cycle+span)."""
-        used = self._used
-        if span == 1:
-            used[cycle] = used.get(cycle, 0) + 1
-        else:
-            for c in range(cycle, cycle + span):
-                used[c] = used.get(c, 0) + 1
-        if cycle > self._horizon:
-            self._horizon = cycle
-        if len(used) > self._prune_at:
-            self._prune()
-
-    def _prune(self) -> None:
-        floor = self._horizon - self._prune_at // 2
-        self._used = {c: n for c, n in self._used.items() if c >= floor}
-
-    def usage_at(self, cycle: int) -> int:
-        return self._used.get(cycle, 0)
+    return FU_TYPE_BY_OP[opclass]
 
 
 class FUPool:
-    """Joint issue-width + functional-unit availability."""
+    """Joint issue-width + functional-unit availability.
 
-    def __init__(self, width: int, counts: dict[str, int] | None = None):
+    One dict maps each cycle to a packed word, 8 bits per resource:
+    the low field counts issue slots used in that cycle, and each unit
+    type has its own field above it.  A pipelined issue reads one word
+    per probed cycle and stores one; an unpipelined divide also holds
+    its unit's field for ``latency`` cycles.
+
+    Cycles only grow over a run.  Once the table holds more than
+    *prune_window* cycles, those more than ``prune_window // 2``
+    behind the latest issue are dropped, so a request must not reach
+    further back than that.
+    """
+
+    __slots__ = ("width", "_used", "_rows", "_prune_at")
+
+    def __init__(self, width: int, counts: dict[str, int] | None = None,
+                 prune_window: int = 50_000):
+        counts = DEFAULT_FU_COUNTS if counts is None else counts
+        for name, n in (("width", width), *counts.items()):
+            if not 1 <= n <= _FIELD_MAX:
+                raise ValueError(
+                    f"{name} must be in 1..{_FIELD_MAX}, got {n}")
         self.width = width
-        counts = dict(DEFAULT_FU_COUNTS if counts is None else counts)
-        self.issue_slots = SlotPool(width)
-        self.units = {fu: SlotPool(n) for fu, n in counts.items()}
-        # Hot-path tables indexed by the OpClass int value: issue_at
-        # runs once per dynamic instruction, so the per-call enum hash
-        # for the unit lookup and the _UNPIPELINED probe are paid here
-        # instead.
-        self._unit_by_op = tuple(
-            self.units[_FU_FOR_OPCLASS[op]] for op in OpClass)
-        self._pipelined_by_op = tuple(
-            op not in _UNPIPELINED for op in OpClass)
+        self._used: dict[int, int] = {}
+        self._prune_at = prune_window
+        shift = {fu: _FIELD_BITS * (i + 1) for i, fu in enumerate(counts)}
+        # Per-op row, indexed by the OpClass int value: the unit field's
+        # mask, the masked value at which it is full, its unit increment,
+        # and whether the op holds the unit for its whole latency.
+        self._rows = tuple(
+            (_FIELD_MAX << shift[fu], counts[fu] << shift[fu],
+             1 << shift[fu], op in _UNPIPELINED)
+            for op, fu in zip(OpClass, FU_TYPE_BY_OP))
 
     def issue_at(self, opclass: OpClass, earliest: int, latency: int) -> int:
-        """Find and reserve the first cycle >= *earliest* that has both a
-        free issue slot and a free unit; returns the issue cycle."""
-        unit = self._unit_by_op[opclass]
-        if self._pipelined_by_op[opclass]:
-            # Single-cycle occupancy: scan for the first cycle where
-            # both pools have a slot (what the general ping-pong loop
-            # below converges to), then reserve inline.
-            issue = self.issue_slots
-            iused = issue._used
-            icap = issue.capacity
-            uused = unit._used
-            ucap = unit.capacity
-            iget = iused.get
-            uget = uused.get
-            c = earliest
-            while iget(c, 0) >= icap or uget(c, 0) >= ucap:
+        """Find and reserve the first cycle >= *earliest* that has a free
+        issue slot and a free unit (for unpipelined ops, over the whole
+        *latency* span); returns the issue cycle."""
+        umask, ufull, unit, unpipelined = self._rows[opclass]
+        width = self.width
+        used = self._used
+        get = used.get
+        c = earliest
+        if unpipelined:
+            while True:
+                if (get(c, 0) & _FIELD_MAX) >= width:
+                    c += 1
+                    continue
+                for k in range(c, c + latency):
+                    if (get(k, 0) & umask) >= ufull:
+                        c = k + 1
+                        break
+                else:
+                    break
+            for k in range(c, c + latency):
+                used[k] = get(k, 0) + unit
+            used[c] = get(c, 0) + 1
+        else:
+            w = get(c, 0)
+            while (w & _FIELD_MAX) >= width or (w & umask) >= ufull:
                 c += 1
-            iused[c] = iget(c, 0) + 1
-            if c > issue._horizon:
-                issue._horizon = c
-            if len(iused) > issue._prune_at:
-                issue._prune()
-            uused[c] = uget(c, 0) + 1
-            if c > unit._horizon:
-                unit._horizon = c
-            if len(uused) > unit._prune_at:
-                unit._prune()
-            return c
-        span = latency
-        cycle = earliest
-        while True:
-            cycle = self.issue_slots.earliest_free(cycle)
-            unit_cycle = unit.earliest_free(cycle, span)
-            if unit_cycle == cycle:
-                self.issue_slots.reserve(cycle)
-                unit.reserve(cycle, span)
-                return cycle
-            cycle = unit_cycle
+                w = get(c, 0)
+            used[c] = w + 1 + unit
+        if len(used) > self._prune_at:
+            self._prune()
+        return c
+
+    def _prune(self) -> None:
+        # The latest issue is the latest cycle with an issue slot used
+        # (an unpipelined unit's later cycles may not have one).
+        used = self._used
+        floor = max(k for k, w in used.items() if w & _FIELD_MAX) \
+            - self._prune_at // 2
+        self._used = {k: w for k, w in used.items() if k >= floor}

@@ -26,7 +26,7 @@ from collections.abc import Iterable
 from itertools import islice
 
 from repro.cores.base import CoreResult, CoreStats, EnergyEvents
-from repro.cores.functional_units import FUPool, fu_type_for
+from repro.cores.functional_units import FU_TYPE_BY_OP, FUPool
 from repro.cores.params import INO_PARAMS, CoreParams
 from repro.frontend.branch_predictor import (
     BranchPredictor,
@@ -71,7 +71,7 @@ class InOrderCore:
         """Reset the per-run state: counters, units, rings and clocks."""
         p = self.params
         self._stats = CoreStats()
-        self._energy = EnergyEvents()
+        self._energy: dict[str, int] = {}
         self._fus = FUPool(p.width)
         self._reg_ready: dict[int, int] = {}
         self._store_line_ready: dict[int, int] = {}
@@ -98,7 +98,8 @@ class InOrderCore:
         stats.instructions = n
         stats.cycles = max(1, self._last_complete + 1 - start_cycle)
         return CoreResult(
-            core_name=core_name, stats=stats, energy_events=self._energy
+            core_name=core_name, stats=stats,
+            energy_events=EnergyEvents(self._energy),
         )
 
     def _exec_program_order(self, insns: Iterable[Instruction]) -> int:
@@ -128,7 +129,7 @@ class InOrderCore:
             line = insn.pc >> _LINE_SHIFT
             if line != last_fetch_line:
                 res = memory.fetch(insn.pc, now=fetch_cycle)
-                energy["icache"] += 1
+                energy["icache"] = energy.get("icache", 0) + 1
                 if not res.l1_hit:
                     stats.l1i_misses += 1
                     if not res.l2_hit:
@@ -140,17 +141,16 @@ class InOrderCore:
                 fetch_cycle += 1
                 fetched_in_cycle = 0
             fetched_in_cycle += 1
-            energy["fetch"] += 1
-            energy["decode"] += 1
+            energy["fetch"] = energy.get("fetch", 0) + 1
+            energy["decode"] = energy.get("decode", 0) + 1
 
             complete = issue(insn, fetch_cycle + front_end)
 
             # ---------------- branches ----------------
             if insn.is_branch:
                 stats.branches += 1
-                energy["bpred"] += 1
+                energy["bpred"] = energy.get("bpred", 0) + 1
                 wrong = self.predictor.access(insn.pc, insn.taken)
-                insn.mispredicted = wrong
                 if insn.taken:
                     if self.btb.lookup(insn.pc) is None:
                         fetch_cycle += p.btb_miss_bubble
@@ -185,7 +185,7 @@ class InOrderCore:
         its recorded out-of-order order.
 
         Runs once per dynamic instruction, so energy events are direct
-        ``Counter`` item updates (same keys and totals as ``bump``).
+        item updates of the run's plain dict.
         """
         stats = self._stats
         energy = self._energy
@@ -203,16 +203,16 @@ class InOrderCore:
                 lt = self._load_ready.get(src, 0)
                 if lt > load_wait:
                     load_wait = lt
-        energy["rf_read"] += len(insn.srcs)
+        energy["rf_read"] = energy.get("rf_read", 0) + len(insn.srcs)
         if insn.is_load:
             dep = self._store_line_ready.get(insn.mem_addr >> _LINE_SHIFT, 0)
             if dep > earliest:
                 earliest = dep
         res = None
         if insn.is_mem:
-            energy["dcache"] += 1
+            energy["dcache"] = energy.get("dcache", 0) + 1
             if lsq is not None:
-                energy["oino_lsq"] += 1
+                energy["oino_lsq"] = energy.get("oino_lsq", 0) + 1
             if insn.is_load:
                 res = self.memory.load(insn.pc, insn.mem_addr, now=earliest)
                 stats.loads += 1
@@ -223,13 +223,14 @@ class InOrderCore:
                 stats.l1d_misses += 1
                 if not res.l2_hit:
                     stats.l2_misses += 1
-                energy["l2"] += 1
+                energy["l2"] = energy.get("l2", 0) + 1
                 misses = self._mshrs if lsq is None else lsq
                 if misses[0] > earliest:
                     earliest = misses[0]
 
         base_latency = insn.base_latency
-        issue = self._fus.issue_at(insn.opclass, earliest, base_latency)
+        opclass = insn.opclass
+        issue = self._fus.issue_at(opclass, earliest, base_latency)
         if ldt and issue > dispatch and load_wait > dispatch:
             # The binding stall is an outstanding load: park this
             # instruction in the delay queue and keep the in-order
@@ -241,10 +242,11 @@ class InOrderCore:
             self._issue_floor = dispatch if parked[0] <= dispatch \
                 else parked[0]
             parked.append(issue + base_latency)
-            energy["lsq"] += 1
+            energy["lsq"] = energy.get("lsq", 0) + 1
         else:
             self._issue_floor = issue
-        energy[fu_type_for(insn.opclass)] += 1
+        fu = FU_TYPE_BY_OP[opclass]
+        energy[fu] = energy.get(fu, 0) + 1
 
         complete = issue + base_latency
         if res is not None:
@@ -255,7 +257,7 @@ class InOrderCore:
                 misses.append(complete)
         if insn.dst is not None:
             reg_ready[insn.dst] = complete
-            energy["rf_write"] += 1
+            energy["rf_write"] = energy.get("rf_write", 0) + 1
             if ldt:
                 if insn.is_load:
                     self._load_ready[insn.dst] = complete

@@ -103,7 +103,8 @@ class OinOCore(InOrderCore):
         stats = self._stats
         stats.traces += 1
         schedule = self.sc.lookup(trace.start_pc, trace.path_hash)
-        self._energy.bump("sc_read")
+        energy = self._energy
+        energy["sc_read"] = energy.get("sc_read", 0) + 1
 
         if (
             schedule is not None
@@ -211,13 +212,14 @@ class OinOCore(InOrderCore):
         stats = self._stats
         energy = self._energy
         insns = trace.instructions
-        stats.memoized_instructions += len(insns)
+        n = len(insns)
+        stats.memoized_instructions += n
         stats.branches += trace.num_branches
         # Fetch comes from the SC: one SC read per instruction, no L1I
         # pressure, no branch predictor lookups (path is asserted).
-        energy.bump("sc_read", len(insns))
-        energy.bump("decode", len(insns))
-        energy.bump("oino_prf", len(insns))
+        energy["sc_read"] = energy.get("sc_read", 0) + n
+        energy["decode"] = energy.get("decode", 0) + n
+        energy["oino_prf"] = energy.get("oino_prf", 0) + n
         lsq = self._replay_lsq
         for pos in order:
             # No front-end floor: only the in-order issue floor.

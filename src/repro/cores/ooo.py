@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from repro.cores.base import CoreResult, CoreStats, EnergyEvents
-from repro.cores.functional_units import FUPool, SlotPool, fu_type_for
+from repro.cores.functional_units import FU_TYPE_BY_OP, FUPool
 from repro.cores.params import OOO_PARAMS, CoreParams
 from repro.frontend.branch_predictor import (
     BranchPredictor,
@@ -68,9 +68,8 @@ class OutOfOrderCore:
         """Execute up to *max_instructions* from *stream*."""
         p = self.params
         stats = CoreStats()
-        energy = EnergyEvents()
+        energy: dict[str, int] = {}
         fus = FUPool(p.width)
-        commit_slots = SlotPool(p.width)
 
         reg_ready: dict[int, int] = {}
         store_line_ready: dict[int, int] = {}
@@ -82,7 +81,11 @@ class OutOfOrderCore:
         fetched_in_cycle = 0
         redirect_at = start_cycle
         last_fetch_line = -1
+        # Commits go in program order from a non-decreasing base, so
+        # only the latest commit cycle can be full: it and its count
+        # are the whole commit-width state.
         last_commit = start_cycle
+        committed_in_cycle = 0
 
         trace_builder = TraceBuilder()
         trace_issues: list[int] = []
@@ -91,12 +94,11 @@ class OutOfOrderCore:
         recorder = self.recorder
         sc = recorder.sc if recorder is not None else None
 
-        # Hot-loop locals: attribute loads and per-event Counter bumps
+        # Hot-loop locals: attribute loads and per-event energy updates
         # dominate the profile at ~10^5 instructions/s.  Constant-rate
         # energy events (fetch/decode/rename/rob/scheduler, per-class
         # FU counts...) are tallied in plain ints/dicts and folded into
-        # the Counter once after the loop — same totals, no per-insn
-        # Counter.__getitem__/__setitem__ churn.
+        # the run's energy dict once after the loop.
         memory = self.memory
         mem_load = memory.load
         mem_store = memory.store
@@ -177,8 +179,9 @@ class OutOfOrderCore:
 
             # ---------------- issue ----------------
             base_latency = insn.base_latency
-            issue = issue_at(insn.opclass, earliest, base_latency)
-            fu = fu_type_for(insn.opclass)
+            opclass = insn.opclass
+            issue = issue_at(opclass, earliest, base_latency)
+            fu = FU_TYPE_BY_OP[opclass]
             fu_events[fu] = fu_events.get(fu, 0) + 1
 
             # ---------------- complete ----------------
@@ -210,7 +213,6 @@ class OutOfOrderCore:
             if insn.is_branch:
                 stats.branches += 1
                 wrong = predictor_access(insn.pc, insn.taken)
-                insn.mispredicted = wrong
                 if insn.taken:
                     if btb.lookup(insn.pc) is None:
                         fetch_cycle += btb_miss_bubble
@@ -225,18 +227,20 @@ class OutOfOrderCore:
                     fetched_in_cycle = 0
 
             # ---------------- commit ----------------
-            base = complete + 1
-            if base < last_commit:
-                base = last_commit
-            commit = commit_slots.earliest_free(base)
-            commit_slots.reserve(commit)
-            last_commit = commit
-            rob_ring[rob_slot] = commit
+            if complete >= last_commit:
+                last_commit = complete + 1
+                committed_in_cycle = 1
+            elif committed_in_cycle < width:
+                committed_in_cycle += 1
+            else:
+                last_commit += 1
+                committed_in_cycle = 1
+            rob_ring[rob_slot] = last_commit
             if lsq_slot >= 0:
                 if insn.is_load:
-                    lq_ring[lsq_slot] = commit
+                    lq_ring[lsq_slot] = last_commit
                 else:
-                    sq_ring[lsq_slot] = commit
+                    sq_ring[lsq_slot] = last_commit
 
             # ---------------- trace recording ----------------
             if recorder is not None:
@@ -263,15 +267,16 @@ class OutOfOrderCore:
                         done, order,
                         trace_last_complete - trace_first_issue,
                     )
-                    energy.bump("sc_write")
+                    energy["sc_write"] = energy.get("sc_write", 0) + 1
                     trace_issues.clear()
                     trace_first_issue = -1
                     trace_last_complete = 0
 
             n += 1
 
-        # Fold the batched tallies in, skipping zero counts so the
-        # Counter holds exactly the keys the per-event path created.
+        # Fold the batched tallies in after sc_write, the one per-trace
+        # event, skipping zero counts so the events hold exactly the
+        # keys the per-event path created.
         for structure, count in (
             ("icache", icache_events),
             ("fetch", n),
@@ -288,10 +293,11 @@ class OutOfOrderCore:
             *fu_events.items(),
         ):
             if count:
-                energy.bump(structure, count)
+                energy[structure] = count
 
         stats.instructions = n
         stats.cycles = max(1, last_commit - start_cycle)
         return CoreResult(
-            core_name=self.params.name, stats=stats, energy_events=energy
+            core_name=self.params.name, stats=stats,
+            energy_events=EnergyEvents(energy),
         )

@@ -69,15 +69,15 @@ def is_fp_class(opclass: OpClass) -> bool:
 #: Per-opclass lookup rows indexed by the IntEnum value.  The hot core
 #: loops read ``is_load``/``is_mem``/``base_latency`` several times per
 #: dynamic instruction; materializing them once at construction (plain
-#: slot attributes, filled from these tuples in ``__post_init__``)
-#: removes a Python property call plus an enum hash from every read.
+#: slot attributes, filled from these tuples in ``__init__``) removes a
+#: Python property call plus an enum hash from every read.
 _IS_LOAD_BY_OP = tuple(op is OpClass.LOAD for op in OpClass)
 _IS_STORE_BY_OP = tuple(op is OpClass.STORE for op in OpClass)
 _IS_MEM_BY_OP = tuple(op in _MEM_CLASSES for op in OpClass)
 _BASE_LATENCY_BY_OP = tuple(BASE_LATENCY[op] for op in OpClass)
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class Instruction:
     """One dynamic instruction.
 
@@ -91,8 +91,6 @@ class Instruction:
         is_branch: True for control transfers.
         taken: Branch outcome (meaningful only when ``is_branch``).
         target: Branch target pc (meaningful only when ``is_branch``).
-        mispredicted: Set by the frontend model when the branch predictor
-            got this instance wrong; drives redirect bubbles.
         is_load: Derived: ``opclass is OpClass.LOAD``.
         is_store: Derived: ``opclass is OpClass.STORE``.
         is_mem: Derived: the instruction accesses data memory.
@@ -109,18 +107,39 @@ class Instruction:
     is_branch: bool = False
     taken: bool = False
     target: int = 0
-    mispredicted: bool = field(default=False, compare=False)
     is_load: bool = field(init=False, compare=False, repr=False)
     is_store: bool = field(init=False, compare=False, repr=False)
     is_mem: bool = field(init=False, compare=False, repr=False)
     base_latency: int = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        op = self.opclass
-        self.is_load = _IS_LOAD_BY_OP[op]
-        self.is_store = _IS_STORE_BY_OP[op]
-        self.is_mem = _IS_MEM_BY_OP[op]
-        self.base_latency = _BASE_LATENCY_BY_OP[op]
+    def __init__(
+        self,
+        seq: int,
+        pc: int,
+        opclass: OpClass,
+        dst: int | None = None,
+        srcs: tuple[int, ...] = (),
+        mem_addr: int | None = None,
+        is_branch: bool = False,
+        taken: bool = False,
+        target: int = 0,
+    ) -> None:
+        # Written out rather than generated so that one call also sets
+        # the derived fields: the workload generator builds one
+        # instance per dynamic instruction.
+        self.seq = seq
+        self.pc = pc
+        self.opclass = opclass
+        self.dst = dst
+        self.srcs = srcs
+        self.mem_addr = mem_addr
+        self.is_branch = is_branch
+        self.taken = taken
+        self.target = target
+        self.is_load = _IS_LOAD_BY_OP[opclass]
+        self.is_store = _IS_STORE_BY_OP[opclass]
+        self.is_mem = _IS_MEM_BY_OP[opclass]
+        self.base_latency = _BASE_LATENCY_BY_OP[opclass]
 
     @property
     def is_backward_branch(self) -> bool:

@@ -383,6 +383,9 @@ class SyntheticBenchmark:
 
     def _run_loop(self, loop: _Loop, rng: random.Random, trips: int,
                   seq: int, offsets: dict[int, int]) -> Iterator[Instruction]:
+        # Instructions are built positionally (seq, pc, opclass, dst,
+        # srcs, mem_addr, is_branch, taken, target): one per dynamic
+        # instruction, and a keyword call costs about twice as much.
         prof = self.profile
         variant = 0
         iteration = 0
@@ -394,15 +397,12 @@ class SyntheticBenchmark:
             # Header (at the loop base pc).
             pc = loop.base_pc
             for tmpl in loop.header:
-                yield Instruction(seq=seq, pc=pc, opclass=tmpl.opclass,
-                                  dst=tmpl.dst, srcs=tmpl.srcs)
+                yield Instruction(seq, pc, tmpl.opclass, tmpl.dst, tmpl.srcs)
                 seq += 1
                 pc += 4
             # Variant-select branch: taken into the variant body.
-            yield Instruction(
-                seq=seq, pc=pc, opclass=OpClass.BRANCH, is_branch=True,
-                taken=True, target=body_pc,
-            )
+            yield Instruction(seq, pc, OpClass.BRANCH, None, (), None,
+                              True, True, body_pc)
             seq += 1
             # Body.
             pc = body_pc
@@ -414,11 +414,9 @@ class SyntheticBenchmark:
                     if rng.random() < prof.branch_noise:
                         taken = not taken
                     skip = min(tmpl.skip, len(body) - idx - 1)
-                    yield Instruction(
-                        seq=seq, pc=pc, opclass=OpClass.BRANCH,
-                        srcs=tmpl.srcs, is_branch=True, taken=taken,
-                        target=pc + 4 * (skip + 1),
-                    )
+                    yield Instruction(seq, pc, OpClass.BRANCH, None,
+                                      tmpl.srcs, None, True, taken,
+                                      pc + 4 * (skip + 1))
                     seq += 1
                     if taken:
                         # Skip the guarded instructions.
@@ -432,19 +430,15 @@ class SyntheticBenchmark:
                 if tmpl.stream_id is not None:
                     addr = loop.streams[tmpl.stream_id].next_addr(
                         rng, offsets)
-                yield Instruction(
-                    seq=seq, pc=pc, opclass=tmpl.opclass, dst=tmpl.dst,
-                    srcs=tmpl.srcs, mem_addr=addr,
-                )
+                yield Instruction(seq, pc, tmpl.opclass, tmpl.dst,
+                                  tmpl.srcs, addr)
                 seq += 1
                 pc += 4
                 idx += 1
             # Backward branch to the loop header; falls through on exit.
             last = trip == trips - 1
-            yield Instruction(
-                seq=seq, pc=pc, opclass=OpClass.BRANCH, is_branch=True,
-                taken=not last, target=loop.base_pc,
-            )
+            yield Instruction(seq, pc, OpClass.BRANCH, None, (), None,
+                              True, not last, loop.base_pc)
             seq += 1
             iteration += 1
 

@@ -1,6 +1,7 @@
 """Unit tests for the cycle-level core models."""
 
 import dataclasses
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,12 +9,18 @@ from hypothesis import given, settings, strategies as st
 from repro.cores import (
     INO_PARAMS,
     LDT_PARAMS,
+    CGOoOCore,
     CoreStats,
     InOrderCore,
     OinOCore,
     OutOfOrderCore,
 )
-from repro.cores.functional_units import FUPool, SlotPool, fu_type_for
+from repro.cores.functional_units import (
+    DEFAULT_FU_COUNTS,
+    FU_TYPE_BY_OP,
+    FUPool,
+    fu_type_for,
+)
 from repro.isa import Instruction, OpClass
 from repro.memory import MemoryHierarchy
 from repro.schedule import Schedule, ScheduleCache, ScheduleRecorder
@@ -41,7 +48,74 @@ def serial_chain_stream():
         seq += 1
 
 
+class SlotPool:
+    """Reference model: one resource's per-cycle occupancy, the table
+    the cores kept per resource before FUPool packed them into one.
+
+    Cycle indices only grow over a run; entries far behind the
+    high-water mark are pruned in bulk to bound memory.
+    """
+
+    def __init__(self, capacity, prune_window=50_000):
+        if capacity < 1:
+            raise ValueError("capacity must be >= 1")
+        self.capacity = capacity
+        self._used = {}
+        self._horizon = 0
+        self._prune_at = prune_window
+
+    def earliest_free(self, cycle, span=1):
+        """First cycle >= *cycle* with *span* consecutive free slots."""
+        c = cycle
+        while True:
+            for offset in range(span):
+                if self._used.get(c + offset, 0) >= self.capacity:
+                    c = c + offset + 1
+                    break
+            else:
+                return c
+
+    def reserve(self, cycle, span=1):
+        """Consume one slot in each of cycles [cycle, cycle+span)."""
+        for c in range(cycle, cycle + span):
+            self._used[c] = self._used.get(c, 0) + 1
+        self._horizon = max(self._horizon, cycle)
+        if len(self._used) > self._prune_at:
+            floor = self._horizon - self._prune_at // 2
+            self._used = {c: n for c, n in self._used.items() if c >= floor}
+
+    def usage_at(self, cycle):
+        return self._used.get(cycle, 0)
+
+
+class ReferenceFUPool:
+    """Reference model: the two-SlotPool scan FUPool replaced, one pool
+    for the issue slots and one per unit type."""
+
+    def __init__(self, width, counts=None, prune_window=50_000):
+        counts = DEFAULT_FU_COUNTS if counts is None else counts
+        self.issue_slots = SlotPool(width, prune_window)
+        self.units = {fu: SlotPool(n, prune_window)
+                      for fu, n in counts.items()}
+
+    def issue_at(self, opclass, earliest, latency):
+        unit = self.units[fu_type_for(opclass)]
+        span = latency if opclass in (OpClass.IDIV, OpClass.FDIV) else 1
+        cycle = earliest
+        while True:
+            cycle = self.issue_slots.earliest_free(cycle)
+            unit_cycle = unit.earliest_free(cycle, span)
+            if unit_cycle == cycle:
+                self.issue_slots.reserve(cycle)
+                unit.reserve(cycle, span)
+                return cycle
+            cycle = unit_cycle
+
+
 class TestSlotPool:
+    """The reference model itself, so that agreeing with it means
+    something."""
+
     def test_capacity_per_cycle(self):
         pool = SlotPool(2)
         assert pool.earliest_free(0) == 0
@@ -102,6 +176,10 @@ class TestSlotPool:
         assert pool.earliest_free(498) == 499
 
 
+#: One unit of each type, so a single op fills its unit for a cycle.
+SINGLE_UNITS = {fu: 1 for fu in DEFAULT_FU_COUNTS}
+
+
 class TestFUPool:
     def test_width_bound(self):
         pool = FUPool(width=2)
@@ -123,7 +201,96 @@ class TestFUPool:
     def test_fu_type_mapping(self):
         assert fu_type_for(OpClass.LOAD) == fu_type_for(OpClass.STORE)
         assert fu_type_for(OpClass.IALU) != fu_type_for(OpClass.FALU)
+        assert [fu_type_for(op) for op in OpClass] == list(FU_TYPE_BY_OP)
 
+    def test_span_holds_the_unit_not_the_issue_slot(self):
+        pool = FUPool(width=1)
+        assert pool.issue_at(OpClass.IDIV, 3, 4) == 3   # unit busy 3..6
+        assert pool.issue_at(OpClass.IMUL, 3, 3) == 7
+        assert pool.issue_at(OpClass.IALU, 4, 1) == 4
+        assert pool.issue_at(OpClass.IDIV, 0, 3) == 0
+
+    def test_span_scan_restarts_past_mid_window_conflict(self):
+        pool = FUPool(width=3)
+        pool.issue_at(OpClass.IMUL, 2, 3)               # unit busy at 2
+        assert pool.issue_at(OpClass.IDIV, 0, 4) == 3
+
+    def test_span_scan_walks_repeated_conflicts(self):
+        pool = FUPool(width=3)
+        for busy in (1, 3, 5):
+            pool.issue_at(OpClass.IMUL, busy, 3)
+        assert pool.issue_at(OpClass.IDIV, 0, 2) == 6
+
+    def test_span_scan_skips_full_issue_cycles(self):
+        pool = FUPool(width=1)
+        pool.issue_at(OpClass.IALU, 0, 1)               # cycle 0 full
+        assert pool.issue_at(OpClass.FDIV, 0, 16) == 1
+        assert pool.issue_at(OpClass.FDIV, 0, 16) == 17
+
+    def test_overlapping_spans_accumulate(self):
+        pool = FUPool(width=3, counts={**DEFAULT_FU_COUNTS, "int_mul": 2})
+        assert pool.issue_at(OpClass.IDIV, 0, 3) == 0
+        assert pool.issue_at(OpClass.IDIV, 0, 3) == 0   # cycles 0..2 full
+        assert pool.issue_at(OpClass.IDIV, 0, 2) == 3
+        assert pool.issue_at(OpClass.IMUL, 2, 3) == 3   # one unit free
+        assert pool.issue_at(OpClass.IMUL, 3, 3) == 4
+
+    def test_span_survives_pruning(self):
+        # A long span written after the table was pruned must stay
+        # accurate for recent cycles.
+        pool = FUPool(width=1, counts=SINGLE_UNITS, prune_window=64)
+        for c in range(0, 120, 2):
+            assert pool.issue_at(OpClass.IALU, c, 1) == c
+        assert len(pool._used) <= 64                    # pruned
+        assert pool.issue_at(OpClass.IDIV, 200, 8) == 200  # busy 200..207
+        assert pool.issue_at(OpClass.IMUL, 200, 3) == 208
+        assert pool.issue_at(OpClass.IDIV, 199, 4) == 209
+
+    def test_pruning_keeps_recent(self):
+        pool = FUPool(width=1, prune_window=100)
+        for c in range(0, 500, 2):
+            assert pool.issue_at(OpClass.IALU, c, 1) == c
+        assert len(pool._used) <= 100
+        # Old cycles may be pruned, recent ones must remain accurate.
+        assert pool.issue_at(OpClass.BRANCH, 498, 1) == 499
+
+    @pytest.mark.parametrize("width, counts", [
+        (0, None), (256, None), (-1, None),
+        (3, {**DEFAULT_FU_COUNTS, "int_alu": 0}),
+        (3, {**DEFAULT_FU_COUNTS, "mem_port": 256}),
+    ])
+    def test_rejects_sizes_outside_one_to_255(self, width, counts):
+        with pytest.raises(ValueError):
+            FUPool(width, counts)
+
+    def test_accepts_255_of_everything(self):
+        pool = FUPool(255, {fu: 255 for fu in DEFAULT_FU_COUNTS})
+        cycles = [pool.issue_at(OpClass.LOAD, 0, 1) for _ in range(256)]
+        assert cycles == [0] * 255 + [1]
+
+    @given(
+        width=st.integers(1, 4),
+        prune_window=st.integers(2, 48),
+        requests=st.lists(
+            st.tuples(st.sampled_from(list(OpClass)),
+                      st.integers(-24, 6), st.integers(0, 20)),
+            min_size=1, max_size=150),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_two_pool_reference(self, width, prune_window,
+                                        requests):
+        # Same requests, same issue cycles.  Earliest cycles wander
+        # back and forth around the latest issue, but never further
+        # back than the prune window keeps (the pools' contract).
+        pool = FUPool(width, prune_window=prune_window)
+        ref = ReferenceFUPool(width, prune_window=prune_window)
+        latest = 0
+        for op, offset, latency in requests:
+            earliest = max(0, latest - prune_window // 2, latest + offset)
+            cycle = pool.issue_at(op, earliest, latency)
+            assert cycle == ref.issue_at(op, earliest, latency)
+            assert cycle >= earliest
+            latest = max(latest, cycle)
 
 class TestOutOfOrderCore:
     def test_independent_work_near_width(self):
@@ -195,6 +362,72 @@ class TestOutOfOrderCore:
         assert r.instructions == 1_000
         assert r.cycles > 0
         assert r.energy_events["fetch"] == 1_000
+
+
+class TestEnergyEventOrder:
+    """Energy events keep their keys in first-touch order, and
+    ``CoreEnergyModel.breakdown`` sums in that order, so the order is
+    part of every energy float.  Pinned on one seeded window that
+    reaches every key, divides and an OinO abort included."""
+
+    EXPECTED = {
+        "ooo": [
+            ("sc_write", 35), ("icache", 177), ("fetch", 2000),
+            ("decode", 2000), ("rename", 2000), ("rob", 2000),
+            ("scheduler", 2000), ("prf_read", 3472), ("prf_write", 1753),
+            ("lsq", 280), ("dcache", 280), ("l2", 66), ("bpred", 141),
+            ("int_alu", 424), ("branch", 141), ("fp_alu", 945),
+            ("int_mul", 175), ("mem_port", 280), ("fp_div", 35),
+        ],
+        "ino": [
+            ("icache", 177), ("fetch", 2000), ("decode", 2000),
+            ("rf_read", 3472), ("int_alu", 424), ("rf_write", 1753),
+            ("branch", 141), ("bpred", 141), ("fp_alu", 945),
+            ("int_mul", 175), ("dcache", 280), ("l2", 66),
+            ("mem_port", 280), ("fp_div", 35),
+        ],
+        "ldt": [
+            ("icache", 177), ("fetch", 2000), ("decode", 2000),
+            ("rf_read", 3472), ("int_alu", 424), ("rf_write", 1753),
+            ("branch", 141), ("bpred", 141), ("fp_alu", 945),
+            ("int_mul", 175), ("dcache", 280), ("l2", 66),
+            ("mem_port", 280), ("lsq", 40), ("fp_div", 35),
+        ],
+        "oino": [
+            ("sc_read", 1973), ("decode", 2000), ("oino_prf", 1938),
+            ("rf_read", 3472), ("int_alu", 424), ("rf_write", 1753),
+            ("branch", 141), ("fp_alu", 945), ("dcache", 280),
+            ("oino_lsq", 272), ("l2", 66), ("mem_port", 280),
+            ("int_mul", 175), ("fp_div", 35), ("icache", 7),
+            ("fetch", 62), ("bpred", 5),
+        ],
+        "cgooo": [
+            ("sc_read", 1917), ("bw_select", 119), ("icache", 177),
+            ("fetch", 2000), ("decode", 2000), ("bw_window", 2000),
+            ("rf_read", 3472), ("int_alu", 424), ("rf_write", 1753),
+            ("branch", 141), ("bpred", 141), ("fp_alu", 945),
+            ("int_mul", 175), ("dcache", 280), ("l2", 66),
+            ("mem_port", 280), ("fp_div", 35), ("sc_write", 3),
+        ],
+    }
+
+    def test_keys_values_and_order(self):
+        n = 2_000
+        window = list(islice(make_benchmark("calculix", seed=1).stream(), n))
+        sc = ScheduleCache(None)
+        cores = {   # in run order: the OinO replays the OoO's recording
+            "ooo": OutOfOrderCore(mem(0), recorder=ScheduleRecorder(sc)),
+            "ino": InOrderCore(mem(1)),
+            "ldt": InOrderCore(mem(1), params=LDT_PARAMS),
+            "oino": OinOCore(mem(2), sc),
+            "cgooo": CGOoOCore(mem(3), ScheduleCache(8 * 1024)),
+        }
+        results = {kind: core.run(iter(window), n)
+                   for kind, core in cores.items()}
+        assert results["oino"].stats.trace_aborts == 1
+        for kind, expected in self.EXPECTED.items():
+            assert list(results[kind].energy_events.items()) == expected, \
+                kind
 
 
 class TestInOrderCore:

@@ -1,5 +1,7 @@
 """Unit tests for the instruction model and program shapes."""
 
+import dataclasses
+
 import pytest
 
 from repro.isa import (
@@ -82,6 +84,21 @@ class TestInstruction:
     def test_fp_register_namespace(self):
         insn = make(OpClass.FALU, dst=FP_REG_BASE + 4)
         assert insn.dst >= FP_REG_BASE
+
+    def test_positional_construction_matches_keywords(self):
+        by_position = Instruction(7, 0x1010, OpClass.BRANCH, None, (3,),
+                                  None, True, True, 0x1000)
+        by_keyword = make(OpClass.BRANCH, seq=7, pc=0x1010, srcs=(3,),
+                          is_branch=True, taken=True, target=0x1000)
+        assert by_position == by_keyword
+        assert by_position.base_latency == by_keyword.base_latency
+
+    def test_replace_recomputes_derived_fields(self):
+        insn = dataclasses.replace(make(OpClass.IALU, dst=4),
+                                   opclass=OpClass.LOAD, mem_addr=0x2000)
+        assert insn.is_load and insn.is_mem and not insn.is_store
+        assert insn.base_latency == BASE_LATENCY[OpClass.LOAD]
+        assert (insn.dst, insn.mem_addr) == (4, 0x2000)
 
 
 class TestIterBlock:

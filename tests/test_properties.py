@@ -4,12 +4,17 @@ import itertools
 
 from hypothesis import given, settings, strategies as st
 
-from repro.cores.functional_units import SlotPool
+from repro.cores.functional_units import (
+    DEFAULT_FU_COUNTS,
+    FUPool,
+    fu_type_for,
+)
 from repro.memory import Cache, CacheConfig, SharedBus
 from repro.metrics import fairness_index, system_throughput
 from repro.schedule import Schedule, ScheduleCache, TraceBuilder
 from repro.workloads import make_benchmark
 from repro.isa import Instruction, OpClass
+from repro.isa.instructions import BASE_LATENCY
 
 addresses = st.integers(min_value=0, max_value=1 << 20)
 
@@ -49,18 +54,27 @@ class TestCacheProperties:
         assert cache.resident_lines == 0
 
 
-class TestSlotPoolProperties:
+class TestFUPoolProperties:
     @given(st.integers(1, 4),
-           st.lists(st.integers(0, 60), min_size=1, max_size=120))
-    def test_per_cycle_capacity_respected(self, capacity, requests):
-        pool = SlotPool(capacity)
-        usage = {}
-        for earliest in requests:
-            cycle = pool.earliest_free(earliest)
-            pool.reserve(cycle)
+           st.lists(st.tuples(st.sampled_from(list(OpClass)),
+                              st.integers(0, 60)),
+                    min_size=1, max_size=120))
+    def test_per_cycle_capacity_respected(self, width, requests):
+        pool = FUPool(width)
+        issues = {}
+        units = {}
+        for op, earliest in requests:
+            latency = BASE_LATENCY[op]
+            cycle = pool.issue_at(op, earliest, latency)
             assert cycle >= earliest
-            usage[cycle] = usage.get(cycle, 0) + 1
-        assert all(n <= capacity for n in usage.values())
+            issues[cycle] = issues.get(cycle, 0) + 1
+            held = latency if op in (OpClass.IDIV, OpClass.FDIV) else 1
+            for c in range(cycle, cycle + held):
+                key = (fu_type_for(op), c)
+                units[key] = units.get(key, 0) + 1
+        assert all(n <= width for n in issues.values())
+        assert all(n <= DEFAULT_FU_COUNTS[fu]
+                   for (fu, _), n in units.items())
 
 
 class TestBusProperties:
