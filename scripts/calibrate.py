@@ -9,10 +9,9 @@ Used while tuning the structural generator parameters.
 
 import sys
 import time
+from itertools import islice
 
-from repro.cores import InOrderCore, OinOCore, OutOfOrderCore
-from repro.memory import MemoryHierarchy
-from repro.schedule import ScheduleCache, ScheduleRecorder
+from repro.characterize import run_core_trio
 from repro.workloads import ALL_BENCHMARKS, get_profile, make_benchmark
 
 N = 50_000
@@ -20,25 +19,18 @@ N = 50_000
 
 def evaluate(name: str) -> dict:
     prof = get_profile(name)
-    bench = make_benchmark(name, seed=1)
-    sc = ScheduleCache(None)  # oracle: infinite SC
-    rec = ScheduleRecorder(sc)
-    r_ooo = OutOfOrderCore(
-        MemoryHierarchy().core_view(0), recorder=rec
-    ).run(bench.stream(), N)
-    r_ino = InOrderCore(MemoryHierarchy().core_view(1)).run(bench.stream(), N)
-    r_oino = OinOCore(MemoryHierarchy().core_view(2), sc).run(bench.stream(), N)
+    trio = run_core_trio(islice(make_benchmark(name, seed=1).stream(), N))
     return {
         "name": name,
         "cat": prof.category,
-        "ipc_ooo": r_ooo.ipc,
+        "ipc_ooo": trio.ooo.ipc,
         "t_ipc": prof.target_ipc_ooo,
-        "ratio": r_ino.ipc / r_ooo.ipc,
+        "ratio": trio.ino.ipc / trio.ooo.ipc,
         "t_ratio": prof.target_ipc_ratio,
-        "memo": r_oino.stats.memoized_fraction,
+        "memo": trio.oino.stats.memoized_fraction,
         "t_memo": prof.target_memoizable,
-        "oino_rel": r_oino.ipc / r_ooo.ipc,
-        "aborts": r_oino.stats.trace_aborts,
+        "oino_rel": trio.oino.ipc / trio.ooo.ipc,
+        "aborts": trio.oino.stats.trace_aborts,
     }
 
 

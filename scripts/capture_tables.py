@@ -27,9 +27,10 @@ serial execution by ``tests/test_equivalence.py`` instead.
 ``--roster`` runs the cycle-level cores directly, outside any
 experiment, and writes ``core-roster.txt``: per run, a label, the
 ``repr`` of its ``CoreStats`` and its energy events as a list of
-items (key order included).  The tables above only show what the
-experiments round and aggregate; CI diffs the roster base vs PR next
-to them::
+items (key order included); then the ``repr`` of a few benchmarks'
+``measure_model`` profiles, the cycle tier's measured-profile path.
+The tables above only show what the experiments round and aggregate;
+CI diffs the roster base vs PR next to them::
 
     python scripts/capture_tables.py --roster --src src --out /tmp/pr
 """
@@ -203,14 +204,35 @@ def roster_runs(src: Path):
                 yield f"{name} {n} {core} width=2 mshrs=2", result
 
 
+#: Benchmarks whose ``measure_model`` profile the roster writes, and
+#: the instructions each phase runs there.
+ROSTER_MODELS = ("hmmer", "gcc", "bzip2", "mcf")
+ROSTER_MODEL_PHASE = 4_000
+
+
+def roster_models(src: Path):
+    """Yield ``(label, AppModel)`` for every :data:`ROSTER_MODELS`
+    benchmark's measured profile.  Imports the ``repro`` under *src*."""
+    sys.path.insert(0, str(src))
+    from repro.characterize import measure_model
+
+    for name in ROSTER_MODELS:
+        yield (f"{name} measure_model {ROSTER_MODEL_PHASE}",
+               measure_model(name,
+                             instructions_per_phase=ROSTER_MODEL_PHASE))
+
+
 def capture_roster(src: Path, out: Path) -> int:
-    """Write ``core-roster.txt``; returns the number of runs."""
+    """Write ``core-roster.txt``; returns the number of core runs."""
     lines = []
     for label, result in roster_runs(src):
         lines += [f"== {label}", repr(result.stats),
                   repr(list(result.energy_events.items()))]
+    runs = len(lines) // 3
+    for label, model in roster_models(src):
+        lines += [f"== {label}", repr(model)]
     (out / "core-roster.txt").write_text("\n".join(lines) + "\n")
-    return len(lines) // 3
+    return runs
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -233,7 +255,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--roster", action="store_true",
         help="run the cycle-level core roster and write every run's "
-             "stats and energy events to core-roster.txt")
+             "stats and energy events, and a few measured phase "
+             "profiles, to core-roster.txt")
     args = parser.parse_args(argv)
 
     src = Path(args.src).resolve()
@@ -244,7 +267,8 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     if args.roster:
         runs = capture_roster(src, out)
-        print(f"[roster] {runs} core runs -> {out / 'core-roster.txt'}")
+        print(f"[roster] {runs} core runs and {len(ROSTER_MODELS)} "
+              f"measured profiles -> {out / 'core-roster.txt'}")
         return 0
     for experiment in args.experiments:
         captured = capture(experiment, src)

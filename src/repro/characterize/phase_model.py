@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import random
 import zlib
+from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import islice
+from typing import NamedTuple
 
-from repro.cores import InOrderCore, OinOCore, OutOfOrderCore
+from repro.cores import CoreResult, InOrderCore, OinOCore, OutOfOrderCore
+from repro.isa import Instruction
 from repro.memory import MemoryHierarchy
 from repro.schedule import ScheduleCache, ScheduleRecorder
 from repro.workloads.generator import SyntheticBenchmark
@@ -140,6 +144,49 @@ def analytic_model(
     )
 
 
+def run_core_pair(
+        window: Iterable[Instruction]) -> tuple[CoreResult, CoreResult]:
+    """(OoO, InO) results for one instruction window on the detailed
+    cores, each on a fresh hierarchy (views 0 and 1).
+
+    The InO:OoO IPC ratio of this pair is Table 1's classification
+    and Figure 1's performance.
+    """
+    # The stream is deterministic: build the window once for both cores.
+    window = list(window)
+    n = len(window)
+    return (
+        OutOfOrderCore(MemoryHierarchy().core_view(0)).run(iter(window), n),
+        InOrderCore(MemoryHierarchy().core_view(1)).run(iter(window), n),
+    )
+
+
+class CoreTrio(NamedTuple):
+    """The oracle trio on one window (see :func:`run_core_trio`)."""
+
+    ooo: CoreResult
+    ino: CoreResult
+    oino: CoreResult
+    sc: ScheduleCache        #: what the OoO recorded, the OinO replayed
+
+
+def run_core_trio(window: Iterable[Instruction]) -> CoreTrio:
+    """The paper's oracle condition on one instruction window.
+
+    The OoO runs first, recording into an infinite Schedule Cache,
+    then the InO, then the OinO replaying that cache; each core runs
+    on a fresh hierarchy (views 0, 1 and 2).
+    """
+    window = list(window)
+    n = len(window)
+    sc = ScheduleCache(None)
+    ooo = OutOfOrderCore(MemoryHierarchy().core_view(0),
+                         recorder=ScheduleRecorder(sc)).run(iter(window), n)
+    ino = InOrderCore(MemoryHierarchy().core_view(1)).run(iter(window), n)
+    oino = OinOCore(MemoryHierarchy().core_view(2), sc).run(iter(window), n)
+    return CoreTrio(ooo, ino, oino, sc)
+
+
 def measure_model(
     name: str,
     *,
@@ -149,44 +196,29 @@ def measure_model(
     """Derive an AppModel by running the detailed cores phase by phase.
 
     Slower but grounded in the cycle-level tier: the synthetic
-    benchmark is executed on the OoO (with an infinite-SC oracle
-    recorder), the InO and the OinO for each phase, and the measured
-    IPCs/memoized fractions become the phase profile.
+    benchmark's first ``instructions_per_phase`` instructions of each
+    phase run on the oracle trio (:func:`run_core_trio`), and the
+    measured IPCs/memoized fractions become the phase profile.
     """
     prof = get_profile(name)
     bench = SyntheticBenchmark(prof, seed=seed)
     budgets = bench.phase_budgets
     total = sum(budgets)
     phases = []
-    stream_pos = 0
     stream = bench.stream()
     for i, budget in enumerate(budgets):
         run_len = min(budget, instructions_per_phase)
         # Fresh hardware per phase: phase boundaries cool everything.
-        window = []
-        for _ in range(run_len):
-            window.append(next(stream))
+        trio = run_core_trio(islice(stream, run_len))
         for _ in range(budget - run_len):   # skip the phase remainder
             next(stream)
-        stream_pos += budget
-
-        sc = ScheduleCache(None)
-        rec = ScheduleRecorder(sc)
-        r_ooo = OutOfOrderCore(
-            MemoryHierarchy().core_view(0), recorder=rec
-        ).run(iter(window), run_len)
-        r_ino = InOrderCore(MemoryHierarchy().core_view(1)).run(
-            iter(window), run_len)
-        r_oino = OinOCore(MemoryHierarchy().core_view(2), sc).run(
-            iter(window), run_len)
-
-        trace_bytes = sum(s.storage_bytes for s in sc.contents())
+        trace_bytes = sum(s.storage_bytes for s in trio.sc.contents())
         phases.append(PhaseProfile(
             phase_id=i,
             weight=budget / total,
-            ipc_ooo=r_ooo.ipc,
-            ipc_ino=min(r_ino.ipc, r_ooo.ipc * 0.99),
-            memoizable=r_oino.stats.memoized_fraction,
+            ipc_ooo=trio.ooo.ipc,
+            ipc_ino=min(trio.ino.ipc, trio.ooo.ipc * 0.99),
+            memoizable=trio.oino.stats.memoized_fraction,
             volatility=prof.schedule_volatility,
             trace_kb=max(0.25, trace_bytes / 1024.0),
         ))

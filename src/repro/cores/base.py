@@ -16,9 +16,6 @@ class EnergyEvents(Counter):
     ``Counter`` one) and wrap it once per run.
     """
 
-    def bump(self, structure: str, count: int = 1) -> None:
-        self[structure] += count
-
 
 @dataclass(slots=True)
 class CoreStats:

@@ -11,15 +11,19 @@ Paper shape: InO keeps ~60 % performance overall (less for HPD), at
 
 from __future__ import annotations
 
+from itertools import islice
+
+from repro.characterize import run_core_pair
 from repro.energy import CoreEnergyModel, core_area
-from repro.experiments.common import format_table, mean, run_core_pair
+from repro.experiments.common import format_table, mean
 from repro.runner import SweepRunner, WorkUnit, call_unit, run_units
-from repro.workloads import ALL_BENCHMARKS, get_profile
+from repro.workloads import ALL_BENCHMARKS, get_profile, make_benchmark
 
 
 def measure(name: str, *, instructions: int = 30_000,
             seed: int = 1) -> dict:
-    r_ooo, r_ino = run_core_pair(name, instructions=instructions, seed=seed)
+    r_ooo, r_ino = run_core_pair(
+        islice(make_benchmark(name, seed=seed).stream(), instructions))
     em = CoreEnergyModel()
     e_ooo = em.breakdown("ooo", r_ooo.energy_events, r_ooo.cycles)
     e_ino = em.breakdown("ino", r_ino.energy_events, r_ino.cycles)

@@ -15,35 +15,24 @@ from __future__ import annotations
 
 from itertools import islice
 
-from repro.cores import InOrderCore, OinOCore, OutOfOrderCore
+from repro.characterize import run_core_trio
 from repro.experiments.common import format_table, mean
-from repro.memory import MemoryHierarchy
 from repro.runner import SweepRunner, call_unit, run_units
-from repro.schedule import ScheduleCache, ScheduleRecorder
 from repro.workloads import ALL_BENCHMARKS, get_profile, make_benchmark
 
 
 def measure(name: str, *, instructions: int = 40_000, seed: int = 1) -> dict:
-    # The stream is deterministic: generate it once for all three cores.
-    window = list(islice(make_benchmark(name, seed=seed).stream(),
-                         instructions))
-    sc = ScheduleCache(None)  # infinite: the oracle condition
-    recorder = ScheduleRecorder(sc)
-    r_ooo = OutOfOrderCore(
-        MemoryHierarchy().core_view(0), recorder=recorder
-    ).run(iter(window), instructions)
-    r_ino = InOrderCore(MemoryHierarchy().core_view(1)).run(
-        iter(window), instructions)
-    r_oino = OinOCore(MemoryHierarchy().core_view(2), sc).run(
-        iter(window), instructions)
+    trio = run_core_trio(
+        islice(make_benchmark(name, seed=seed).stream(), instructions))
+    ooo_ipc = max(1e-9, trio.ooo.ipc)
     return {
         "benchmark": name,
         "category": get_profile(name).category,
-        "memoized_fraction": r_oino.stats.memoized_fraction,
-        "perf_plain_ino": r_ino.ipc / max(1e-9, r_ooo.ipc),
-        "perf_with_memoization": r_oino.ipc / max(1e-9, r_ooo.ipc),
-        "trace_aborts": r_oino.stats.trace_aborts,
-        "traces": r_oino.stats.traces,
+        "memoized_fraction": trio.oino.stats.memoized_fraction,
+        "perf_plain_ino": trio.ino.ipc / ooo_ipc,
+        "perf_with_memoization": trio.oino.ipc / ooo_ipc,
+        "trace_aborts": trio.oino.stats.trace_aborts,
+        "traces": trio.oino.stats.traces,
     }
 
 

@@ -18,12 +18,10 @@ from __future__ import annotations
 
 from itertools import islice
 
-from repro.cores import InOrderCore, OinOCore, OutOfOrderCore
+from repro.characterize import run_core_trio
 from repro.energy import CoreEnergyModel
 from repro.experiments.common import format_table, mean
-from repro.memory import MemoryHierarchy
 from repro.runner import SweepRunner, call_unit, cmp_unit
-from repro.schedule import ScheduleCache, ScheduleRecorder
 from repro.workloads import make_benchmark, standard_mixes
 
 #: Representative benchmarks for the power breakdown.
@@ -38,20 +36,9 @@ def power_breakdown(*, instructions: int = 30_000, seed: int = 1) -> dict:
     totals = {"ooo": {}, "ino": {}, "oino": {}}
     power = {"ooo": 0.0, "ino": 0.0, "oino": 0.0}
     for name in BREAKDOWN_BENCHMARKS:
-        # The stream is deterministic: generate it once for all cores.
-        window = list(islice(make_benchmark(name, seed=seed).stream(),
-                             instructions))
-        sc = ScheduleCache(None)
-        rec = ScheduleRecorder(sc)
-        runs = {
-            "ooo": OutOfOrderCore(
-                MemoryHierarchy().core_view(0), recorder=rec
-            ).run(iter(window), instructions),
-            "ino": InOrderCore(MemoryHierarchy().core_view(1)).run(
-                iter(window), instructions),
-            "oino": OinOCore(MemoryHierarchy().core_view(2), sc).run(
-                iter(window), instructions),
-        }
+        trio = run_core_trio(
+            islice(make_benchmark(name, seed=seed).stream(), instructions))
+        runs = {"ooo": trio.ooo, "ino": trio.ino, "oino": trio.oino}
         for kind, result in runs.items():
             bd = em.breakdown(kind, result.energy_events, result.cycles)
             for structure, pj in bd.dynamic_pj.items():

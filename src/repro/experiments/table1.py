@@ -10,10 +10,13 @@ the paper's category labels.
 
 from __future__ import annotations
 
+from itertools import islice
+
+from repro.characterize import run_core_pair
 from repro.experiments import fig1_core_characteristics as fig1
-from repro.experiments.common import format_table, run_core_pair
+from repro.experiments.common import format_table
 from repro.runner import SweepRunner, run_units
-from repro.workloads import ALL_BENCHMARKS, get_profile
+from repro.workloads import ALL_BENCHMARKS, get_profile, make_benchmark
 
 PAPER_BOUNDARY = 0.60
 
@@ -26,7 +29,8 @@ def measure_ratio(name: str, *, instructions: int = 30_000,
     without the energy breakdown; :func:`run` reads that value from
     Figure 1's units instead.
     """
-    r_ooo, r_ino = run_core_pair(name, instructions=instructions, seed=seed)
+    r_ooo, r_ino = run_core_pair(
+        islice(make_benchmark(name, seed=seed).stream(), instructions))
     return r_ino.ipc / max(1e-9, r_ooo.ipc)
 
 

@@ -45,16 +45,6 @@ class BranchPredictor(ABC):
             self.mispredicts += 1
         return wrong
 
-    @property
-    def misprediction_rate(self) -> float:
-        if self.lookups == 0:
-            return 0.0
-        return self.mispredicts / self.lookups
-
-    def reset_stats(self) -> None:
-        self.lookups = 0
-        self.mispredicts = 0
-
 
 class BimodalPredictor(BranchPredictor):
     """Per-PC 2-bit saturating counter table."""

@@ -17,7 +17,6 @@ from repro.isa.instructions import (
     is_fp_class,
     is_mem_class,
 )
-from repro.isa.program import BasicBlock, InstructionStream, iter_block
 
 __all__ = [
     "NUM_ARCH_REGS",
@@ -26,7 +25,4 @@ __all__ = [
     "OpClass",
     "is_fp_class",
     "is_mem_class",
-    "BasicBlock",
-    "InstructionStream",
-    "iter_block",
 ]

@@ -1,8 +1,7 @@
-"""Shared coherent bus model.
+"""Shared bus model.
 
-All L1<->L2 traffic, coherence messages and migration transfers (SC and
-register state) serialize over one 32 B-wide bus (paper Table 2,
-section 3.3.3).  The model tracks occupancy in bus cycles so that
+All L1<->L2 traffic and migration transfers (SC and register state)
+serialize over one 32 B-wide bus (paper Table 2, section 3.3.3).  The model tracks occupancy in bus cycles so that
 concurrent transfers queue behind each other; migration cost
 experiments (Figure 15) read contention delay from here.
 """

@@ -1,7 +1,7 @@
 """Per-core memory hierarchy: L1 I/D + shared L2 + main memory.
 
-``MemoryHierarchy`` owns the shared pieces (L2, stride prefetcher, bus,
-directory); ``CoreMemory`` is the per-core view (L1I, L1D) that the core
+``MemoryHierarchy`` owns the shared pieces (L2, stride prefetcher,
+bus); ``CoreMemory`` is the per-core view (L1I, L1D) that the core
 models call into.  Access latency is returned in cycles and already
 includes the levels traversed (paper Table 2: L1 2 cycles, L2 15,
 memory 120).
@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 from repro.memory.bus import SharedBus
 from repro.memory.cache import Cache, CacheConfig
-from repro.memory.coherence import CoherenceDirectory
 from repro.memory.prefetcher import StridePrefetcher
 from repro.memory.tlb import TLB
 
@@ -47,7 +46,7 @@ MEM_LATENCY = 120
 
 
 class MemoryHierarchy:
-    """Shared L2 + prefetcher + bus + coherence directory."""
+    """Shared L2 + prefetcher + bus."""
 
     def __init__(
         self,
@@ -68,13 +67,12 @@ class MemoryHierarchy:
         self.line_bytes = line_bytes
         self.prefetcher = prefetcher or StridePrefetcher()
         self.bus = bus or SharedBus()
-        self.directory = CoherenceDirectory(line_bytes)
         self._cores: dict[int, CoreMemory] = {}
 
     def core_view(self, core_id: int, **l1_kwargs) -> "CoreMemory":
         """Create (or return) the private-L1 view for *core_id*."""
         if core_id not in self._cores:
-            self._cores[core_id] = CoreMemory(core_id, self, **l1_kwargs)
+            self._cores[core_id] = CoreMemory(self, **l1_kwargs)
         return self._cores[core_id]
 
     #: Ceiling on per-request bus queueing: issue timestamps from the
@@ -82,8 +80,7 @@ class MemoryHierarchy:
     #: serialization would amplify timestamp noise into phantom queues.
     MAX_BUS_CONTENTION = 8
 
-    def l2_access(self, core_id: int, pc: int, addr: int, *,
-                  write: bool, now: int = 0,
+    def l2_access(self, pc: int, addr: int, *, write: bool, now: int = 0,
                   timed: bool = True) -> tuple[int, bool]:
         """Access the shared L2; return (added latency, l2_hit).
 
@@ -95,10 +92,6 @@ class MemoryHierarchy:
         as bandwidth only.
         """
         hit = self.l2.access(addr, write=write)
-        if write:
-            self.directory.on_write(core_id, addr)
-        else:
-            self.directory.on_read(core_id, addr)
         for pf_addr in self.prefetcher.observe(pc, addr):
             self.l2.fill(pf_addr)
         contention = 0
@@ -117,7 +110,6 @@ class CoreMemory:
 
     def __init__(
         self,
-        core_id: int,
         shared: MemoryHierarchy,
         *,
         l1i_size: int = 32 * 1024,
@@ -129,7 +121,6 @@ class CoreMemory:
         tlb_walk_latency: int = 20,
     ):
         line = shared.line_bytes
-        self.core_id = core_id
         self.shared = shared
         self.l1i = Cache(
             CacheConfig(l1i_size, l1_assoc, line, l1_latency), name="L1I"
@@ -152,26 +143,23 @@ class CoreMemory:
         if self.l1i.access(pc):
             return self._l1_hits[walk]
         added, l2_hit = self.shared.l2_access(
-            self.core_id, pc, pc, write=False, now=now, timed=False
-        )
+            pc, pc, write=False, now=now, timed=False)
         return AccessResult(self.l1_latency + walk + added, False, l2_hit)
 
     def load(self, pc: int, addr: int, *, now: int = 0) -> AccessResult:
         walk = self.dtlb.access(addr)
         if self.l1d.access(addr):
             return self._l1_hits[walk]
-        added, l2_hit = self.shared.l2_access(
-            self.core_id, pc, addr, write=False, now=now
-        )
+        added, l2_hit = self.shared.l2_access(pc, addr, write=False,
+                                              now=now)
         return AccessResult(self.l1_latency + walk + added, False, l2_hit)
 
     def store(self, pc: int, addr: int, *, now: int = 0) -> AccessResult:
         walk = self.dtlb.access(addr)
         if self.l1d.access(addr, write=True):
             return self._l1_hits[walk]
-        added, l2_hit = self.shared.l2_access(
-            self.core_id, pc, addr, write=True, now=now
-        )
+        added, l2_hit = self.shared.l2_access(pc, addr, write=True,
+                                              now=now)
         return AccessResult(self.l1_latency + walk + added, False, l2_hit)
 
     def flush_for_migration(self) -> tuple[int, int]:
@@ -185,5 +173,4 @@ class CoreMemory:
         self.l1i.flush()
         self.itlb.flush()
         self.dtlb.flush()
-        self.shared.directory.flush_core(self.core_id)
         return dirty, resident

@@ -8,10 +8,11 @@ path, the last schedule signature and how many consecutive executions
 produced it.  Once the streak reaches ``confidence_threshold`` the
 schedule is considered stable and written into the Schedule Cache.
 
-The recorder is also where misspeculation bias lives: traces whose
-replays abort too often are marked unmemoizable so the SC evicts them
-first and stops re-recording them (paper keeps the abort penalty to
-~0.3 % of execution time this way).
+The recorder keeps no abort bookkeeping: the OinO owns blacklisting.
+It marks a trace whose replays abort too often unmemoizable in the
+Schedule Cache (:meth:`~repro.schedule.ScheduleCache.mark_unmemoizable`),
+which stops replaying it and evicts it first (paper keeps the abort
+penalty to ~0.3 % of execution time this way).
 """
 
 from __future__ import annotations
@@ -31,9 +32,6 @@ MAX_TRACE_LEN = 256
 class _TableEntry:
     signature: int
     streak: int = 1
-    executions: int = 1
-    aborts: int = 0
-    blacklisted: bool = False
     last_use: int = 0
 
 
@@ -70,16 +68,13 @@ class ScheduleRecorder:
         sc: ScheduleCache,
         *,
         confidence_threshold: int = 2,
-        abort_blacklist_ratio: float = 0.25,
         table_size: int = 256,
     ):
         self.sc = sc
         self.confidence_threshold = confidence_threshold
-        self.abort_blacklist_ratio = abort_blacklist_ratio
         self.tables = RecorderTables(size=table_size)
         self.memoized_writes = 0
         self.instructions_seen = 0
-        self.instructions_memoized = 0
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -121,9 +116,6 @@ class ScheduleRecorder:
         if entry is None:
             self.tables.put(key, signature)
             return
-        entry.executions += 1
-        if entry.blacklisted:
-            return
         if entry.signature == signature:
             entry.streak += 1
         else:
@@ -138,25 +130,3 @@ class ScheduleRecorder:
             )
             if self.sc.insert(schedule):
                 self.memoized_writes += 1
-                self.instructions_memoized += len(trace)
-
-    def report_abort(self, trace_key: tuple[int, int]) -> None:
-        """A replay of this trace misspeculated and was squashed."""
-        entry = self.tables.get(trace_key)
-        if entry is None:
-            return
-        entry.aborts += 1
-        if (
-            entry.executions >= 4
-            and entry.aborts / entry.executions > self.abort_blacklist_ratio
-        ):
-            entry.blacklisted = True
-            self.sc.mark_unmemoizable(trace_key[0])
-
-    # ------------------------------------------------------------------
-    @property
-    def memoization_rate(self) -> float:
-        """Fraction of observed instructions that got memoized."""
-        if self.instructions_seen == 0:
-            return 0.0
-        return self.instructions_memoized / self.instructions_seen

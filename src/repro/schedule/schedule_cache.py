@@ -214,13 +214,6 @@ class ScheduleCache:
                 else:
                     del self._launchable[start_pc]
 
-    def invalidate_all(self) -> None:
-        """Drop all contents (e.g. SC handed to a different program)."""
-        self._entries.clear()
-        self._by_pc.clear()
-        self._launchable.clear()
-        self._bytes = 0
-
     # ------------------------------------------------------------------
     @property
     def used_bytes(self) -> int:
@@ -233,10 +226,3 @@ class ScheduleCache:
     def contents(self) -> list[Schedule]:
         """Snapshot of stored schedules (for migration transfer)."""
         return [e.schedule for e in self._entries.values()]
-
-    def load_contents(self, schedules: list[Schedule]) -> None:
-        """Bulk-install schedules (migration: SC contents transfer)."""
-        for schedule in schedules:
-            self.insert(schedule)
-        # Bulk install is a transfer, not demand writes.
-        self.stats.writes -= len(schedules)

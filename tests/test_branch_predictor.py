@@ -49,12 +49,6 @@ class TestBimodal:
         assert pred.predict(0x1000) is True
         assert pred.predict(0x1004) is False
 
-    def test_reset_stats(self):
-        pred = BimodalPredictor(64)
-        pred.access(0x1000, True)
-        pred.reset_stats()
-        assert pred.lookups == 0 and pred.mispredicts == 0
-
 
 class TestGShare:
     def test_learns_global_pattern(self):
@@ -79,12 +73,6 @@ class TestGShare:
                 wrong_late += wrong
             outcome = not outcome
         assert wrong_late >= 40  # ~50 % of 100
-
-    def test_misprediction_rate_property(self):
-        pred = GSharePredictor(64)
-        assert pred.misprediction_rate == 0.0
-        pred.access(0x1000, True)
-        assert 0.0 <= pred.misprediction_rate <= 1.0
 
 
 class TestTournament:

@@ -572,7 +572,7 @@ class TestOinOCore:
         OutOfOrderCore(mem(0), recorder=rec).run(bench.stream(), 20_000)
         # Corrupt every stored path so lookups become wrong-path.
         schedules = sc.contents()
-        sc.invalidate_all()
+        sc = ScheduleCache(None)
         for s in schedules:
             sc.insert(Schedule(start_pc=s.start_pc,
                                path_hash=s.path_hash ^ 0xDEAD,
@@ -589,7 +589,7 @@ class TestOinOCore:
         rec = ScheduleRecorder(sc)
         OutOfOrderCore(mem(0), recorder=rec).run(bench.stream(), 20_000)
         schedules = sc.contents()
-        sc.invalidate_all()
+        sc = ScheduleCache(None)
         for s in schedules:
             sc.insert(Schedule(start_pc=s.start_pc,
                                path_hash=s.path_hash ^ 0xDEAD,

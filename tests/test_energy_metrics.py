@@ -17,9 +17,7 @@ from repro.metrics import (
 class TestEnergyModel:
     def test_breakdown_sums(self):
         em = CoreEnergyModel()
-        events = EnergyEvents()
-        events.bump("fetch", 100)
-        events.bump("int_alu", 50)
+        events = EnergyEvents({"fetch": 100, "int_alu": 50})
         bd = em.breakdown("ino", events, cycles=100)
         assert bd.dynamic_total_pj == pytest.approx(
             100 * em.dynamic_pj["fetch"] + 50 * em.dynamic_pj["int_alu"])
@@ -28,8 +26,7 @@ class TestEnergyModel:
 
     def test_unknown_structure_raises(self):
         em = CoreEnergyModel()
-        events = EnergyEvents()
-        events.bump("mystery", 1)
+        events = EnergyEvents({"mystery": 1})
         with pytest.raises(KeyError):
             em.breakdown("ino", events, 10)
 
@@ -48,10 +45,8 @@ class TestEnergyModel:
 
     def test_merged_breakdowns(self):
         em = CoreEnergyModel()
-        e1, e2 = EnergyEvents(), EnergyEvents()
-        e1.bump("fetch", 10)
-        e2.bump("fetch", 5)
-        e2.bump("decode", 5)
+        e1 = EnergyEvents({"fetch": 10})
+        e2 = EnergyEvents({"fetch": 5, "decode": 5})
         merged = em.breakdown("ino", e1, 10).merged(
             em.breakdown("ino", e2, 10))
         assert merged.dynamic_pj["fetch"] == pytest.approx(

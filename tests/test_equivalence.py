@@ -10,15 +10,14 @@ the reference surfaces they accelerate: the per-application
 ``pick`` over the materialized view list — whole runs against a
 reference side that bypasses every fast path, and single picks over
 random counter states with forced ties and threshold values.  The
-detailed-core measurements (``table1``, ``fig1``, ``fig2``) generate
-one instruction window and hand it to every core; they must match
-giving each core its own freshly generated stream.  The memory
-hierarchy keeps cache lines and directory entries as int words in
-structures built on first touch, and a benchmark builds each phase
-when a stream first reaches it; each must behave, call by call, like
-a reference that keeps one object per cache line, one holder set per
-directory entry, or builds every phase up front.  The caches and
-directories are compared on what they report (return values, stats,
+detailed-core measurements (``table1``, ``fig1``, ``fig2`` and the
+oracle trio they share) generate one instruction window and hand it
+to every core; they must match giving each core its own freshly
+generated stream.  The caches keep lines as int words in sets built
+on first touch, and a benchmark builds each phase when a stream first
+reaches it; each must behave, call by call, like a reference that
+keeps one object per cache line, or builds every phase up front.  The
+caches are compared on what they report (return values, stats,
 residency of every line in the address pool), over random 400-call
 sequences.  The warm worker pool must be a pure transport: random
 work-unit batches (interval-tier runs, cycle-tier measurements, plain
@@ -39,7 +38,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.arbiter import Arbitrator, SCMPKIArbitrator
 from repro.arbiter.software import SoftwareArbitrator
-from repro.characterize import analytic_model
+from repro.characterize import analytic_model, run_core_trio
 from repro.cluster.dynamic import run_scenario
 from repro.cluster.scheduler import POLICIES as PLACEMENTS
 from repro.cmp import ClusterConfig
@@ -51,14 +50,7 @@ from repro.engine.views import AppViewBatch, interval_tier_views
 from repro.experiments import fig1_core_characteristics as fig1
 from repro.experiments import fig2_memoization as fig2
 from repro.experiments import table1
-from repro.memory import (
-    Cache,
-    CacheConfig,
-    CacheStats,
-    CoherenceDirectory,
-    CoherenceState,
-    MemoryHierarchy,
-)
+from repro.memory import Cache, CacheConfig, CacheStats, MemoryHierarchy
 from repro.runner import WarmPool
 from repro.runner.units import ARBITRATORS, call_unit, cmp_unit, execute_unit
 from repro.schedule import ScheduleCache, ScheduleRecorder
@@ -226,8 +218,9 @@ def reference_fig1(name, *, instructions, seed):
     }
 
 
-def reference_fig2(name, *, instructions, seed):
-    """``fig2.measure`` with each core's own stream."""
+def reference_trio(name, *, instructions, seed):
+    """``run_core_trio`` with each core's own stream: ``(OoO, InO,
+    OinO, Schedule Cache)``."""
     bench = make_benchmark(name, seed=seed)
     sc = ScheduleCache(None)
     recorder = ScheduleRecorder(sc)
@@ -238,6 +231,13 @@ def reference_fig2(name, *, instructions, seed):
         bench.stream(), instructions)
     r_oino = OinOCore(MemoryHierarchy().core_view(2), sc).run(
         bench.stream(), instructions)
+    return r_ooo, r_ino, r_oino, sc
+
+
+def reference_fig2(name, *, instructions, seed):
+    """``fig2.measure`` with each core's own stream."""
+    r_ooo, r_ino, r_oino, _sc = reference_trio(
+        name, instructions=instructions, seed=seed)
     return {
         "benchmark": name,
         "category": get_profile(name).category,
@@ -267,6 +267,22 @@ def test_shared_window_matches_fresh_streams(name, seed, instructions):
     # Table 1 reads its ratios from Figure 1's units; the call target
     # it used to map must keep measuring the same number.
     assert ratio == fig1_row["performance"]
+    # The trio itself, field by field: every core's stats, its energy
+    # events in key order (the order is part of every energy float),
+    # and what the OoO recorded for the OinO to replay.
+    trio = run_core_trio(
+        islice(make_benchmark(name, seed=seed).stream(), instructions))
+    *fresh, fresh_sc = reference_trio(name, **kwargs)
+    for shared, own in zip(trio[:3], fresh, strict=True):
+        assert repr(shared.stats) == repr(own.stats)
+        assert (list(shared.energy_events.items())
+                == list(own.energy_events.items()))
+
+    def schedules(sc):
+        return sorted(sc.contents(),
+                      key=lambda s: (s.start_pc, s.path_hash))
+
+    assert schedules(trio.sc) == schedules(fresh_sc)
 
 
 # -- memory and program state: compact against object-per-item ---------
@@ -349,80 +365,6 @@ class ReferenceCache:
         return self.config.num_sets * self.config.assoc
 
 
-@dataclasses.dataclass(slots=True)
-class _RefEntry:
-    holders: set
-    state: CoherenceState
-
-
-class ReferenceDirectory:
-    """Reference directory: one ``_RefEntry`` and holder ``set`` per
-    tracked line."""
-
-    def __init__(self, line_bytes=64):
-        self.line_bytes = line_bytes
-        self._entries = {}
-        self.invalidations = 0
-        self.interventions = 0
-
-    def on_read(self, core_id, addr):
-        line = addr // self.line_bytes
-        entry = self._entries.get(line)
-        if entry is None:
-            self._entries[line] = _RefEntry({core_id},
-                                            CoherenceState.EXCLUSIVE)
-            return 0
-        interventions = 0
-        if (entry.state is CoherenceState.MODIFIED
-                and core_id not in entry.holders):
-            interventions = 1
-            self.interventions += 1
-        entry.holders.add(core_id)
-        if len(entry.holders) > 1:
-            entry.state = CoherenceState.SHARED
-        return interventions
-
-    def on_write(self, core_id, addr):
-        line = addr // self.line_bytes
-        entry = self._entries.get(line)
-        if entry is None:
-            self._entries[line] = _RefEntry({core_id},
-                                            CoherenceState.MODIFIED)
-            return 0
-        victims = entry.holders - {core_id}
-        self.invalidations += len(victims)
-        entry.holders = {core_id}
-        entry.state = CoherenceState.MODIFIED
-        return len(victims)
-
-    def evict(self, core_id, addr):
-        line = addr // self.line_bytes
-        entry = self._entries.get(line)
-        if entry is None:
-            return
-        entry.holders.discard(core_id)
-        if not entry.holders:
-            del self._entries[line]
-
-    def flush_core(self, core_id):
-        dropped = 0
-        dead = []
-        for line, entry in self._entries.items():
-            if core_id in entry.holders:
-                entry.holders.discard(core_id)
-                dropped += 1
-                if not entry.holders:
-                    dead.append(line)
-        for line in dead:
-            del self._entries[line]
-        self.invalidations += dropped
-        return dropped
-
-    @property
-    def tracked_lines(self):
-        return len(self._entries)
-
-
 #: Cache calls, weighted so evictions happen between the rarer flushes.
 CACHE_CALLS = (("read",) * 8 + ("write",) * 6 + ("fill",) * 4
                + ("probe",) * 2 + ("invalidate",) * 2 + ("flush",))
@@ -462,28 +404,6 @@ def test_cache_matches_object_per_line_reference(assoc, n_sets, seed):
         assert ([shipped.probe(line) for line in lines]
                 == [reference.probe(line) for line in lines])
     assert shipped.capacity_lines == reference.capacity_lines
-
-
-#: Directory calls over a few lines, so cores share and invalidate.
-DIRECTORY_CALLS = (("on_read",) * 6 + ("on_write",) * 4 + ("evict",) * 3
-                   + ("flush_core",))
-
-
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1))
-def test_directory_matches_set_per_line_reference(seed):
-    shipped, reference = CoherenceDirectory(), ReferenceDirectory()
-    rng = random.Random(seed)
-    for call in rng.choices(DIRECTORY_CALLS, k=SEQUENCE):
-        core, line = rng.randrange(17), rng.randrange(32)
-        args = ((core,) if call == "flush_core"
-                else (core, line * 64 + rng.randrange(64)))
-        assert (getattr(shipped, call)(*args)
-                == getattr(reference, call)(*args))
-        assert (shipped.invalidations, shipped.interventions,
-                shipped.tracked_lines) == (
-            reference.invalidations, reference.interventions,
-            reference.tracked_lines)
 
 
 class EagerBenchmark(SyntheticBenchmark):

@@ -35,7 +35,8 @@ class TestProducerConsumerPipeline:
         contents = producer_sc.contents()
         payload = sum(s.storage_bytes for s in contents)
         hier.bus.transfer(r_ooo.cycles, payload)
-        consumer_sc.load_contents(contents)
+        for schedule in contents:
+            consumer_sc.insert(schedule)
         # Consumer replays.
         oino = OinOCore(hier.core_view(1), consumer_sc)
         r_oino = oino.run(bench.stream(), n)

@@ -1,21 +1,15 @@
-"""Unit tests for the instruction model and program shapes."""
+"""Unit tests for the instruction model."""
 
 import dataclasses
 
-import pytest
-
 from repro.isa import (
-    BasicBlock,
     FP_REG_BASE,
     Instruction,
-    InstructionStream,
     OpClass,
     is_fp_class,
     is_mem_class,
-    iter_block,
 )
 from repro.isa.instructions import BASE_LATENCY
-from repro.isa.program import BlockInstr
 
 
 def make(opclass=OpClass.IALU, **kw):
@@ -101,56 +95,3 @@ class TestInstruction:
         assert (insn.dst, insn.mem_addr) == (4, 0x2000)
 
 
-class TestIterBlock:
-    def test_straightline_block(self):
-        block = BasicBlock(start_pc=0x4000, instrs=[
-            BlockInstr(OpClass.IALU, dst=4, srcs=(1,)),
-            BlockInstr(OpClass.IALU, dst=5, srcs=(4,)),
-        ])
-        insns = list(iter_block(block, seq_start=10))
-        assert [i.seq for i in insns] == [10, 11]
-        assert [i.pc for i in insns] == [0x4000, 0x4004]
-
-    def test_loop_back_emits_backward_branch(self):
-        block = BasicBlock(start_pc=0x4000, instrs=[
-            BlockInstr(OpClass.IALU, dst=4, srcs=(1,)),
-        ], loop_back=True)
-        insns = list(iter_block(block, seq_start=0))
-        assert insns[-1].is_backward_branch
-        assert insns[-1].target == 0x4000
-
-    def test_loop_exit_branch_not_taken(self):
-        block = BasicBlock(start_pc=0x4000, instrs=[
-            BlockInstr(OpClass.IALU, dst=4, srcs=(1,)),
-        ], loop_back=True)
-        insns = list(iter_block(block, seq_start=0, taken=False))
-        assert not insns[-1].taken
-
-    def test_memory_op_requires_addr_callback(self):
-        block = BasicBlock(start_pc=0x4000, instrs=[
-            BlockInstr(OpClass.LOAD, dst=4, srcs=(1,), mem_stream=0),
-        ])
-        with pytest.raises(ValueError):
-            list(iter_block(block, seq_start=0))
-
-    def test_memory_op_resolves_address(self):
-        block = BasicBlock(start_pc=0x4000, instrs=[
-            BlockInstr(OpClass.LOAD, dst=4, srcs=(1,), mem_stream=7),
-        ])
-        insns = list(iter_block(block, seq_start=0,
-                                addr_of=lambda sid: 0x8000 + sid))
-        assert insns[0].mem_addr == 0x8007
-
-    def test_block_size_includes_terminator(self):
-        block = BasicBlock(start_pc=0, instrs=[
-            BlockInstr(OpClass.IALU, dst=4, srcs=())], loop_back=True)
-        assert block.size == 2
-        assert block.end_pc == 8
-
-
-class TestInstructionStream:
-    def test_counts_emitted(self):
-        stream = InstructionStream(make(seq=i) for i in range(5))
-        consumed = list(stream)
-        assert len(consumed) == 5
-        assert stream.emitted == 5

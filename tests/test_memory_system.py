@@ -1,15 +1,10 @@
-"""Unit tests for prefetcher, bus, coherence and the hierarchy."""
+"""Unit tests for prefetcher, bus and the hierarchy."""
 
 import gc
 
 import pytest
 
-from repro.memory import (
-    CoherenceDirectory,
-    MemoryHierarchy,
-    SharedBus,
-    StridePrefetcher,
-)
+from repro.memory import MemoryHierarchy, SharedBus, StridePrefetcher
 from repro.memory.hierarchy import L1_LATENCY, L2_LATENCY, MEM_LATENCY
 
 
@@ -76,42 +71,6 @@ class TestSharedBus:
         bus.transfer(0, 320)
         assert bus.occupancy(20) == pytest.approx(0.5)
         assert bus.occupancy(0) == 0.0
-
-
-class TestCoherence:
-    def test_exclusive_then_shared(self):
-        d = CoherenceDirectory()
-        d.on_read(0, 0x1000)
-        d.on_read(1, 0x1000)
-        assert d.invalidations == 0
-
-    def test_write_invalidates_sharers(self):
-        d = CoherenceDirectory()
-        d.on_read(0, 0x1000)
-        d.on_read(1, 0x1000)
-        sent = d.on_write(0, 0x1000)
-        assert sent == 1
-        assert d.invalidations == 1
-
-    def test_dirty_read_intervention(self):
-        d = CoherenceDirectory()
-        d.on_write(0, 0x1000)
-        assert d.on_read(1, 0x1000) == 1
-
-    def test_flush_core_removes_everywhere(self):
-        d = CoherenceDirectory()
-        d.on_read(0, 0x1000)
-        d.on_read(0, 0x2000)
-        d.on_read(1, 0x2000)
-        dropped = d.flush_core(0)
-        assert dropped == 2
-        assert d.tracked_lines == 1   # core 1 still holds 0x2000
-
-    def test_evict_cleans_empty_entries(self):
-        d = CoherenceDirectory()
-        d.on_read(0, 0x1000)
-        d.evict(0, 0x1000)
-        assert d.tracked_lines == 0
 
 
 class TestHierarchy:

@@ -38,11 +38,15 @@ class TestUnits:
             MIX, "SC-MPKI")
 
     def test_homo_unit_matches_homo_baselines(self):
-        from repro.experiments.common import homo_baselines
+        from repro.cmp import SIM_SCALE, ClusterConfig
+        from repro.cmp.system import run_homo
+        from repro.experiments.common import models_for
 
-        ooo, ino = homo_baselines(MIX)
-        assert execute_unit(homo_unit(MIX, "ooo")) == ooo
-        assert execute_unit(homo_unit(MIX, "ino")) == ino
+        config = ClusterConfig(
+            n_consumers=len(MIX), n_producers=1, scale=SIM_SCALE)
+        for kind in ("ooo", "ino"):
+            assert execute_unit(homo_unit(MIX, kind)) == run_homo(
+                models_for(MIX), kind=kind, config=config)
 
     def test_call_unit_normalises_json(self):
         unit = call_unit("builtins:sorted", [3, 1, 2])

@@ -164,21 +164,6 @@ class TestScheduleCache:
         assert sc.lookup(0x1000, 1).num_instructions == 2
         assert sc.num_entries == 1
 
-    def test_contents_roundtrip(self):
-        sc1 = ScheduleCache()
-        sc1.insert(sched(pc=0x1000))
-        sc1.insert(sched(pc=0x2000))
-        sc2 = ScheduleCache()
-        sc2.load_contents(sc1.contents())
-        assert sc2.num_entries == 2
-        assert sc2.stats.writes == 0   # bulk transfer, not demand
-
-    def test_invalidate_all(self):
-        sc = ScheduleCache()
-        sc.insert(sched())
-        sc.invalidate_all()
-        assert sc.num_entries == 0 and sc.used_bytes == 0
-
     def test_mpki(self):
         sc = ScheduleCache()
         sc.lookup(0x1, 0)
@@ -231,33 +216,12 @@ class TestScheduleRecorder:
             rec.observe(huge, tuple(range(len(huge))), 5)
         assert sc.num_entries == 0
 
-    def test_abort_blacklisting(self):
-        sc = ScheduleCache(None)
-        rec = ScheduleRecorder(sc, confidence_threshold=2,
-                               abort_blacklist_ratio=0.25)
-        order = tuple(range(20))
-        key = make_trace().key
-        for _ in range(8):
-            rec.observe(make_trace(), order, 10)
-        assert sc.num_entries == 1
-        for _ in range(4):
-            rec.report_abort(key)
-        assert not sc.has_pc(0x1000)
-
     def test_signature_tolerates_duration_jitter(self):
         t = make_trace()
         order = tuple(range(20))
         s1 = ScheduleRecorder.signature_of(t, order, 40)
         s2 = ScheduleRecorder.signature_of(t, order, 43)
         assert s1 == s2
-
-    def test_memoization_rate(self):
-        sc = ScheduleCache(None)
-        rec = ScheduleRecorder(sc, confidence_threshold=2)
-        order = tuple(range(20))
-        for _ in range(4):
-            rec.observe(make_trace(), order, 10)
-        assert 0.0 < rec.memoization_rate <= 1.0
 
     def test_table_lru_bound(self):
         sc = ScheduleCache(None)
